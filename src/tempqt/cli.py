@@ -7,9 +7,6 @@ writes its fully resolved configuration beside its outputs, so a run
 directory is self-describing.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
-The environment variable TEMPQT_THREADS caps worker threads (default
-1): evaluation and map export fan out across images; training itself
-is always single-threaded, so thread count never changes results.
 """
 
 from __future__ import annotations
@@ -18,13 +15,11 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import RunConfig, load_run_config, serialize_run_config, serialize_settings
 from .data import load_manifest, generate_synthetic_dataset, save_manifest, split_by_reference
-from .encoder import encode
 from .errors import (
     ArgumentError,
     CheckpointError,
@@ -40,11 +35,11 @@ from .imaging import DISTORTION_KINDS, GrayImage, load_image, save_image
 from .metrics import plcc, srocc
 from .quality import extract_attention_map
 from .training import (
-    Checkpoint,
     check_model_compat,
+    evaluate_manifest,
     forward_pem,
+    forward_pqt,
     load_checkpoint,
-    predict_score,
     pretrain_pem,
     save_checkpoint,
     store_from_checkpoint,
@@ -62,26 +57,6 @@ _ERRORS = (
     TrainingError,
     OSError,
 )
-
-
-def thread_count() -> int:
-    raw = os.environ.get("TEMPQT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ArgumentError(f"TEMPQT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ArgumentError(f"TEMPQT_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _map_ordered(fn, items):
-    """Apply fn preserving order, on TEMPQT_THREADS workers."""
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write(path: str, text: str) -> None:
@@ -186,47 +161,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_split(manifest, ckpt: Checkpoint, split: str):
-    store = store_from_checkpoint(ckpt)
-    cfg = ckpt.model_cfg
-    mode = ckpt.train_cfg.ablation_mode
-    share = ckpt.train_cfg.share_backbone
-    samples = manifest.split_samples(split)
-
-    def score(sample):
-        img = load_image(manifest.resolve(sample.dist_path))
-        return predict_score(img, store, cfg, mode, share)
-
-    preds = _map_ordered(score, samples)
-    return samples, preds
-
-
 def cmd_eval(args) -> int:
     run = _load_run(args)
-    out = _ensure_out(run.out_dir)
     manifest = load_manifest(run.manifest)
     ckpt = load_checkpoint(args.ckpt)
     check_model_compat(ckpt.model_cfg, run.model)
-    if not any(name.startswith("fuse.") for name in ckpt.params):
-        raise CompatibilityError("checkpoint has no fusion head; eval needs a quality checkpoint")
+    # scores everything first, so a bad checkpoint or image leaves no output
+    results = evaluate_manifest(manifest, ckpt)
+    out = _ensure_out(run.out_dir)
     _resolved_run(run, out, "eval")
 
     report_lines = []
     csv_lines = ["dist_path,y,pred"]
-    for split in ("train", "test"):
-        samples, preds = _predict_split(manifest, ckpt, split)
-        if not samples:
+    for split, (paths, targets, preds) in results.items():
+        if not paths:
             continue
-        targets = [s.score for s in samples]
-        for s, p in zip(samples, preds):
-            csv_lines.append(f"{s.dist_path},{s.score!r},{p!r}")
-        if len(samples) >= 2:
+        for path, y, p in zip(paths, targets, preds):
+            csv_lines.append(f"{path},{y!r},{p!r}")
+        if len(paths) >= 2:
             line = (
-                f"split={split} n={len(samples)} "
+                f"split={split} n={len(paths)} "
                 f"srocc={srocc(targets, preds):.6f} plcc={plcc(targets, preds):.6f}"
             )
         else:
-            line = f"split={split} n={len(samples)} srocc=n/a plcc=n/a"
+            line = f"split={split} n={len(paths)} srocc=n/a plcc=n/a"
         report_lines.append(line)
         print(line)
     _write(os.path.join(out, "report.txt"), "\n".join(report_lines) + "\n")
@@ -243,36 +201,25 @@ def cmd_maps(args) -> int:
         os.path.join(out, "maps.resolved.config"),
         serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
     )
-    has_pqt = cfg.use_pqt and any(name.startswith("pqt.") for name in ckpt.params)
+    has_pqt = cfg.use_pqt and store.has_prefix("pqt.")
     share = ckpt.train_cfg.share_backbone
 
-    def export(path):
+    for path in args.images:
         img = load_image(path)
         if (img.height, img.width) != (cfg.image_size, cfg.image_size):
             raise DimensionError(
                 f"{path}: image is {img.height}x{img.width}, checkpoint requires "
                 f"{cfg.image_size}x{cfg.image_size}"
             )
-        stem = os.path.splitext(os.path.basename(path))[0]
+        stem = os.path.join(out, os.path.splitext(os.path.basename(path))[0])
         pem = forward_pem(img, store, cfg).data[0].astype(np.float32)
-        save_image(
-            GrayImage(img.height, img.width, np.clip(pem, 0.0, 1.0)),
-            os.path.join(out, f"{stem}.pem.pgm"),
-        )
-        written = [f"{stem}.pem.pgm"]
+        save_image(GrayImage(img.height, img.width, np.clip(pem, 0.0, 1.0)), f"{stem}.pem.pgm")
+        print(f"wrote {stem}.pem.pgm")
         if has_pqt:
-            enc = encode(
-                img, store, cfg, branch="pqt",
-                weight_prefix="pem" if share else "pqt", capture=True,
-            )
+            enc = forward_pqt(img, store, cfg, share, capture=True)
             am = extract_attention_map(enc.pqt_attention, img.height, img.width)
-            save_image(am, os.path.join(out, f"{stem}.am.pgm"))
-            written.append(f"{stem}.am.pgm")
-        return written
-
-    for written in _map_ordered(export, list(args.images)):
-        for name in written:
-            print(f"wrote {os.path.join(out, name)}")
+            save_image(am, f"{stem}.am.pgm")
+            print(f"wrote {stem}.am.pgm")
     return 0
 
 

@@ -37,7 +37,6 @@ class RunConfig:
             raise ArgumentError("patch_count must be positive")
 
 
-_RUN_DEFAULTS = {"manifest": None, "out_dir": None, "patch_count": 4, "augment": True}
 _RUN_TYPES = {"manifest": str, "out_dir": str, "patch_count": int, "augment": bool}
 
 
@@ -162,13 +161,11 @@ def parse_settings(text: str):
 
 def parse_run_text(text: str) -> RunConfig:
     groups = _build(parse_pairs(text))
-    run = dict(_RUN_DEFAULTS)
-    run.update(groups["run"])
     return RunConfig(
         model=ModelConfig(**groups["model"]),
         train=TrainConfig(**groups["train"]),
         loss=PemLossConfig(**groups["loss"]),
-        **run,
+        **groups["run"],
     )
 
 

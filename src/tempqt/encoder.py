@@ -2,13 +2,10 @@
 
 Two branches share this code. The error-map branch encodes the N patch
 tokens alone. The quality branch prepends one learnable token whose
-attention over the patch tokens is captured per layer for diagnostics
-and whose final-layer state feeds the fusion head.
+attention over the patch tokens can be captured per layer for
+diagnostics and whose final-layer state feeds the fusion head.
 
-Blocks are pre-norm: x += attn(norm(x)); x += mlp(norm(x)). Setting
-``literal_block`` switches to an alternate wiring in which the
-attention residual feeds the MLP directly and the MLP path has no
-second normalization (kept for comparison runs; not the default).
+Blocks are pre-norm: x += attn(norm(x)); x += mlp(norm(x)).
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ class ModelConfig:
     use_pqt: bool = True
     selected_layers: tuple = (0, 1, 2, 4)
     gap_grid: int = 1
-    pqt_attn_capture: bool = True
-    literal_block: bool = False
 
     def __post_init__(self):
         if self.image_size < 1 or self.patch_size < 1:
@@ -144,9 +139,8 @@ def init_encoder_params(
             store.add(f"{base}.attn.{proj}", trunc_normal(rng, (d, d), INIT_STD, dtype), dtype=dtype)
         for bias in ("bq", "bk", "bv", "bo"):
             store.add(f"{base}.attn.{bias}", np.zeros(d, dtype=dtype), dtype=dtype)
-        if not cfg.literal_block:
-            store.add(f"{base}.ln2.g", np.ones(d, dtype=dtype), dtype=dtype)
-            store.add(f"{base}.ln2.b", np.zeros(d, dtype=dtype), dtype=dtype)
+        store.add(f"{base}.ln2.g", np.ones(d, dtype=dtype), dtype=dtype)
+        store.add(f"{base}.ln2.b", np.zeros(d, dtype=dtype), dtype=dtype)
         store.add(f"{base}.mlp.w1", trunc_normal(rng, (d, hid), INIT_STD, dtype), dtype=dtype)
         store.add(f"{base}.mlp.b1", np.zeros(hid, dtype=dtype), dtype=dtype)
         store.add(f"{base}.mlp.w2", trunc_normal(rng, (hid, d), INIT_STD, dtype), dtype=dtype)
@@ -218,15 +212,10 @@ def encoder_block(
     attn_out = T.linear(merged, store[f"{base}.attn.wo"], store[f"{base}.attn.bo"])
     t = T.add(x, attn_out)
 
-    if cfg.literal_block:
-        m = T.linear(t, store[f"{base}.mlp.w1"], store[f"{base}.mlp.b1"])
-        m = T.gelu(m)
-        m = T.linear(m, store[f"{base}.mlp.w2"], store[f"{base}.mlp.b2"])
-    else:
-        tn = T.layer_norm(t, store[f"{base}.ln2.g"], store[f"{base}.ln2.b"])
-        m = T.linear(tn, store[f"{base}.mlp.w1"], store[f"{base}.mlp.b1"])
-        m = T.gelu(m)
-        m = T.linear(m, store[f"{base}.mlp.w2"], store[f"{base}.mlp.b2"])
+    tn = T.layer_norm(t, store[f"{base}.ln2.g"], store[f"{base}.ln2.b"])
+    m = T.linear(tn, store[f"{base}.mlp.w1"], store[f"{base}.mlp.b1"])
+    m = T.gelu(m)
+    m = T.linear(m, store[f"{base}.mlp.w2"], store[f"{base}.mlp.b2"])
     out = T.add(t, m)
 
     vec = None
@@ -241,7 +230,7 @@ def encode(
     cfg: ModelConfig,
     branch: str = "pem",
     weight_prefix: str | None = None,
-    capture: bool | None = None,
+    capture: bool = False,
 ) -> EncoderOutput:
     """Run the encoder for one branch.
 
@@ -249,7 +238,8 @@ def encode(
     learnable quality token (requires cfg.use_pqt). ``weight_prefix``
     overrides which parameter family the blocks read, which is how a
     shared backbone is expressed; the quality token itself always lives
-    under "pqt.token".
+    under "pqt.token". ``capture`` records the quality token's attention
+    per block (pqt branch only).
     """
     if branch not in ("pem", "pqt"):
         raise ArgumentError(f"unknown branch {branch!r}")
@@ -257,8 +247,6 @@ def encode(
     if with_token and not cfg.use_pqt:
         raise ArgumentError("quality-token branch requested but use_pqt is off")
     prefix = weight_prefix if weight_prefix is not None else branch
-    if capture is None:
-        capture = cfg.pqt_attn_capture
     capture = capture and with_token
 
     x = patchify_embed(img, store, cfg, prefix)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .decoder import decode, init_decoder_params
-from .encoder import ModelConfig, encode, encoder_block, init_encoder_params, tiny_config
+from .encoder import ModelConfig, encoder_block, init_encoder_params, tiny_config
 from .errors import ArgumentError
 from .imaging import make_texture
 from .params import ParamStore
@@ -28,6 +28,7 @@ from .quality import fuse_and_predict, init_fusion_params, quality_loss
 from .rng import CounterRng, derive_seed
 from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, Tensor, backward
+from .training import forward_pem, forward_pqt
 
 STEP = 1e-3
 TOLERANCE = 1e-3
@@ -332,27 +333,20 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
 
         # Place the head's PReLU preactivations a safe distance from the
         # kink at the operating point, so the fd step cannot straddle it.
-        probe_enc = encode(dist, store, model, branch="pem", weight_prefix="pem", capture=False)
-        probe_pem = decode(
-            [probe_enc.layer_tokens[layer] for layer in model.selected_layers],
-            store, model, size, size,
-        )
-        pooled = T.global_average_pool(probe_pem, model.gap_grid)
+        pooled = T.global_average_pool(forward_pem(dist, store, model), model.gap_grid)
         v_pem = T.linear(
             T.reshape(pooled, (1, pooled.size)), store["fuse.mlp1.w"], store["fuse.mlp1.b"]
         )
-        probe_tok = encode(dist, store, model, branch="pqt", capture=False).pqt_tokens[-1]
+        probe_tok = forward_pqt(dist, store, model).pqt_tokens[-1]
         fused = T.add(v_pem, T.reshape(probe_tok, (1, model.embed_dim)))
         pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
         signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
         store["fuse.mlp2.b1"].data += 0.05 * signs - pre
 
         def forward():
-            enc = encode(dist, store, model, branch="pem", weight_prefix="pem", capture=False)
-            tokens = [enc.layer_tokens[layer] for layer in model.selected_layers]
-            pem = decode(tokens, store, model, size, size)
+            pem = forward_pem(dist, store, model)
             l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
-            token = encode(dist, store, model, branch="pqt", capture=False).pqt_tokens[-1]
+            token = forward_pqt(dist, store, model).pqt_tokens[-1]
             score = fuse_and_predict(pem, token, store, model, "both")
             l_q = quality_loss(score, np.float64(0.7))
             return T.add(l_em, l_q)
@@ -441,13 +435,3 @@ def run_case(name: str, seed: int = 0, case=None) -> CaseResult:
             worst = max(worst, err)
             checked += 1
     return CaseResult(name, worst, checked)
-
-
-def run_all(seed: int = 0, model_cfg: ModelConfig | None = None) -> list:
-    """Every registered case once; optional model override for the full graph."""
-    results = []
-    for name, case in CASES.items():
-        if name == "tiny_model" and model_cfg is not None:
-            case = build_tiny_model_case(model_cfg)
-        results.append(run_case(name, seed=seed, case=case))
-    return results

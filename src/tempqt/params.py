@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CompatibilityError
 from .rng import CounterRng
 from .tensor import Tensor
 
@@ -26,7 +27,10 @@ class ParamStore:
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
+        try:
+            return self._params[name]
+        except KeyError:
+            raise CompatibilityError("the model needs a parameter the store lacks", (name,)) from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._params

@@ -10,45 +10,28 @@ from . import tensor as T
 from .errors import ArgumentError, DimensionError
 from .imaging import GrayImage
 
-REF_PRIME_MODES = ("predicted", "literal")
-
-
 @dataclass(frozen=True)
 class PemLossConfig:
     """Weights for the two error-map loss terms.
 
-    oem_lambda balances the reconstruction term. ref_prime_mode picks
-    how the pseudo reference is formed: "predicted" subtracts the
-    predicted map from the distorted image (the default; the term then
-    carries gradient), "literal" subtracts the objective map instead,
-    which makes the term a constant offset.
+    oem_lambda balances the reconstruction term, whose pseudo reference
+    is the distorted image minus the predicted map.
     """
 
     oem_lambda: float = 0.1
-    ref_prime_mode: str = "predicted"
 
     def __post_init__(self):
         if self.oem_lambda < 0:
             raise ArgumentError(f"oem_lambda must be nonnegative, got {self.oem_lambda}")
-        if self.ref_prime_mode not in REF_PRIME_MODES:
-            raise ArgumentError(f"ref_prime_mode must be one of {REF_PRIME_MODES}")
 
 
 def compute_oem(dist: GrayImage, ref: GrayImage) -> GrayImage:
-    """Objective error map: symmetrized absolute difference.
-
-    Computed as (|d - r| + |r - d|) / 2, which is elementwise |d - r|;
-    the symmetric form is kept so the identity oem(x, x) == 0 holds
-    exactly and the argument order provably does not matter.
-    """
+    """Objective error map: elementwise absolute difference |d - r|."""
     if (dist.height, dist.width) != (ref.height, ref.width):
         raise DimensionError(
             f"image sizes differ: {dist.height}x{dist.width} vs {ref.height}x{ref.width}"
         )
-    d = dist.pixels
-    r = ref.pixels
-    out = 0.5 * (np.abs(d - r) + np.abs(r - d))
-    return GrayImage(dist.height, dist.width, out)
+    return GrayImage(dist.height, dist.width, np.abs(dist.pixels - ref.pixels))
 
 
 def _flat_const(img: GrayImage, shape, dtype) -> T.Tensor:
@@ -67,7 +50,7 @@ def pem_loss(
     loss = mean((pem - oem)^2)
          + oem_lambda * mean((ref' - ref)^2)
 
-    with ref' = dist - pem (predicted mode) or dist - oem (literal mode).
+    with the pseudo reference ref' = dist - pem.
     Means, not sums, so the value is resolution-independent.
     """
     hw = (oem.height, oem.width)
@@ -83,9 +66,6 @@ def pem_loss(
         return fit
     dist_t = _flat_const(dist, shape, dtype)
     ref_t = _flat_const(ref, shape, dtype)
-    if cfg.ref_prime_mode == "predicted":
-        ref_prime = T.sub(dist_t, pem)
-    else:
-        ref_prime = T.sub(dist_t, oem_t)
+    ref_prime = T.sub(dist_t, pem)
     recon = T.mean(T.square(T.sub(ref_prime, ref_t)))
     return T.add(fit, T.scale(recon, cfg.oem_lambda))

@@ -6,15 +6,18 @@ branch and fusion head, and regresses scores with an L1 loss. Both
 stages use classic Adam with L2-coupled weight decay and a stepped
 learning-rate schedule.
 
-Checkpoints are a small binary format (magic ``TQTCKPT``): embedded
-configuration text, named float32 parameter blocks in store order, an
-optional optimizer state, and the epoch counter. Little-endian
-throughout; a save/load/save round trip is byte-identical.
+Checkpoints are a small binary format (magic ``TQTCKPT``, version 2):
+embedded configuration text followed by named float32 parameter blocks
+in store order, and nothing after the last block. Optimizer state and
+epoch counters are not stored; nothing resumes from them. Little-endian
+throughout; a save/load/save round trip is byte-identical, and a save
+replaces the file atomically.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 from dataclasses import dataclass
 
@@ -39,7 +42,7 @@ from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, backward, zero_grads
 
 CHECKPOINT_MAGIC = b"TQTCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -184,7 +187,7 @@ def forward_pqt(
     store: ParamStore,
     cfg: ModelConfig,
     share_backbone: bool = False,
-    capture: bool | None = None,
+    capture: bool = False,
 ) -> EncoderOutput:
     prefix = "pem" if share_backbone else "pqt"
     return encode(img, store, cfg, branch="pqt", weight_prefix=prefix, capture=capture)
@@ -200,7 +203,7 @@ def _score_crop(
     pem_t = forward_pem(crop, store, cfg) if mode != "pqt_only" else None
     token = None
     if mode != "pem_only":
-        token = forward_pqt(crop, store, cfg, share_backbone, capture=False).pqt_tokens[-1]
+        token = forward_pqt(crop, store, cfg, share_backbone).pqt_tokens[-1]
     return fuse_and_predict(pem_t, token, store, cfg, mode).item()
 
 
@@ -226,8 +229,6 @@ class Checkpoint:
     train_cfg: TrainConfig
     loss_cfg: PemLossConfig
     params: dict
-    adam: AdamState | None = None
-    epoch: int = 0
 
 
 def store_from_checkpoint(ckpt: Checkpoint) -> ParamStore:
@@ -260,22 +261,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raw = data.tobytes()
         chunks.append(struct.pack("<Q", len(raw)))
         chunks.append(raw)
-    adam = ckpt.adam
-    if adam is None:
-        chunks.append(struct.pack("<B", 0))
-    else:
-        chunks.append(struct.pack("<B", 1))
-        chunks.append(struct.pack("<Q", adam.t))
-        chunks.append(struct.pack("<I", len(adam.m)))
-        for name in adam.m:
-            encoded = name.encode("utf-8")
-            chunks.append(struct.pack("<H", len(encoded)))
-            chunks.append(encoded)
-            chunks.append(np.ascontiguousarray(adam.m[name], dtype="<f4").tobytes())
-            chunks.append(np.ascontiguousarray(adam.v[name], dtype="<f4").tobytes())
-    chunks.append(struct.pack("<I", ckpt.epoch))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    # a crash mid-write leaves the previous file, never a truncated one
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class _Cursor:
@@ -327,26 +321,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: parameter {name!r} length mismatch")
         raw = cur.take(nbytes, f"data for {name!r}")
         params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-    adam = None
-    if cur.unpack("<B", "optimizer flag"):
-        adam = AdamState()
-        adam.t = cur.unpack("<Q", "optimizer step")
-        n_entries = cur.unpack("<I", "optimizer entry count")
-        for _ in range(n_entries):
-            name_len = cur.unpack("<H", "optimizer name length")
-            name = cur.take(name_len, "optimizer name").decode("utf-8")
-            if name not in params:
-                raise CheckpointError(f"{path}: optimizer state for unknown parameter {name!r}")
-            nbytes = 4 * params[name].size
-            adam.m[name] = (
-                np.frombuffer(cur.take(nbytes, "m"), dtype="<f4").reshape(params[name].shape).copy()
-            )
-            adam.v[name] = (
-                np.frombuffer(cur.take(nbytes, "v"), dtype="<f4").reshape(params[name].shape).copy()
-            )
-    epoch = cur.unpack("<I", "epoch")
-    return Checkpoint(model_cfg, train_cfg, loss_cfg, params, adam, epoch)
+    if cur.pos != len(data):
+        raise CheckpointError(f"{path}: {len(data) - cur.pos} trailing bytes after the last parameter")
+    return Checkpoint(model_cfg, train_cfg, loss_cfg, params)
 
 
 def check_model_compat(ckpt_cfg: ModelConfig, cfg: ModelConfig) -> None:
@@ -443,9 +420,7 @@ def pretrain_pem(
             epoch_losses.append(value)
         log.line(f"stage=1 epoch={epoch} lr={lr!r} loss={float(np.mean(epoch_losses))!r}")
 
-    return Checkpoint(
-        model_cfg, train_cfg, loss_cfg, store.arrays(), adam=state, epoch=train_cfg.epochs_stage1
-    )
+    return Checkpoint(model_cfg, train_cfg, loss_cfg, store.arrays())
 
 
 def train_quality(
@@ -499,9 +474,8 @@ def train_quality(
                     pem_t = T.constant(pem_arr) if need_pem else None
                     token = None
                     if need_token:
-                        token = forward_pqt(
-                            patch, store, model_cfg, train_cfg.share_backbone, capture=False
-                        ).pqt_tokens[-1]
+                        enc = forward_pqt(patch, store, model_cfg, train_cfg.share_backbone)
+                        token = enc.pqt_tokens[-1]
                     s = fuse_and_predict(pem_t, token, store, model_cfg, mode)
                     scores.append(T.reshape(s, (1,)))
                 preds = scores[0] if len(scores) == 1 else T.concat(scores, axis=0)
@@ -517,9 +491,7 @@ def train_quality(
             epoch_losses.append(value)
         log.line(f"stage=2 epoch={epoch} lr={lr!r} loss={float(np.mean(epoch_losses))!r}")
 
-    return Checkpoint(
-        model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays(), adam=state, epoch=train_cfg.epochs_stage2
-    )
+    return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 
 
 def evaluate_manifest(

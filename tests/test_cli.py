@@ -9,6 +9,7 @@ from tempqt import cli
 from tempqt import gradcheck
 from tempqt import tensor as T
 from tempqt.imaging import load_image, make_texture, save_image
+from tempqt.training import load_checkpoint, save_checkpoint
 
 TINY_RUN_CONFIG = """\
 # model
@@ -125,17 +126,6 @@ def test_maps_outputs(pipeline):
     assert (pipeline["maps"] / "maps.resolved.config").is_file()
 
 
-def test_eval_threaded_matches_single(pipeline, monkeypatch, tmp_path):
-    run1 = pipeline["run"]
-    monkeypatch.setenv("TEMPQT_THREADS", "4")
-    out2 = tmp_path / "eval2"
-    assert cli.main([
-        "eval", "--config", str(pipeline["cfg"]),
-        "--ckpt", str(run1 / "quality.ckpt"), "--out", str(out2),
-    ]) == 0
-    assert (out2 / "predictions.csv").read_bytes() == (run1 / "predictions.csv").read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -190,13 +180,29 @@ def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
     assert "checkpoint requires" in capsys.readouterr().err
 
 
-def test_bad_thread_env_exit_1(pipeline, monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("TEMPQT_THREADS", "zero")
+def test_eval_checkpoint_with_trailing_bytes_exit_1(pipeline, tmp_path, capsys):
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes((pipeline["run"] / "quality.ckpt").read_bytes() + b"junk")
     assert cli.main([
-        "eval", "--config", str(pipeline["cfg"]),
-        "--ckpt", str(pipeline["run"] / "quality.ckpt"), "--out", str(tmp_path / "e"),
+        "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(padded),
+        "--out", str(tmp_path / "e"),
     ]) == 1
-    assert "TEMPQT_THREADS" in capsys.readouterr().err
+    assert "4 trailing bytes" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_checkpoint_missing_parameter_exit_1(pipeline, tmp_path, capsys):
+    ckpt = load_checkpoint(pipeline["run"] / "quality.ckpt")
+    del ckpt.params["fuse.mlp2.w2"]
+    partial = tmp_path / "partial.ckpt"
+    save_checkpoint(ckpt, partial)
+    assert cli.main([
+        "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(partial),
+        "--out", str(tmp_path / "e"),
+    ]) == 1
+    assert "fuse.mlp2.w2" in capsys.readouterr().err
+    # scoring fails before eval writes anything
+    assert not (tmp_path / "e").exists()
 
 
 def test_corrupt_checkpoint_exit_1(pipeline, tmp_path, capsys):

@@ -29,7 +29,7 @@ def test_settings_round_trip_defaults():
 def test_settings_round_trip_non_defaults():
     model = ModelConfig(image_size=32, patch_size=8, embed_dim=48, layers=3, heads=4, selected_layers=(0, 1, 3))
     train = TrainConfig(alpha=3e-4, batch_size=5, lr_decay=0.5, ablation_mode="pem_only")
-    loss = PemLossConfig(oem_lambda=0.25, ref_prime_mode="literal")
+    loss = PemLossConfig(oem_lambda=0.25)
     m2, t2, l2 = parse_settings(serialize_settings(model, train, loss))
     assert (m2, t2, l2) == (model, train, loss)
 

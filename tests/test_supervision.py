@@ -59,14 +59,12 @@ def test_loss_config_validation():
     PemLossConfig(oem_lambda=0.0)
     with pytest.raises(ArgumentError):
         PemLossConfig(oem_lambda=-0.1)
-    with pytest.raises(ArgumentError):
-        PemLossConfig(ref_prime_mode="exact")
 
 
 # ---------------------------------------------------------------------------
 # pem_loss values, frozen from the formula
 #   fit   = mean((pem - oem)^2)
-#   recon = mean((ref' - ref)^2), ref' = dist - pem (predicted) or dist - oem
+#   recon = mean((ref' - ref)^2), ref' = dist - pem
 # Oracles read pixels back out of the images so image-storage rounding
 # stays upstream of the check; the formula itself is held to 1e-12.
 
@@ -98,16 +96,6 @@ def test_pem_loss_predicted_mode_value():
 def test_pem_loss_zero_lambda_is_fit_only():
     value, grad = loss_parts(PemLossConfig(oem_lambda=0.0))
     assert value == pytest.approx(FIT, abs=1e-12)
-    expected = 2.0 * (PEM64 - OEM64) / 4.0
-    assert np.allclose(grad.reshape(2, 2), expected, atol=1e-12)
-
-
-def test_pem_loss_literal_mode_constant_term():
-    # literal ref' = dist - oem: the recon term carries no gradient
-    cfg = PemLossConfig(oem_lambda=0.5, ref_prime_mode="literal")
-    recon = float(np.mean((DIST64 - OEM64 - REF64) ** 2))
-    value, grad = loss_parts(cfg)
-    assert value == pytest.approx(FIT + 0.5 * recon, abs=1e-12)
     expected = 2.0 * (PEM64 - OEM64) / 4.0
     assert np.allclose(grad.reshape(2, 2), expected, atol=1e-12)
 
