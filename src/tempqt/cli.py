@@ -201,7 +201,7 @@ def cmd_maps(args) -> int:
         os.path.join(out, "maps.resolved.config"),
         serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
     )
-    has_pqt = cfg.use_pqt and store.has_prefix("pqt.")
+    has_pqt = store.has_prefix("pqt.")
     share = ckpt.train_cfg.share_backbone
 
     for path in args.images:
@@ -217,7 +217,7 @@ def cmd_maps(args) -> int:
         print(f"wrote {stem}.pem.pgm")
         if has_pqt:
             enc = forward_pqt(img, store, cfg, share, capture=True)
-            am = extract_attention_map(enc.pqt_attention, img.height, img.width)
+            am = extract_attention_map(enc.attention, img.height, img.width)
             save_image(am, f"{stem}.am.pgm")
             print(f"wrote {stem}.am.pgm")
     return 0

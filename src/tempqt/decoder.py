@@ -37,9 +37,7 @@ def upsample_stages(patch: int) -> tuple[int, int]:
     return patch, 1
 
 
-def init_decoder_params(
-    store: ParamStore, cfg: ModelConfig, rng: CounterRng, prefix: str = "dec", dtype=np.float32
-) -> None:
+def init_decoder_params(store: ParamStore, cfg: ModelConfig, rng: CounterRng, dtype=np.float32) -> None:
     """Unit-gain conv weights (std 1/sqrt(fan_in)) plus the head bias prior.
 
     Fan-scaled init keeps feature magnitudes stable through the conv
@@ -50,12 +48,12 @@ def init_decoder_params(
     d = cfg.embed_dim
     layer_std = 1.0 / np.sqrt(9.0 * d)
     for idx in range(len(cfg.selected_layers)):
-        store.add(f"{prefix}.layer{idx}.w", trunc_normal(rng, (c_dec, d, 3, 3), layer_std, dtype), dtype=dtype)
-        store.add(f"{prefix}.layer{idx}.b", np.zeros(c_dec, dtype=dtype), dtype=dtype)
+        store.add(f"dec.layer{idx}.w", trunc_normal(rng, (c_dec, d, 3, 3), layer_std, dtype), dtype=dtype)
+        store.add(f"dec.layer{idx}.b", np.zeros(c_dec, dtype=dtype), dtype=dtype)
     k = len(cfg.selected_layers)
     head_std = 1.0 / np.sqrt(9.0 * k * c_dec)
-    store.add(f"{prefix}.head.w", trunc_normal(rng, (1, k * c_dec, 3, 3), head_std, dtype), dtype=dtype)
-    store.add(f"{prefix}.head.b", np.full(1, HEAD_BIAS_PRIOR, dtype=dtype), dtype=dtype)
+    store.add("dec.head.w", trunc_normal(rng, (1, k * c_dec, 3, 3), head_std, dtype), dtype=dtype)
+    store.add("dec.head.b", np.full(1, HEAD_BIAS_PRIOR, dtype=dtype), dtype=dtype)
 
 
 def aggregate_topdown(layer_tokens: list) -> list:
@@ -78,7 +76,6 @@ def decode(
     cfg: ModelConfig,
     out_h: int,
     out_w: int,
-    prefix: str = "dec",
 ) -> T.Tensor:
     """Map selected-layer tokens to a (1, out_h, out_w) error map in (0, 1)."""
     if len(layer_tokens) != len(cfg.selected_layers):
@@ -101,10 +98,10 @@ def decode(
     feats = []
     for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
         fmap = T.reshape(T.transpose(tokens), (d, grid, grid))
-        fmap = T.conv2d_3x3(fmap, store[f"{prefix}.layer{idx}.w"], store[f"{prefix}.layer{idx}.b"])
+        fmap = T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"])
         fmap = T.gelu(fmap)
         feats.append(T.bilinear_resize(fmap, mid, mid))
     merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=0)
-    head = T.conv2d_3x3(merged, store[f"{prefix}.head.w"], store[f"{prefix}.head.b"])
+    head = T.conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"])
     full = T.bilinear_resize(head, out_h, out_w)
     return T.sigmoid(full)

@@ -1,9 +1,11 @@
 """Patch-token transformer encoder with an optional quality token.
 
 Two branches share this code. The error-map branch encodes the N patch
-tokens alone. The quality branch prepends one learnable token whose
-attention over the patch tokens can be captured per layer for
-diagnostics and whose final-layer state feeds the fusion head.
+tokens alone, runs only as deep as its deepest selected layer, and
+hands the selected layers' tokens to the decoder. The quality branch
+prepends one learnable token, runs every block, and hands the token's
+final state to the fusion head; its attention over the patch tokens can
+be captured per block for diagnostics.
 
 Blocks are pre-norm: x += attn(norm(x)); x += mlp(norm(x)).
 """
@@ -32,7 +34,6 @@ class ModelConfig:
     layers: int = 4
     heads: int = 4
     mlp_ratio: float = 4.0
-    use_pqt: bool = True
     selected_layers: tuple = (0, 1, 2, 4)
     gap_grid: int = 1
 
@@ -72,6 +73,11 @@ class ModelConfig:
     def mlp_hidden(self) -> int:
         return int(round(self.mlp_ratio * self.embed_dim))
 
+    @property
+    def pem_depth(self) -> int:
+        """Blocks the error-map branch has: none past its deepest selected layer."""
+        return self.selected_layers[-1]
+
 
 def paper_scale_config() -> ModelConfig:
     """Full-scale preset; expressible but far beyond desk budgets."""
@@ -85,7 +91,7 @@ def paper_scale_config() -> ModelConfig:
     )
 
 
-def tiny_config(use_pqt: bool = True) -> ModelConfig:
+def tiny_config() -> ModelConfig:
     """Small configuration for gradient checks and fast tests."""
     return ModelConfig(
         image_size=32,
@@ -93,7 +99,6 @@ def tiny_config(use_pqt: bool = True) -> ModelConfig:
         embed_dim=16,
         layers=2,
         heads=2,
-        use_pqt=use_pqt,
         selected_layers=(0, 1, 2),
         gap_grid=2,
     )
@@ -101,18 +106,19 @@ def tiny_config(use_pqt: bool = True) -> ModelConfig:
 
 @dataclass
 class EncoderOutput:
-    """Per-layer token records from one encoder forward.
+    """What one encoder forward hands its caller.
 
-    layer_tokens holds patch tokens (quality token stripped) for each
-    selected layer index, 0 meaning the embedding output. pqt_tokens and
-    pqt_attention are per-block records for the quality branch; the
-    attention vectors are detached numpy arrays over the N patch tokens,
-    head-averaged and renormalized to sum to 1.
+    The pem branch sets layer_tokens: the (N, d) patch tokens of each
+    selected layer, in cfg.selected_layers order, 0 meaning the embedding
+    output. The pqt branch sets token, the quality token's final (d,)
+    state, and, when capture is on, attention: one detached (N,) numpy
+    vector per block over the patch tokens, head-averaged and
+    renormalized to sum to 1.
     """
 
-    layer_tokens: dict
-    pqt_tokens: list | None = None
-    pqt_attention: list | None = None
+    layer_tokens: list | None = None
+    token: T.Tensor | None = None
+    attention: list | None = None
 
 
 def init_encoder_params(
@@ -131,7 +137,7 @@ def init_encoder_params(
     store.add(f"{prefix}.embed.w", trunc_normal(rng, (p2, d), INIT_STD, dtype), dtype=dtype)
     store.add(f"{prefix}.embed.b", np.zeros(d, dtype=dtype), dtype=dtype)
     store.add(f"{prefix}.pos", trunc_normal(rng, (cfg.num_patches, d), INIT_STD, dtype), dtype=dtype)
-    for layer in range(1, cfg.layers + 1):
+    for layer in range(1, (cfg.layers if with_token else cfg.pem_depth) + 1):
         base = f"{prefix}.block{layer}"
         store.add(f"{base}.ln1.g", np.ones(d, dtype=dtype), dtype=dtype)
         store.add(f"{base}.ln1.b", np.zeros(d, dtype=dtype), dtype=dtype)
@@ -234,8 +240,10 @@ def encode(
 ) -> EncoderOutput:
     """Run the encoder for one branch.
 
-    branch "pem" consumes the N patch tokens; branch "pqt" prepends the
-    learnable quality token (requires cfg.use_pqt). ``weight_prefix``
+    branch "pem" encodes the N patch tokens through blocks
+    1..cfg.pem_depth and returns the selected layers' tokens; branch
+    "pqt" prepends the learnable quality token, runs all cfg.layers
+    blocks and returns the token's final state. ``weight_prefix``
     overrides which parameter family the blocks read, which is how a
     shared backbone is expressed; the quality token itself always lives
     under "pqt.token". ``capture`` records the quality token's attention
@@ -243,33 +251,24 @@ def encode(
     """
     if branch not in ("pem", "pqt"):
         raise ArgumentError(f"unknown branch {branch!r}")
-    with_token = branch == "pqt"
-    if with_token and not cfg.use_pqt:
-        raise ArgumentError("quality-token branch requested but use_pqt is off")
     prefix = weight_prefix if weight_prefix is not None else branch
-    capture = capture and with_token
-
     x = patchify_embed(img, store, cfg, prefix)
-    n = cfg.num_patches
-    if with_token:
-        token = T.reshape(store["pqt.token"], (1, cfg.embed_dim))
-        x = T.concat([token, x], axis=0)
 
-    def patch_rows(tokens: T.Tensor) -> T.Tensor:
-        return T.slice_rows(tokens, 1, n + 1) if with_token else tokens
+    if branch == "pem":
+        selected = cfg.selected_layers
+        layer_tokens = [x] if selected[0] == 0 else []
+        for layer in range(1, cfg.pem_depth + 1):
+            x, _vec = encoder_block(x, store, cfg, prefix, layer)
+            if layer in selected:
+                layer_tokens.append(x)
+        return EncoderOutput(layer_tokens=layer_tokens)
 
-    selected = set(cfg.selected_layers)
-    layer_tokens: dict = {}
-    pqt_tokens: list = [] if with_token else None
-    pqt_attention: list = [] if capture else None
-    if 0 in selected:
-        layer_tokens[0] = patch_rows(x)
+    token = T.reshape(store["pqt.token"], (1, cfg.embed_dim))
+    x = T.concat([token, x], axis=0)
+    attention = [] if capture else None
     for layer in range(1, cfg.layers + 1):
         x, vec = encoder_block(x, store, cfg, prefix, layer, capture=capture)
-        if layer in selected:
-            layer_tokens[layer] = patch_rows(x)
-        if with_token:
-            pqt_tokens.append(T.reshape(T.slice_rows(x, 0, 1), (cfg.embed_dim,)))
         if capture:
-            pqt_attention.append(vec)
-    return EncoderOutput(layer_tokens, pqt_tokens, pqt_attention)
+            attention.append(vec)
+    final = T.reshape(T.slice_rows(x, 0, 1), (cfg.embed_dim,))
+    return EncoderOutput(token=final, attention=attention)

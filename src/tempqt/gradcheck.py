@@ -250,7 +250,7 @@ def _case_encoder_block(rng):
 def _case_decoder(rng):
     cfg = tiny_config()
     store = ParamStore()
-    init_decoder_params(store, cfg, CounterRng(rng.randint(1 << 30)), "dec", dtype=np.float64)
+    init_decoder_params(store, cfg, CounterRng(rng.randint(1 << 30)), dtype=np.float64)
     tokens = [_leaf(rng, cfg.num_patches, cfg.embed_dim, scale=0.5) for _ in cfg.selected_layers]
     proj = _projector(rng, (1, cfg.image_size, cfg.image_size))
     leaves = tokens + list(store.tensors())
@@ -317,7 +317,7 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
         init_encoder_params(
             store, model, CounterRng(rng.randint(1 << 30)), "pem", with_token=False, dtype=np.float64
         )
-        init_decoder_params(store, model, CounterRng(rng.randint(1 << 30)), "dec", dtype=np.float64)
+        init_decoder_params(store, model, CounterRng(rng.randint(1 << 30)), dtype=np.float64)
         init_encoder_params(
             store, model, CounterRng(rng.randint(1 << 30)), "pqt", with_token=True, dtype=np.float64
         )
@@ -337,7 +337,7 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
         v_pem = T.linear(
             T.reshape(pooled, (1, pooled.size)), store["fuse.mlp1.w"], store["fuse.mlp1.b"]
         )
-        probe_tok = forward_pqt(dist, store, model).pqt_tokens[-1]
+        probe_tok = forward_pqt(dist, store, model).token
         fused = T.add(v_pem, T.reshape(probe_tok, (1, model.embed_dim)))
         pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
         signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
@@ -346,7 +346,7 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
         def forward():
             pem = forward_pem(dist, store, model)
             l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
-            token = forward_pqt(dist, store, model).pqt_tokens[-1]
+            token = forward_pqt(dist, store, model).token
             score = fuse_and_predict(pem, token, store, model, "both")
             l_q = quality_loss(score, np.float64(0.7))
             return T.add(l_em, l_q)

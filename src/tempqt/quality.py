@@ -30,7 +30,6 @@ def init_fusion_params(
     cfg: ModelConfig,
     rng: CounterRng,
     mode: str = "both",
-    prefix: str = "fuse",
     dtype=np.float32,
 ) -> None:
     """Create the head parameters a given ablation mode actually uses."""
@@ -39,13 +38,13 @@ def init_fusion_params(
     d = cfg.embed_dim
     if mode != "pqt_only":
         k = cfg.gap_grid * cfg.gap_grid
-        store.add(f"{prefix}.mlp1.w", trunc_normal(rng, (k, d), INIT_STD, dtype), dtype=dtype)
-        store.add(f"{prefix}.mlp1.b", np.zeros(d, dtype=dtype), dtype=dtype)
-    store.add(f"{prefix}.mlp2.w1", trunc_normal(rng, (d, d), INIT_STD, dtype), dtype=dtype)
-    store.add(f"{prefix}.mlp2.b1", np.zeros(d, dtype=dtype), dtype=dtype)
-    store.add(f"{prefix}.mlp2.slope", np.asarray(0.25, dtype=dtype), dtype=dtype)
-    store.add(f"{prefix}.mlp2.w2", trunc_normal(rng, (d, 1), INIT_STD, dtype), dtype=dtype)
-    store.add(f"{prefix}.mlp2.b2", np.zeros(1, dtype=dtype), dtype=dtype)
+        store.add("fuse.mlp1.w", trunc_normal(rng, (k, d), INIT_STD, dtype), dtype=dtype)
+        store.add("fuse.mlp1.b", np.zeros(d, dtype=dtype), dtype=dtype)
+    store.add("fuse.mlp2.w1", trunc_normal(rng, (d, d), INIT_STD, dtype), dtype=dtype)
+    store.add("fuse.mlp2.b1", np.zeros(d, dtype=dtype), dtype=dtype)
+    store.add("fuse.mlp2.slope", np.asarray(0.25, dtype=dtype), dtype=dtype)
+    store.add("fuse.mlp2.w2", trunc_normal(rng, (d, 1), INIT_STD, dtype), dtype=dtype)
+    store.add("fuse.mlp2.b2", np.zeros(1, dtype=dtype), dtype=dtype)
 
 
 def fuse_and_predict(
@@ -54,7 +53,6 @@ def fuse_and_predict(
     store: ParamStore,
     cfg: ModelConfig,
     mode: str = "both",
-    prefix: str = "fuse",
 ) -> T.Tensor:
     """Regress one scalar score from the available branch outputs."""
     if mode not in ABLATION_MODES:
@@ -67,7 +65,7 @@ def fuse_and_predict(
             raise ArgumentError(f"mode {mode!r} needs a predicted error map")
         pooled = T.global_average_pool(pem, cfg.gap_grid)
         pooled = T.reshape(pooled, (1, pooled.size))
-        v_pem = T.linear(pooled, store[f"{prefix}.mlp1.w"], store[f"{prefix}.mlp1.b"])
+        v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
 
     z_pqt = None
     if mode != "pem_only":
@@ -84,9 +82,9 @@ def fuse_and_predict(
     else:
         fused = z_pqt
 
-    hidden = T.linear(fused, store[f"{prefix}.mlp2.w1"], store[f"{prefix}.mlp2.b1"])
-    hidden = T.prelu(hidden, store[f"{prefix}.mlp2.slope"])
-    out = T.linear(hidden, store[f"{prefix}.mlp2.w2"], store[f"{prefix}.mlp2.b2"])
+    hidden = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"])
+    hidden = T.prelu(hidden, store["fuse.mlp2.slope"])
+    out = T.linear(hidden, store["fuse.mlp2.w2"], store["fuse.mlp2.b2"])
     return T.reshape(out, ())
 
 

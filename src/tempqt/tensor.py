@@ -18,8 +18,6 @@ convolution bias) are dedicated operations with their own gradients.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from scipy.special import erf, expit
 
@@ -75,43 +73,6 @@ class Tensor:
             raise DimensionError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # operator sugar; the module-level functions carry the contracts
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def abs(self):
-        return abs_(self)
-
-    def square(self):
-        return square(self)
-
-    def mean(self):
-        return mean(self)
-
-    def sum(self):
-        return sum_(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -135,27 +96,20 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _tapes.pop()
         return False
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
+# active tapes, innermost last
+_tapes: list = []
 
 
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:

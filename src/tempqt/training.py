@@ -3,8 +3,11 @@
 Stage 1 trains the patch encoder and decoder against objective error
 maps. Stage 2 freezes that branch bit-for-bit, builds the quality-token
 branch and fusion head, and regresses scores with an L1 loss. Both
-stages use classic Adam with L2-coupled weight decay and a stepped
-learning-rate schedule.
+stages run one loop (``_train``): each epoch it samples the stage's
+items, shuffles them, and takes one classic Adam step (L2-coupled
+weight decay, stepped learning-rate schedule) per batch. A stage
+supplies only its per-epoch items and its batch loss. Stage 2 and
+inference score a crop through one function, ``score_crop``.
 
 Checkpoints are a small binary format (magic ``TQTCKPT``, version 2):
 embedded configuration text followed by named float32 parameter blocks
@@ -147,17 +150,15 @@ def build_pem_store(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore
     init_encoder_params(
         store, cfg, CounterRng(derive_seed(seed, "init", "pem")), "pem", with_token=False, dtype=dtype
     )
-    init_decoder_params(store, cfg, CounterRng(derive_seed(seed, "init", "dec")), "dec", dtype=dtype)
+    init_decoder_params(store, cfg, CounterRng(derive_seed(seed, "init", "dec")), dtype=dtype)
     return store
 
 
 def build_quality_store(
     cfg: ModelConfig, train_cfg: TrainConfig, pem_arrays: dict, dtype=np.float32
 ) -> ParamStore:
-    """Frozen error-map branch plus fresh quality-token branch and head."""
+    """Frozen error-map branch plus the quality branch and head the mode uses."""
     mode = train_cfg.ablation_mode
-    if mode != "pem_only" and not cfg.use_pqt:
-        raise CompatibilityError(f"ablation mode {mode!r} needs use_pqt", ("use_pqt",))
     store = ParamStore()
     for name, arr in pem_arrays.items():
         store.add(name, arr, dtype=dtype)
@@ -178,8 +179,7 @@ def build_quality_store(
 def forward_pem(img: GrayImage, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
     """Encode with the error-map branch and decode to a (1, H, W) map."""
     enc = encode(img, store, cfg, branch="pem", weight_prefix="pem", capture=False)
-    tokens = [enc.layer_tokens[layer] for layer in cfg.selected_layers]
-    return decode(tokens, store, cfg, cfg.image_size, cfg.image_size)
+    return decode(enc.layer_tokens, store, cfg, cfg.image_size, cfg.image_size)
 
 
 def forward_pqt(
@@ -193,18 +193,17 @@ def forward_pqt(
     return encode(img, store, cfg, branch="pqt", weight_prefix=prefix, capture=capture)
 
 
-def _score_crop(
+def score_crop(
     crop: GrayImage,
+    pem_map: T.Tensor | None,
     store: ParamStore,
     cfg: ModelConfig,
     mode: str,
     share_backbone: bool,
-) -> float:
-    pem_t = forward_pem(crop, store, cfg) if mode != "pqt_only" else None
-    token = None
-    if mode != "pem_only":
-        token = forward_pqt(crop, store, cfg, share_backbone).pqt_tokens[-1]
-    return fuse_and_predict(pem_t, token, store, cfg, mode).item()
+) -> T.Tensor:
+    """Scalar score of one crop from its frozen error map (None in pqt_only)."""
+    token = forward_pqt(crop, store, cfg, share_backbone).token if mode != "pem_only" else None
+    return fuse_and_predict(pem_map, token, store, cfg, mode)
 
 
 def predict_score(
@@ -215,8 +214,11 @@ def predict_score(
     share_backbone: bool = False,
 ) -> float:
     """Mean predicted score over the deterministic evaluation crops."""
-    crops = eval_crops(img, cfg.image_size)
-    return float(np.mean([_score_crop(c, store, cfg, mode, share_backbone) for c in crops]))
+    scores = []
+    for crop in eval_crops(img, cfg.image_size):
+        pem_map = forward_pem(crop, store, cfg) if mode != "pqt_only" else None
+        scores.append(score_crop(crop, pem_map, store, cfg, mode, share_backbone).item())
+    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,35 @@ def _load_pairs(manifest: DatasetManifest, need_ref: bool) -> list:
     return out
 
 
+def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, batch_loss, log_path) -> None:
+    """Adam over shuffled batches of ``epoch_items(epoch)``, one step per batch."""
+    if stage == 1:
+        epochs, base_lr = train_cfg.epochs_stage1, train_cfg.alpha
+    else:
+        epochs, base_lr = train_cfg.epochs_stage2, train_cfg.beta
+    state = AdamState(store)
+    log = _Log(log_path)
+    logged_first = False
+    for epoch in range(epochs):
+        lr = lr_at(epoch, train_cfg, base=base_lr)
+        items = epoch_items(epoch)
+        CounterRng(derive_seed(train_cfg.seed, "order", stage, epoch)).shuffle(items)
+
+        epoch_losses = []
+        for start in range(0, len(items), train_cfg.batch_size):
+            with Tape() as tape:
+                loss = batch_loss(items[start : start + train_cfg.batch_size])
+            backward(loss, tape)
+            adam_step(store, state, lr, train_cfg.weight_decay)
+            zero_grads(store.tensors())
+            value = loss.item()
+            if not logged_first:
+                log.line(f"stage={stage} init_batch_loss={value!r}")
+                logged_first = True
+            epoch_losses.append(value)
+        log.line(f"stage={stage} epoch={epoch} lr={lr!r} loss={float(np.mean(epoch_losses))!r}")
+
+
 def pretrain_pem(
     manifest: DatasetManifest,
     model_cfg: ModelConfig,
@@ -385,41 +416,25 @@ def pretrain_pem(
     loss_cfg = loss_cfg if loss_cfg is not None else PemLossConfig()
     pairs = _load_pairs(manifest, need_ref=True)
     store = build_pem_store(model_cfg, train_cfg.seed)
-    state = AdamState(store)
-    log = _Log(log_path)
     crop = model_cfg.image_size
-    logged_first = False
 
-    for epoch in range(train_cfg.epochs_stage1):
-        lr = lr_at(epoch, train_cfg, base=train_cfg.alpha)
+    def epoch_items(epoch: int) -> list:
         items = []
         for si, (dist, ref, _score) in enumerate(pairs):
             pseed = derive_seed(train_cfg.seed, "patch", 1, epoch, si)
             dp = sample_patches(dist, patch_count, crop, pseed, augment)
             rp = sample_patches(ref, patch_count, crop, pseed, augment)
             items.extend(zip(dp, rp))
-        CounterRng(derive_seed(train_cfg.seed, "order", 1, epoch)).shuffle(items)
+        return items
 
-        epoch_losses = []
-        for start in range(0, len(items), train_cfg.batch_size):
-            batch = items[start : start + train_cfg.batch_size]
-            with Tape() as tape:
-                total = None
-                for d, r in batch:
-                    pem = forward_pem(d, store, model_cfg)
-                    item = pem_loss(pem, compute_oem(d, r), d, r, loss_cfg)
-                    total = item if total is None else T.add(total, item)
-                loss = T.scale(total, 1.0 / len(batch))
-            backward(loss, tape)
-            adam_step(store, state, lr, train_cfg.weight_decay)
-            zero_grads(store.tensors())
-            value = loss.item()
-            if not logged_first:
-                log.line(f"stage=1 init_batch_loss={value!r}")
-                logged_first = True
-            epoch_losses.append(value)
-        log.line(f"stage=1 epoch={epoch} lr={lr!r} loss={float(np.mean(epoch_losses))!r}")
+    def batch_loss(batch: list) -> T.Tensor:
+        total = None
+        for d, r in batch:
+            item = pem_loss(forward_pem(d, store, model_cfg), compute_oem(d, r), d, r, loss_cfg)
+            total = item if total is None else T.add(total, item)
+        return T.scale(total, 1.0 / len(batch))
 
+    _train(store, train_cfg, 1, epoch_items, batch_loss, log_path)
     return Checkpoint(model_cfg, train_cfg, loss_cfg, store.arrays())
 
 
@@ -446,51 +461,28 @@ def train_quality(
 
     mode = train_cfg.ablation_mode
     store = build_quality_store(model_cfg, train_cfg, pem_arrays)
-    state = AdamState(store)
-    log = _Log(log_path)
     samples = _load_pairs(manifest, need_ref=False)
     crop = model_cfg.image_size
-    need_pem = mode != "pqt_only"
-    need_token = mode != "pem_only"
-    logged_first = False
 
-    for epoch in range(train_cfg.epochs_stage2):
-        lr = lr_at(epoch, train_cfg, base=train_cfg.beta)
+    def epoch_items(epoch: int) -> list:
         items = []
         for si, (dist, _ref, score) in enumerate(samples):
             pseed = derive_seed(train_cfg.seed, "patch", 2, epoch, si)
             for patch in sample_patches(dist, patch_count, crop, pseed, augment):
-                items.append((patch, score))
-        CounterRng(derive_seed(train_cfg.seed, "order", 2, epoch)).shuffle(items)
+                # the frozen map runs off the tape: on it, it records no node and only runs slower
+                pem_map = forward_pem(patch, store, model_cfg) if mode != "pqt_only" else None
+                items.append((patch, pem_map, score))
+        return items
 
-        epoch_losses = []
-        for start in range(0, len(items), train_cfg.batch_size):
-            batch = items[start : start + train_cfg.batch_size]
-            # the frozen branch runs off-tape: its maps enter as constants
-            pem_maps = [forward_pem(p, store, model_cfg).data if need_pem else None for p, _y in batch]
-            with Tape() as tape:
-                scores = []
-                for (patch, _y), pem_arr in zip(batch, pem_maps):
-                    pem_t = T.constant(pem_arr) if need_pem else None
-                    token = None
-                    if need_token:
-                        enc = forward_pqt(patch, store, model_cfg, train_cfg.share_backbone)
-                        token = enc.pqt_tokens[-1]
-                    s = fuse_and_predict(pem_t, token, store, model_cfg, mode)
-                    scores.append(T.reshape(s, (1,)))
-                preds = scores[0] if len(scores) == 1 else T.concat(scores, axis=0)
-                targets = np.array([y for _p, y in batch], dtype=np.float32)
-                loss = quality_loss(preds, targets)
-            backward(loss, tape)
-            adam_step(store, state, lr, train_cfg.weight_decay)
-            zero_grads(store.tensors())
-            value = loss.item()
-            if not logged_first:
-                log.line(f"stage=2 init_batch_loss={value!r}")
-                logged_first = True
-            epoch_losses.append(value)
-        log.line(f"stage=2 epoch={epoch} lr={lr!r} loss={float(np.mean(epoch_losses))!r}")
+    def batch_loss(batch: list) -> T.Tensor:
+        scores = [
+            T.reshape(score_crop(p, m, store, model_cfg, mode, train_cfg.share_backbone), (1,))
+            for p, m, _y in batch
+        ]
+        preds = scores[0] if len(scores) == 1 else T.concat(scores, axis=0)
+        return quality_loss(preds, np.array([y for _p, _m, y in batch], dtype=np.float32))
 
+    _train(store, train_cfg, 2, epoch_items, batch_loss, log_path)
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 
 

@@ -42,10 +42,6 @@ FIXTURE_LOSS = PemLossConfig(oem_lambda=0.0)
 # 200-step budget for the headline overfit check
 FIXTURE_STAGE2 = dict(beta=1e-2, epochs_stage2=200, lr_decay=0.85, lr_period=20)
 
-# single-feature ablations amplify ~1e-4 differences out of a frozen map,
-# which needs a hotter and longer head schedule than the joint mode
-FIXTURE_ABLATION_STAGE2 = dict(beta=2e-2, epochs_stage2=1000, lr_decay=0.9, lr_period=100)
-
 
 def fixture_bases():
     yy, xx = np.mgrid[0:32, 0:32].astype(float)
@@ -103,19 +99,3 @@ def overfit_quality_ckpt(overfit_manifest, overfit_pem_ckpt):
         overfit_manifest, overfit_pem_ckpt, cfg, tc, patch_count=1, augment=False
     )
 
-
-def train_fixture_mode(manifest, pem_ckpt, mode, log_path=None):
-    """Stage 2 on the overfit set with the ablation-calibrated schedule."""
-    cfg = tiny_config()
-    stage2 = dict(FIXTURE_ABLATION_STAGE2)
-    tc = TrainConfig(
-        alpha=FIXTURE_STAGE1["alpha"],
-        batch_size=FIXTURE_STAGE1["batch_size"],
-        epochs_stage1=FIXTURE_STAGE1["epochs_stage1"],
-        seed=FIXTURE_STAGE1["seed"],
-        ablation_mode=mode,
-        **stage2,
-    )
-    return train_quality(
-        manifest, pem_ckpt, cfg, tc, patch_count=1, augment=False, log_path=log_path
-    )

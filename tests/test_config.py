@@ -79,6 +79,12 @@ def test_unknown_key_rejected():
         parse_run_text("momentum = 0.9")
 
 
+def test_removed_use_pqt_key_rejected():
+    # ablation_mode alone decides which branches exist
+    with pytest.raises(ArgumentError, match="unknown configuration key 'use_pqt'"):
+        parse_run_text("use_pqt = true")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

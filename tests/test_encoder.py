@@ -112,26 +112,34 @@ def test_pem_branch_layer_tokens():
     cfg = tiny_config()
     store = make_store(cfg)
     out = encode(rand_image(cfg), store, cfg, branch="pem")
-    assert sorted(out.layer_tokens) == list(cfg.selected_layers)
-    for tokens in out.layer_tokens.values():
+    # one token set per selected layer, in selected_layers order
+    assert len(out.layer_tokens) == len(cfg.selected_layers)
+    for tokens in out.layer_tokens:
         assert tokens.shape == (cfg.num_patches, cfg.embed_dim)
-    assert out.pqt_tokens is None
-    assert out.pqt_attention is None
+    assert out.token is None
+    assert out.attention is None
 
 
 def test_pqt_branch_tokens_and_attention():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
     out = encode(rand_image(cfg), store, cfg, branch="pqt", capture=True)
-    assert len(out.pqt_tokens) == cfg.layers
-    for tok in out.pqt_tokens:
-        assert tok.shape == (cfg.embed_dim,)
-    assert len(out.pqt_attention) == cfg.layers
-    for vec in out.pqt_attention:
+    assert out.token.shape == (cfg.embed_dim,)
+    assert len(out.attention) == cfg.layers
+    for vec in out.attention:
         assert vec.shape == (cfg.num_patches,)
-    # patch tokens exclude the quality token row
-    for tokens in out.layer_tokens.values():
-        assert tokens.shape == (cfg.num_patches, cfg.embed_dim)
+    assert out.layer_tokens is None
+
+
+def test_pem_family_stops_at_deepest_selected_layer():
+    cfg = ModelConfig(image_size=32, patch_size=8, embed_dim=16, layers=3, heads=2,
+                      selected_layers=(0, 1))
+    store = make_store(cfg, with_token=True)
+    assert cfg.pem_depth == 1
+    assert not store.has_prefix("pem.block2.")
+    assert store.has_prefix("pqt.block3.")
+    out = encode(rand_image(cfg), store, cfg, branch="pem")
+    assert len(out.layer_tokens) == 2
 
 
 def test_attention_vectors_are_distributions():
@@ -139,7 +147,7 @@ def test_attention_vectors_are_distributions():
     for seed in range(20):
         store = make_store(cfg, with_token=True, seed=seed)
         out = encode(rand_image(cfg, seed=seed), store, cfg, branch="pqt", capture=True)
-        for vec in out.pqt_attention:
+        for vec in out.attention:
             assert np.all(vec >= 0.0)
             assert abs(float(vec.sum()) - 1.0) < 1e-5
 
@@ -149,9 +157,9 @@ def test_capture_toggle():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
     out = encode(rand_image(cfg), store, cfg, branch="pqt")
-    assert out.pqt_attention is None
+    assert out.attention is None
     out = encode(rand_image(cfg), store, cfg, branch="pqt", capture=True)
-    assert len(out.pqt_attention) == cfg.layers
+    assert len(out.attention) == cfg.layers
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +173,20 @@ def test_unknown_branch_rejected():
         encode(rand_image(cfg), store, cfg, branch="oem")
 
 
-def test_pqt_branch_requires_use_pqt():
-    cfg = tiny_config(use_pqt=False)
-    store = make_store(cfg)
-    with pytest.raises(ArgumentError, match="use_pqt"):
-        encode(rand_image(cfg), store, cfg, branch="pqt")
-
-
 def test_shared_backbone_reads_pem_weights():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
     img = rand_image(cfg)
-    shared = encode(img, store, cfg, branch="pqt", weight_prefix="pem")
-    separate = encode(img, store, cfg, branch="pqt")
-    pem = encode(img, store, cfg, branch="pem")
-    # layer 0 is the raw embedding: shared must match the pem family exactly
-    assert np.array_equal(shared.layer_tokens[0].data, pem.layer_tokens[0].data)
-    # and differ from the separately initialized pqt family
-    assert not np.allclose(shared.layer_tokens[0].data, separate.layer_tokens[0].data)
+    shared = encode(img, store, cfg, branch="pqt", weight_prefix="pem").token
+    separate = encode(img, store, cfg, branch="pqt").token
+    # the separately initialized pqt family gives another token
+    assert not np.allclose(shared.data, separate.data)
+    # with the pem weights copied into it, the pqt family gives the shared token
+    for name, t in store.items():
+        if name.startswith("pem."):
+            store["pqt." + name[len("pem."):]].data[...] = t.data
+    separate = encode(img, store, cfg, branch="pqt").token
+    assert np.array_equal(shared.data, separate.data)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +199,8 @@ def test_forward_deterministic():
     img = rand_image(cfg)
     a = encode(img, store, cfg, branch="pqt", capture=True)
     b = encode(img, store, cfg, branch="pqt", capture=True)
-    for layer in a.layer_tokens:
-        assert np.array_equal(a.layer_tokens[layer].data, b.layer_tokens[layer].data)
-    for va, vb in zip(a.pqt_attention, b.pqt_attention):
+    assert np.array_equal(a.token.data, b.token.data)
+    for va, vb in zip(a.attention, b.attention):
         assert np.array_equal(va, vb)
 
 
@@ -216,7 +219,7 @@ def test_forward_under_tape_is_differentiable():
     img = rand_image(cfg)
     with T.Tape() as tape:
         out = encode(img, store, cfg, branch="pqt")
-        loss = T.mean(out.pqt_tokens[-1])
+        loss = T.mean(out.token)
         T.backward(loss, tape)
     assert store["pqt.token"].grad is not None
     assert np.any(store["pqt.token"].grad != 0.0)

@@ -200,7 +200,7 @@ def test_backward_requires_scalar_loss():
 
 
 def test_nested_tapes_are_rejected_or_isolated():
-    # the tape stack is thread-local; a second tape nests cleanly
+    # the innermost tape records; a second tape nests cleanly
     x = leaf([2.0])
     with T.Tape() as outer:
         a = T.square(x)

@@ -24,7 +24,6 @@ from tempqt.training import (
     Checkpoint,
     TrainConfig,
     adam_step,
-    build_quality_store,
     check_model_compat,
     evaluate_manifest,
     load_checkpoint,
@@ -341,10 +340,55 @@ def test_ablation_param_sets(micro_manifest, micro_pem_ckpt):
     assert "fuse.mlp1.w" not in pqt_only.params
 
 
-def test_build_quality_store_needs_pqt_flag():
-    cfg = tiny_config(use_pqt=False)
-    with pytest.raises(CompatibilityError, match="use_pqt"):
-        build_quality_store(cfg, TrainConfig(), {})
+SHALLOW = dict(MICRO, epochs_stage1=1, epochs_stage2=1)
+
+
+@pytest.fixture(scope="module")
+def shallow_pem_ckpt(micro_manifest):
+    # deepest selected layer 1 of 2: the error-map branch needs no block 2
+    cfg = dataclasses.replace(tiny_config(), selected_layers=(0, 1))
+    return pretrain_pem(micro_manifest, cfg, TrainConfig(**SHALLOW), patch_count=1, augment=False)
+
+
+def test_pretrain_stops_at_deepest_selected_layer(micro_manifest, shallow_pem_ckpt):
+    assert "pem.block1.ln1.g" in shallow_pem_ckpt.params
+    assert not any(n.startswith("pem.block2.") for n in shallow_pem_ckpt.params)
+    cfg = shallow_pem_ckpt.model_cfg
+    quality = train_quality(
+        micro_manifest, shallow_pem_ckpt, cfg, TrainConfig(**SHALLOW), patch_count=1, augment=False
+    )
+    assert "pqt.block2.ln1.g" in quality.params
+
+
+def test_shared_backbone_needs_every_block(micro_manifest, shallow_pem_ckpt):
+    # the quality branch runs all blocks, so it cannot share a shallower backbone
+    cfg = shallow_pem_ckpt.model_cfg
+    tc = TrainConfig(**SHALLOW, share_backbone=True)
+    with pytest.raises(CompatibilityError, match=r"pem\.block2\."):
+        train_quality(micro_manifest, shallow_pem_ckpt, cfg, tc, patch_count=1, augment=False)
+
+
+def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micro_pem_ckpt, monkeypatch):
+    tapes = []
+    real_backward = training.backward
+
+    def spy(loss, tape):
+        tapes.append((loss, tape))
+        real_backward(loss, tape)
+
+    monkeypatch.setattr(training, "backward", spy)
+    tc = TrainConfig(**{**MICRO, "epochs_stage2": 1})
+    train_quality(micro_manifest, micro_pem_ckpt, tiny_config(), tc, patch_count=1, augment=False)
+    assert len(tapes) == 1
+    loss, tape = tapes[0]
+    reached = {id(loss)}
+    dead = 0
+    for node in reversed(tape.nodes):
+        if id(node.out) in reached:
+            reached.update(id(t) for t in node.inputs)
+        else:
+            dead += 1
+    assert tape.nodes and dead == 0
 
 
 # ---------------------------------------------------------------------------
