@@ -34,6 +34,7 @@ from .imaging import (
     DISTORTION_KINDS,
     DistortionSpec,
     GrayImage,
+    ImageBatch,
     apply_distortion,
     load_image,
     make_texture,
@@ -76,6 +77,7 @@ __all__ = [
     "DistortionSpec",
     "EncoderOutput",
     "GrayImage",
+    "ImageBatch",
     "MetricError",
     "ModelConfig",
     "ParseError",

@@ -31,7 +31,7 @@ from .errors import (
     TrainingError,
 )
 from .gradcheck import CASES, TOLERANCE, build_tiny_model_case, run_case
-from .imaging import DISTORTION_KINDS, GrayImage, load_image, save_image
+from .imaging import DISTORTION_KINDS, GrayImage, ImageBatch, load_image, save_image
 from .metrics import plcc, srocc
 from .quality import extract_attention_map
 from .training import (
@@ -196,14 +196,7 @@ def cmd_maps(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     store = store_from_checkpoint(ckpt)
     cfg = ckpt.model_cfg
-    out = _ensure_out(args.out)
-    _write(
-        os.path.join(out, "maps.resolved.config"),
-        serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
-    )
-    has_pqt = store.has_prefix("pqt.")
-    share = ckpt.train_cfg.share_backbone
-
+    images = []
     for path in args.images:
         img = load_image(path)
         if (img.height, img.width) != (cfg.image_size, cfg.image_size):
@@ -211,14 +204,26 @@ def cmd_maps(args) -> int:
                 f"{path}: image is {img.height}x{img.width}, checkpoint requires "
                 f"{cfg.image_size}x{cfg.image_size}"
             )
+        images.append(img)
+    # every image in one batch, mapped before anything is written
+    batch = ImageBatch.stack(images)
+    pems = np.clip(forward_pem(batch, store, cfg).data[:, 0], 0.0, 1.0)
+    attention = None
+    if store.has_prefix("pqt."):
+        attention = forward_pqt(batch, store, cfg, ckpt.train_cfg.share_backbone, capture=True).attention
+
+    out = _ensure_out(args.out)
+    _write(
+        os.path.join(out, "maps.resolved.config"),
+        serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
+    )
+    size = cfg.image_size
+    for i, path in enumerate(args.images):
         stem = os.path.join(out, os.path.splitext(os.path.basename(path))[0])
-        pem = forward_pem(img, store, cfg).data[0].astype(np.float32)
-        save_image(GrayImage(img.height, img.width, np.clip(pem, 0.0, 1.0)), f"{stem}.pem.pgm")
+        save_image(GrayImage(size, size, pems[i]), f"{stem}.pem.pgm")
         print(f"wrote {stem}.pem.pgm")
-        if has_pqt:
-            enc = forward_pqt(img, store, cfg, share, capture=True)
-            am = extract_attention_map(enc.attention, img.height, img.width)
-            save_image(am, f"{stem}.am.pgm")
+        if attention is not None:
+            save_image(extract_attention_map([a[i] for a in attention], size, size), f"{stem}.am.pgm")
             print(f"wrote {stem}.am.pgm")
     return 0
 

@@ -6,6 +6,7 @@ upsampled. The concatenated features pass a 1-channel head conv and a
 final resize to the image resolution; a sigmoid bounds the map to
 (0, 1). The two upsampling stages adapt to the patch size so their
 product is exactly the patch size (8 -> 4x then 2x, 16 -> 4x then 4x).
+Every step carries the batch: (B, N, d) tokens give (B, 1, H, W) maps.
 """
 
 from __future__ import annotations
@@ -77,12 +78,18 @@ def decode(
     out_h: int,
     out_w: int,
 ) -> T.Tensor:
-    """Map selected-layer tokens to a (1, out_h, out_w) error map in (0, 1)."""
+    """Map B samples' selected-layer tokens to (B, 1, out_h, out_w) error maps in (0, 1).
+
+    ``layer_tokens`` holds one (B, N, d) tensor per selected layer, in
+    cfg.selected_layers order.
+    """
     if len(layer_tokens) != len(cfg.selected_layers):
         raise DimensionError(
             f"expected {len(cfg.selected_layers)} layer token sets, got {len(layer_tokens)}"
         )
-    n, d = layer_tokens[0].shape
+    if layer_tokens[0].data.ndim != 3:
+        raise DimensionError(f"layer tokens must be (B, N, d), got {layer_tokens[0].shape}")
+    bsz, n, d = layer_tokens[0].shape
     grid = int(round(np.sqrt(n)))
     if grid * grid != n:
         raise DimensionError(f"token count {n} is not a perfect square")
@@ -97,11 +104,11 @@ def decode(
     mid = grid * s1
     feats = []
     for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
-        fmap = T.reshape(T.transpose(tokens), (d, grid, grid))
+        fmap = T.reshape(T.transpose(tokens), (bsz, d, grid, grid))
         fmap = T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"])
         fmap = T.gelu(fmap)
         feats.append(T.bilinear_resize(fmap, mid, mid))
-    merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=0)
+    merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
     head = T.conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"])
     full = T.bilinear_resize(head, out_h, out_w)
     return T.sigmoid(full)

@@ -7,19 +7,20 @@ prepends one learnable token, runs every block, and hands the token's
 final state to the fusion head; its attention over the patch tokens can
 be captured per block for diagnostics.
 
-Blocks are pre-norm: x += attn(norm(x)); x += mlp(norm(x)).
+Everything runs on a batch: B images give (B, N, d) tokens, and one
+image is a batch of one. Blocks are pre-norm:
+x += attn(norm(x)); x += mlp(norm(x)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, DimensionError
-from .imaging import GrayImage
+from .imaging import as_batch
 from .params import ParamStore, trunc_normal
 from .rng import CounterRng
 
@@ -106,14 +107,14 @@ def tiny_config() -> ModelConfig:
 
 @dataclass
 class EncoderOutput:
-    """What one encoder forward hands its caller.
+    """What one encoder forward over B images hands its caller.
 
-    The pem branch sets layer_tokens: the (N, d) patch tokens of each
+    The pem branch sets layer_tokens: the (B, N, d) patch tokens of each
     selected layer, in cfg.selected_layers order, 0 meaning the embedding
-    output. The pqt branch sets token, the quality token's final (d,)
-    state, and, when capture is on, attention: one detached (N,) numpy
-    vector per block over the patch tokens, head-averaged and
-    renormalized to sum to 1.
+    output. The pqt branch sets token, the quality token's final (B, d)
+    state, and, when capture is on, attention: one detached (B, N) numpy
+    array per block, each row the token's attention over the patch
+    tokens, head-averaged and renormalized to sum to 1.
     """
 
     layer_tokens: list | None = None
@@ -154,24 +155,28 @@ def init_encoder_params(
 
 
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:
-    """(H, W) -> (N, patch*patch), patches ordered row-major."""
-    h, w = pixels.shape
+    """(..., H, W) -> (..., N, patch*patch), patches ordered row-major."""
+    *lead, h, w = pixels.shape
     gh, gw = h // patch, w // patch
-    tiles = pixels.reshape(gh, patch, gw, patch).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(tiles.reshape(gh * gw, patch * patch))
+    tiles = np.swapaxes(pixels.reshape(*lead, gh, patch, gw, patch), -3, -2)
+    return np.ascontiguousarray(tiles.reshape(*lead, gh * gw, patch * patch))
 
 
-def patchify_embed(img: GrayImage, store: ParamStore, cfg: ModelConfig, prefix: str) -> T.Tensor:
-    """Project flattened patches and add the learned position embedding."""
-    if (img.height, img.width) != (cfg.image_size, cfg.image_size):
+def patchify_embed(images, store: ParamStore, cfg: ModelConfig, prefix: str) -> T.Tensor:
+    """(B, N, d) tokens: projected patches plus the learned position embedding.
+
+    ``images`` is an ImageBatch, or a GrayImage as a batch of one.
+    """
+    pixels = as_batch(images).pixels
+    h, w_px = pixels.shape[1:]
+    if (h, w_px) != (cfg.image_size, cfg.image_size):
         raise DimensionError(
-            f"image is {img.height}x{img.width}, config expects "
-            f"{cfg.image_size}x{cfg.image_size}"
+            f"image is {h}x{w_px}, config expects {cfg.image_size}x{cfg.image_size}"
         )
     w = store[f"{prefix}.embed.w"]
-    patches = T.constant(extract_patches(img.pixels, cfg.patch_size), dtype=w.data.dtype)
+    patches = T.constant(extract_patches(pixels, cfg.patch_size), dtype=w.data.dtype)
     tokens = T.linear(patches, w, store[f"{prefix}.embed.b"])
-    return T.add(tokens, store[f"{prefix}.pos"])
+    return T.add_row_bias(tokens, store[f"{prefix}.pos"])
 
 
 def encoder_block(
@@ -182,39 +187,19 @@ def encoder_block(
     layer: int,
     capture: bool = False,
 ):
-    """One transformer block; optionally captures the token's attention.
+    """One transformer block over (B, N, d) tokens; optionally captures attention.
 
-    Returns (tokens, attention) where attention is a detached (N,) numpy
-    vector over the patch tokens (row 0 of the attention matrix with the
-    self entry dropped, renormalized per head, then head-averaged), or
-    None when capture is off.
+    Returns (tokens, attention) where attention is a detached (B, N - 1)
+    numpy array: per sample, row 0 of the attention matrix with the self
+    entry dropped, renormalized per head, then head-averaged; None when
+    capture is off.
     """
     base = f"{prefix}.block{layer}"
-    n_tokens = x.shape[0]
-    d = cfg.embed_dim
-    dh = d // cfg.heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
-
     xn = T.layer_norm(x, store[f"{base}.ln1.g"], store[f"{base}.ln1.b"])
     q = T.linear(xn, store[f"{base}.attn.wq"], store[f"{base}.attn.bq"])
     k = T.linear(xn, store[f"{base}.attn.wk"], store[f"{base}.attn.bk"])
     v = T.linear(xn, store[f"{base}.attn.wv"], store[f"{base}.attn.bv"])
-
-    heads_out = []
-    att_acc = None
-    for i in range(cfg.heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qi = T.slice_cols(q, lo, hi)
-        ki = T.slice_cols(k, lo, hi)
-        vi = T.slice_cols(v, lo, hi)
-        logits = T.scale(T.matmul(qi, T.transpose(ki)), inv_sqrt)
-        att = T.softmax_rows(logits)
-        if capture:
-            row = att.data[0, 1:].astype(np.float64)
-            row = row / row.sum()
-            att_acc = row if att_acc is None else att_acc + row
-        heads_out.append(T.matmul(att, vi))
-    merged = heads_out[0] if cfg.heads == 1 else T.concat(heads_out, axis=1)
+    merged, weights = T.attention(q, k, v, cfg.heads)
     attn_out = T.linear(merged, store[f"{base}.attn.wo"], store[f"{base}.attn.bo"])
     t = T.add(x, attn_out)
 
@@ -225,34 +210,37 @@ def encoder_block(
     out = T.add(t, m)
 
     vec = None
-    if capture and att_acc is not None:
-        vec = (att_acc / cfg.heads).astype(np.float32)
+    if capture:
+        rows = weights[:, :, 0, 1:].astype(np.float64)  # (B, heads, N - 1)
+        rows = rows / rows.sum(axis=-1, keepdims=True)
+        vec = rows.mean(axis=1).astype(np.float32)
     return out, vec
 
 
 def encode(
-    img: GrayImage,
+    images,
     store: ParamStore,
     cfg: ModelConfig,
     branch: str = "pem",
     weight_prefix: str | None = None,
     capture: bool = False,
 ) -> EncoderOutput:
-    """Run the encoder for one branch.
+    """Run the encoder for one branch over a batch of images.
 
+    ``images`` is an ImageBatch, or a GrayImage as a batch of one.
     branch "pem" encodes the N patch tokens through blocks
-    1..cfg.pem_depth and returns the selected layers' tokens; branch
-    "pqt" prepends the learnable quality token, runs all cfg.layers
-    blocks and returns the token's final state. ``weight_prefix``
-    overrides which parameter family the blocks read, which is how a
-    shared backbone is expressed; the quality token itself always lives
-    under "pqt.token". ``capture`` records the quality token's attention
-    per block (pqt branch only).
+    1..cfg.pem_depth and returns the selected layers' (B, N, d) tokens;
+    branch "pqt" prepends the learnable quality token, runs all
+    cfg.layers blocks and returns the token's final (B, d) state.
+    ``weight_prefix`` overrides which parameter family the blocks read,
+    which is how a shared backbone is expressed; the quality token itself
+    always lives under "pqt.token". ``capture`` records the quality
+    token's attention per block (pqt branch only).
     """
     if branch not in ("pem", "pqt"):
         raise ArgumentError(f"unknown branch {branch!r}")
     prefix = weight_prefix if weight_prefix is not None else branch
-    x = patchify_embed(img, store, cfg, prefix)
+    x = patchify_embed(images, store, cfg, prefix)
 
     if branch == "pem":
         selected = cfg.selected_layers
@@ -263,12 +251,15 @@ def encode(
                 layer_tokens.append(x)
         return EncoderOutput(layer_tokens=layer_tokens)
 
-    token = T.reshape(store["pqt.token"], (1, cfg.embed_dim))
-    x = T.concat([token, x], axis=0)
+    bsz, d = x.shape[0], cfg.embed_dim
+    token_param = store["pqt.token"]
+    # the one learned token, repeated for every sample of the batch
+    token = T.add_row_bias(T.constant(np.zeros((bsz, 1, d)), dtype=token_param.dtype), token_param)
+    x = T.concat([token, x], axis=1)
     attention = [] if capture else None
     for layer in range(1, cfg.layers + 1):
         x, vec = encoder_block(x, store, cfg, prefix, layer, capture=capture)
         if capture:
             attention.append(vec)
-    final = T.reshape(T.slice_rows(x, 0, 1), (cfg.embed_dim,))
+    final = T.reshape(T.slice_rows(x, 0, 1), (bsz, d))
     return EncoderOutput(token=final, attention=attention)

@@ -4,7 +4,8 @@ Each registered case builds leaf tensors and a forward closure that
 reduces to a scalar, then compares taped gradients against central
 differences (step 1e-3) computed in float64. Cases cover every
 differentiable op exactly once plus composite graphs up to a full tiny
-two-branch model. Inputs for abs/prelu are nudged away from the kink
+two-branch model. Shaped ops run on a batch of two, so the gradients
+they sum over broadcast and batch axes are checked too. Inputs for abs/prelu are nudged away from the kink
 at zero, where the subgradient and the secant legitimately disagree.
 
 The error metric is scale-guarded: |analytic - numeric| divided by
@@ -22,7 +23,7 @@ from . import tensor as T
 from .decoder import decode, init_decoder_params
 from .encoder import ModelConfig, encoder_block, init_encoder_params, tiny_config
 from .errors import ArgumentError
-from .imaging import make_texture
+from .imaging import ImageBatch, make_texture
 from .params import ParamStore
 from .quality import fuse_and_predict, init_fusion_params, quality_loss
 from .rng import CounterRng, derive_seed
@@ -145,14 +146,15 @@ def _case_sigmoid(rng):
 
 
 def _case_matmul(rng):
-    a, b = _leaf(rng, 4, 6), _leaf(rng, 6, 3)
-    proj = _projector(rng, (4, 3))
-    return [a, b], lambda: proj(T.matmul(a, b))
+    # a batch times a shared weight, then times a per-sample matrix
+    a, b, c = _leaf(rng, 2, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 2, 3, 5)
+    proj = _projector(rng, (2, 4, 5))
+    return [a, b, c], lambda: proj(T.matmul(T.matmul(a, b), c))
 
 
 def _case_transpose(rng):
-    a = _leaf(rng, 3, 5)
-    proj = _projector(rng, (5, 3))
+    a = _leaf(rng, 2, 3, 5)
+    proj = _projector(rng, (2, 5, 3))
     return [a], lambda: proj(T.transpose(a))
 
 
@@ -163,66 +165,74 @@ def _case_reshape(rng):
 
 
 def _case_concat(rng):
-    a, b, c = _leaf(rng, 2, 5), _leaf(rng, 3, 5), _leaf(rng, 1, 5)
-    proj = _projector(rng, (6, 5))
-    return [a, b, c], lambda: proj(T.concat([a, b, c], axis=0))
+    a, b, c = _leaf(rng, 2, 2, 5), _leaf(rng, 2, 3, 5), _leaf(rng, 2, 1, 5)
+    proj = _projector(rng, (2, 6, 5))
+    return [a, b, c], lambda: proj(T.concat([a, b, c], axis=1))
 
 
 def _case_slice_rows(rng):
-    a = _leaf(rng, 6, 4)
-    proj = _projector(rng, (3, 4))
+    a = _leaf(rng, 2, 6, 4)
+    proj = _projector(rng, (2, 3, 4))
     return [a], lambda: proj(T.slice_rows(a, 1, 4))
 
 
 def _case_slice_cols(rng):
-    a = _leaf(rng, 4, 8)
-    proj = _projector(rng, (4, 5))
+    a = _leaf(rng, 2, 4, 8)
+    proj = _projector(rng, (2, 4, 5))
     return [a], lambda: proj(T.slice_cols(a, 2, 7))
 
 
 def _case_add_row_bias(rng):
-    a, b = _leaf(rng, 5, 3), _leaf(rng, 3)
-    proj = _projector(rng, (5, 3))
-    return [a, b], lambda: proj(T.add_row_bias(a, b))
+    # a per-feature bias, then a per-token table, both repeated over the batch
+    a, b, pos = _leaf(rng, 2, 5, 3), _leaf(rng, 3), _leaf(rng, 5, 3)
+    proj = _projector(rng, (2, 5, 3))
+    return [a, b, pos], lambda: proj(T.add_row_bias(T.add_row_bias(a, b), pos))
 
 
 def _case_linear(rng):
-    x, w, b = _leaf(rng, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 3)
-    proj = _projector(rng, (4, 3))
+    x, w, b = _leaf(rng, 2, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 3)
+    proj = _projector(rng, (2, 4, 3))
     return [x, w, b], lambda: proj(T.linear(x, w, b))
 
 
 def _case_softmax(rng):
-    a = _leaf(rng, 4, 7, scale=2.0)
-    proj = _projector(rng, (4, 7))
+    a = _leaf(rng, 2, 4, 7, scale=2.0)
+    proj = _projector(rng, (2, 4, 7))
     return [a], lambda: proj(T.softmax_rows(a))
 
 
 def _case_layer_norm(rng):
-    x = _leaf(rng, 5, 8)
+    x = _leaf(rng, 2, 5, 8)
     gamma = Tensor(1.0 + 0.1 * rng.normal(8), requires_grad=True, dtype=np.float64)
     beta = _leaf(rng, 8, scale=0.1)
-    proj = _projector(rng, (5, 8))
+    proj = _projector(rng, (2, 5, 8))
     return [x, gamma, beta], lambda: proj(T.layer_norm(x, gamma, beta))
 
 
+def _case_attention(rng):
+    q, k, v = (_leaf(rng, 2, 5, 6) for _ in range(3))
+    proj = _projector(rng, (2, 5, 6))
+    return [q, k, v], lambda: proj(T.attention(q, k, v, 2)[0])
+
+
 def _case_conv2d(rng):
-    x = _leaf(rng, 3, 6, 5)
+    # a batch of two, fewer output than input channels
+    x = _leaf(rng, 2, 3, 6, 5)
     w = _leaf(rng, 2, 3, 3, 3, scale=0.5)
     b = _leaf(rng, 2)
-    proj = _projector(rng, (2, 6, 5))
+    proj = _projector(rng, (2, 2, 6, 5))
     return [x, w, b], lambda: proj(T.conv2d_3x3(x, w, b))
 
 
 def _case_bilinear(rng):
-    x = _leaf(rng, 2, 4, 4)
-    proj = _projector(rng, (2, 7, 9))
+    x = _leaf(rng, 2, 2, 4, 4)
+    proj = _projector(rng, (2, 2, 7, 9))
     return [x], lambda: proj(T.bilinear_resize(x, 7, 9))
 
 
 def _case_gap(rng):
-    x = _leaf(rng, 3, 5, 5)
-    proj = _projector(rng, (12,))
+    x = _leaf(rng, 2, 3, 5, 5)
+    proj = _projector(rng, (2, 12))
     return [x], lambda: proj(T.global_average_pool(x, 2))
 
 
@@ -235,8 +245,8 @@ def _case_encoder_block(rng):
     init_encoder_params(
         store, cfg, CounterRng(rng.randint(1 << 30)), "pem", with_token=False, dtype=np.float64
     )
-    x = _leaf(rng, cfg.num_patches + 1, cfg.embed_dim, scale=0.5)
-    proj = _projector(rng, (cfg.num_patches + 1, cfg.embed_dim))
+    x = _leaf(rng, 2, cfg.num_patches + 1, cfg.embed_dim, scale=0.5)
+    proj = _projector(rng, (2, cfg.num_patches + 1, cfg.embed_dim))
     # only the first block runs, so only its parameters are leaves
     leaves = [x] + [t for name, t in store.items() if name.startswith("pem.block1.")]
 
@@ -251,8 +261,8 @@ def _case_decoder(rng):
     cfg = tiny_config()
     store = ParamStore()
     init_decoder_params(store, cfg, CounterRng(rng.randint(1 << 30)), dtype=np.float64)
-    tokens = [_leaf(rng, cfg.num_patches, cfg.embed_dim, scale=0.5) for _ in cfg.selected_layers]
-    proj = _projector(rng, (1, cfg.image_size, cfg.image_size))
+    tokens = [_leaf(rng, 2, cfg.num_patches, cfg.embed_dim, scale=0.5) for _ in cfg.selected_layers]
+    proj = _projector(rng, (2, 1, cfg.image_size, cfg.image_size))
     leaves = tokens + list(store.tensors())
 
     def forward():
@@ -267,26 +277,28 @@ def _case_fusion(rng):
     store = ParamStore()
     init_fusion_params(store, cfg, CounterRng(rng.randint(1 << 30)), mode="both", dtype=np.float64)
     pem = Tensor(
-        0.3 + 0.05 * _normal(rng, (1, cfg.image_size, cfg.image_size)),
+        0.3 + 0.05 * _normal(rng, (2, 1, cfg.image_size, cfg.image_size)),
         requires_grad=True,
         dtype=np.float64,
     )
-    token = _leaf(rng, cfg.embed_dim, scale=0.5)
+    token = _leaf(rng, 2, cfg.embed_dim, scale=0.5)
     leaves = [pem, token] + list(store.tensors())
+    proj = _projector(rng, (2,))
 
     def forward():
-        return fuse_and_predict(pem, token, store, cfg, "both")
+        return proj(fuse_and_predict(pem, token, store, cfg, "both"))
 
     return leaves, forward
 
 
 def _case_pem_loss(rng):
     cfg = tiny_config()
-    dist = make_texture(cfg.image_size, cfg.image_size, rng.randint(1 << 30))
-    ref = make_texture(cfg.image_size, cfg.image_size, rng.randint(1 << 30))
+    size = cfg.image_size
+    dist = ImageBatch.stack(make_texture(size, size, rng.randint(1 << 30)) for _ in range(2))
+    ref = ImageBatch.stack(make_texture(size, size, rng.randint(1 << 30)) for _ in range(2))
     oem = compute_oem(dist, ref)
     pem = Tensor(
-        0.25 + 0.02 * _normal(rng, (1, cfg.image_size, cfg.image_size)),
+        0.25 + 0.02 * _normal(rng, (2, 1, size, size)),
         requires_grad=True,
         dtype=np.float64,
     )
@@ -334,11 +346,8 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
         # Place the head's PReLU preactivations a safe distance from the
         # kink at the operating point, so the fd step cannot straddle it.
         pooled = T.global_average_pool(forward_pem(dist, store, model), model.gap_grid)
-        v_pem = T.linear(
-            T.reshape(pooled, (1, pooled.size)), store["fuse.mlp1.w"], store["fuse.mlp1.b"]
-        )
-        probe_tok = forward_pqt(dist, store, model).token
-        fused = T.add(v_pem, T.reshape(probe_tok, (1, model.embed_dim)))
+        v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
+        fused = T.add(v_pem, forward_pqt(dist, store, model).token)
         pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
         signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
         store["fuse.mlp2.b1"].data += 0.05 * signs - pre
@@ -348,7 +357,7 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
             l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
             token = forward_pqt(dist, store, model).token
             score = fuse_and_predict(pem, token, store, model, "both")
-            l_q = quality_loss(score, np.float64(0.7))
+            l_q = quality_loss(score, [0.7])
             return T.add(l_em, l_q)
 
         return leaves, forward
@@ -378,6 +387,7 @@ CASES = {
     "linear": _case_linear,
     "softmax_rows": _case_softmax,
     "layer_norm": _case_layer_norm,
+    "attention": _case_attention,
     "conv2d_3x3": _case_conv2d,
     "bilinear_resize": _case_bilinear,
     "global_average_pool": _case_gap,

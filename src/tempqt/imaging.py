@@ -52,6 +52,40 @@ class GrayImage:
         return cls(arr.shape[0], arr.shape[1], arr)
 
 
+@dataclass
+class ImageBatch:
+    """Equal-size grayscale images as one float32 pixel stack (B, H, W).
+
+    The model runs on batches; ``as_batch`` makes a single GrayImage a
+    batch of one.
+    """
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.pixels, dtype=np.float32)
+        if arr.ndim != 3 or arr.shape[0] < 1:
+            raise ArgumentError(f"an image batch needs (B, H, W) pixels with B >= 1, got {arr.shape}")
+        self.pixels = arr
+
+    @classmethod
+    def stack(cls, images) -> "ImageBatch":
+        images = list(images)
+        if not images:
+            raise ArgumentError("cannot stack an empty list of images")
+        sizes = {img.pixels.shape for img in images}
+        if len(sizes) != 1:
+            raise ArgumentError(f"images to stack differ in size: {sorted(sizes)}")
+        return cls(np.stack([img.pixels for img in images]))
+
+
+def as_batch(images) -> ImageBatch:
+    """An ImageBatch as it is, a GrayImage as a batch of one."""
+    if isinstance(images, ImageBatch):
+        return images
+    return ImageBatch(images.pixels[None])
+
+
 class _HeaderReader:
     """Tokenizer over a netpbm header; tracks byte offsets for errors."""
 

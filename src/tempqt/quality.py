@@ -4,7 +4,8 @@ The predicted error map is pooled and linearly lifted to the token
 width; the lifted vector is summed with the final quality-token state
 and regressed to a scalar by a two-layer head with a single shared
 PReLU. Ablation modes regress either vector alone through the same
-head.
+head. The head scores a batch: (B, 1, H, W) maps and (B, d) token
+states give (B,) scores.
 """
 
 from __future__ import annotations
@@ -54,7 +55,11 @@ def fuse_and_predict(
     cfg: ModelConfig,
     mode: str = "both",
 ) -> T.Tensor:
-    """Regress one scalar score from the available branch outputs."""
+    """Regress (B,) scores from the available branch outputs.
+
+    ``pem`` is the (B, 1, H, W) predicted error map, ``pqt_token`` the
+    (B, d) final quality-token state; the mode decides which are read.
+    """
     if mode not in ABLATION_MODES:
         raise ArgumentError(f"unknown ablation mode {mode!r}")
     d = cfg.embed_dim
@@ -64,16 +69,15 @@ def fuse_and_predict(
         if pem is None:
             raise ArgumentError(f"mode {mode!r} needs a predicted error map")
         pooled = T.global_average_pool(pem, cfg.gap_grid)
-        pooled = T.reshape(pooled, (1, pooled.size))
         v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
 
     z_pqt = None
     if mode != "pem_only":
         if pqt_token is None:
             raise ArgumentError(f"mode {mode!r} needs a quality-token state")
-        if pqt_token.size != d:
-            raise DimensionError(f"quality token has {pqt_token.size} entries, expected {d}")
-        z_pqt = T.reshape(pqt_token, (1, d))
+        if pqt_token.data.ndim != 2 or pqt_token.shape[1] != d:
+            raise DimensionError(f"quality token has shape {pqt_token.shape}, expected (B, {d})")
+        z_pqt = pqt_token
 
     if mode == "both":
         fused = T.add(v_pem, z_pqt)
@@ -85,11 +89,11 @@ def fuse_and_predict(
     hidden = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"])
     hidden = T.prelu(hidden, store["fuse.mlp2.slope"])
     out = T.linear(hidden, store["fuse.mlp2.w2"], store["fuse.mlp2.b2"])
-    return T.reshape(out, ())
+    return T.reshape(out, (out.shape[0],))
 
 
 def quality_loss(preds: T.Tensor, targets) -> T.Tensor:
-    """Mean absolute error between predicted and target scores."""
+    """Mean absolute error between predicted and target scores, over the batch."""
     t = targets if isinstance(targets, T.Tensor) else T.constant(
         np.asarray(targets, dtype=preds.data.dtype), dtype=preds.data.dtype
     )
@@ -118,8 +122,8 @@ def extract_attention_map(layer_vectors: list, out_h: int, out_w: int) -> GrayIm
         if v.shape != (n,):
             raise ArgumentError("attention vectors disagree in length")
     avg = np.mean(np.stack([np.asarray(v, dtype=np.float64) for v in layer_vectors]), axis=0)
-    fmap = T.constant(avg.reshape(1, grid, grid), dtype=np.float64)
-    resized = T.bilinear_resize(fmap, out_h, out_w).data[0]
+    fmap = T.constant(avg.reshape(1, 1, grid, grid), dtype=np.float64)
+    resized = T.bilinear_resize(fmap, out_h, out_w).data[0, 0]
     lo = float(resized.min())
     hi = float(resized.max())
     if hi - lo <= _FLAT_EPS * max(1.0, abs(hi)):

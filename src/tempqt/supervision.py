@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ArgumentError, DimensionError
-from .imaging import GrayImage
 
 @dataclass(frozen=True)
 class PemLossConfig:
@@ -25,38 +25,35 @@ class PemLossConfig:
             raise ArgumentError(f"oem_lambda must be nonnegative, got {self.oem_lambda}")
 
 
-def compute_oem(dist: GrayImage, ref: GrayImage) -> GrayImage:
-    """Objective error map: elementwise absolute difference |d - r|."""
-    if (dist.height, dist.width) != (ref.height, ref.width):
-        raise DimensionError(
-            f"image sizes differ: {dist.height}x{dist.width} vs {ref.height}x{ref.width}"
-        )
-    return GrayImage(dist.height, dist.width, np.abs(dist.pixels - ref.pixels))
+def compute_oem(dist, ref):
+    """Objective error map |d - r|, elementwise.
+
+    Takes two GrayImages or two ImageBatches and returns the same kind.
+    """
+    if dist.pixels.shape != ref.pixels.shape:
+        raise DimensionError(f"image sizes differ: {dist.pixels.shape} vs {ref.pixels.shape}")
+    return dataclasses.replace(dist, pixels=np.abs(dist.pixels - ref.pixels))
 
 
-def _flat_const(img: GrayImage, shape, dtype) -> T.Tensor:
+def _flat_const(img, shape, dtype) -> T.Tensor:
     return T.constant(img.pixels.reshape(shape), dtype=dtype)
 
 
-def pem_loss(
-    pem: T.Tensor,
-    oem: GrayImage,
-    dist: GrayImage,
-    ref: GrayImage,
-    cfg: PemLossConfig,
-) -> T.Tensor:
+def pem_loss(pem: T.Tensor, oem, dist, ref, cfg: PemLossConfig) -> T.Tensor:
     """Mean-squared map error plus a weighted reconstruction term.
 
     loss = mean((pem - oem)^2)
          + oem_lambda * mean((ref' - ref)^2)
 
-    with the pseudo reference ref' = dist - pem.
-    Means, not sums, so the value is resolution-independent.
+    with the pseudo reference ref' = dist - pem. ``pem`` is the (B, 1, H, W)
+    predicted map; oem, dist and ref are GrayImages (B = 1) or ImageBatches
+    of B images. Means run over the batch and every pixel, so the value is
+    the batch average of the per-image losses and resolution-independent.
     """
-    hw = (oem.height, oem.width)
+    hw = oem.pixels.shape
     if pem.data.size != oem.pixels.size:
         raise DimensionError(f"pem shape {pem.shape} does not match map {hw}")
-    if (dist.height, dist.width) != hw or (ref.height, ref.width) != hw:
+    if dist.pixels.shape != hw or ref.pixels.shape != hw:
         raise DimensionError("distorted/reference sizes do not match the error map")
     dtype = pem.data.dtype
     shape = pem.data.shape

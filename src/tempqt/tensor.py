@@ -11,9 +11,20 @@ float32 is the working precision. All ops follow the dtype of their
 inputs, so the finite-difference harness can run a float64 shadow of
 the exact same code paths.
 
-Broadcasting is deliberately limited to scalar-with-tensor. The shaped
-pairings the models need (row bias, per-feature norm scales,
-convolution bias) are dedicated operations with their own gradients.
+Model tensors are batch-first: tokens are (B, N, d), feature maps
+(B, C, H, W), and a single image is a batch of one. The shaped ops act
+on the trailing axes and carry any leading axes through: ``matmul``
+multiplies the last two axes, ``transpose`` swaps them, ``slice_rows``
+and ``slice_cols`` cut axis -2 and -1, ``softmax_rows`` and
+``layer_norm`` normalize the last axis, ``attention`` runs multi-head
+attention over (B, N, d), and the spatial ops take (B, C, H, W).
+
+Broadcasting is deliberately limited. Scalars broadcast with tensors;
+``matmul`` broadcasts its leading (batch) axes by numpy's rules, so a
+(k, m) weight multiplies every (N, k) slice of a (B, N, k) stack;
+``add_row_bias`` adds a bias shaped like x's trailing axes to every
+leading index. Every other pairing needs equal shapes. Each of these
+ops sums its gradient back over the axes it broadcast.
 """
 
 from __future__ import annotations
@@ -114,13 +125,17 @@ def _active_tape():
 
 def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:
     """Wrap a computed array, recording the op if a tape is active."""
-    _guard(arr)
+    tape = _active_tape()
+    track = tape is not None and any(t.needs_grad for t in inputs)
+    if check_finite and not np.all(np.isfinite(arr)):
+        # the backward closure's qualname names the op, e.g. "conv2d_3x3.<locals>.bwd"
+        op = backward.__qualname__.split(".", 1)[0]
+        where = f"tape node {len(tape.nodes)}" if track else "not taped"
+        raise ArgumentError(f"non-finite value from {op} ({where})")
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
     out.requires_grad = False
-    tape = _active_tape()
-    track = tape is not None and any(t.needs_grad for t in inputs)
     out.needs_grad = track
     if track:
         tape.nodes.append(_Node(out, inputs, backward))
@@ -270,7 +285,7 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
     out = np.where(pos, ad, s * ad)
 
     def bwd(g):
-        ga = g * np.where(pos, 1.0, s) if a.needs_grad else None
+        ga = np.where(pos, g, g * s) if a.needs_grad else None
         gs = None
         if slope.needs_grad:
             gs = np.asarray((g * np.where(pos, 0.0, ad)).sum(), dtype=slope.data.dtype)
@@ -293,25 +308,56 @@ def sigmoid(a: Tensor) -> Tensor:
 # structural ops
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient over the axes its operand was broadcast along."""
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y; a 2-D y meets every leading index of x in one flat matmul."""
+    if y.ndim == 2 and x.ndim > 2:
+        return (x.reshape(-1, x.shape[-1]) @ y).reshape(*x.shape[:-1], y.shape[-1])
+    return x @ y
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
+    """a @ b over the last two axes; leading (batch) axes broadcast."""
     ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise DimensionError(f"matmul needs operands of at least 2-D, got {a.shape} and {b.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
+    try:
+        np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
+    except ValueError:
+        raise DimensionError(f"matmul batch dims do not broadcast: {a.shape} x {b.shape}") from None
 
     def bwd(g):
-        ga = g @ bd.T if a.needs_grad else None
-        gb = ad.T @ g if b.needs_grad else None
+        ga = gb = None
+        if a.needs_grad:
+            ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        if b.needs_grad:
+            if bd.ndim == 2:
+                # a shared weight: one matmul over every leading index
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return (ga, gb)
 
-    return _emit(ad @ bd, (a, b), bwd)
+    return _emit(_mm(ad, bd), (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _emit(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"transpose needs at least 2 axes, got {a.shape}")
+    return _emit(
+        np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), lambda g: (np.swapaxes(g, -1, -2),)
+    )
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -363,28 +409,35 @@ def _slice_axis(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tenso
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_rows needs a 2-D tensor, got {a.shape}")
-    return _slice_axis(a, start, stop, 0, "slice_rows")
+    """Rows start:stop of axis -2."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"slice_rows needs at least 2 axes, got {a.shape}")
+    return _slice_axis(a, start, stop, a.data.ndim - 2, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_cols needs a 2-D tensor, got {a.shape}")
-    return _slice_axis(a, start, stop, 1, "slice_cols")
+    """Columns start:stop of the last axis."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"slice_cols needs at least 2 axes, got {a.shape}")
+    return _slice_axis(a, start, stop, a.data.ndim - 1, "slice_cols")
 
 
 def add_row_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[t, :] + b for a (T, n) tensor and an (n,) bias."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
+    """x + b, where b's shape is x's trailing shape and repeats over the rest.
+
+    An (n,) bias adds to every row of a (..., n) tensor; an (N, d)
+    position table adds to every sample of a (B, N, d) stack.
+    """
+    k = b.data.ndim
+    if k < 1 or x.data.ndim < k or x.data.shape[x.data.ndim - k :] != b.data.shape:
         raise DimensionError(f"add_row_bias shapes {x.shape} and {b.shape} do not align")
 
     def bwd(g):
         gx = g if x.needs_grad else None
-        gb = g.sum(axis=0) if b.needs_grad else None
+        gb = g.reshape((-1,) + b.data.shape).sum(axis=0) if b.needs_grad else None
         return (gx, gb)
 
-    return _emit(x.data + b.data[None, :], (x, b), bwd)
+    return _emit(x.data + b.data, (x, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -445,48 +498,106 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _emit(out, (x, gamma, beta), bwd)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
+    """Multi-head scaled dot-product attention over (B, N, d) projections.
+
+    The last axis splits into ``heads`` slices of width dh = d / heads;
+    each head computes softmax(q k^T / sqrt(dh)) v over its slice, and
+    the head outputs are merged back in order to (B, N, d). Returns the
+    output tensor and the detached (B, heads, N, N) attention weights.
+    """
+    shape = q.data.shape
+    if q.data.ndim != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise DimensionError(f"attention needs equal (B, N, d) inputs, got {q.shape}, {k.shape}, {v.shape}")
+    b, n, d = shape
+    if heads < 1 or d % heads != 0:
+        raise ArgumentError(f"width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale_ = 1.0 / float(np.sqrt(dh))
+
+    def split(a):  # (B, N, d) -> (B, heads, N, dh)
+        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, heads, N, dh) -> (B, N, d)
+        return a.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    logits = (qh @ np.swapaxes(kh, -1, -2)) * scale_
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = split(g)
+        gatt = gh @ np.swapaxes(vh, -1, -2)
+        glog = att * (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * scale_
+        gq = merge(glog @ kh) if q.needs_grad else None
+        gk = merge(np.swapaxes(glog, -1, -2) @ qh) if k.needs_grad else None
+        gv = merge(np.swapaxes(att, -1, -2) @ gh) if v.needs_grad else None
+        return (gq, gk, gv)
+
+    return _emit(merge(att @ vh), (q, k, v), bwd), att
+
+
 # ---------------------------------------------------------------------------
 # spatial ops
 
 
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 cross-correlation, stride 1, zero padding 1.
+    """3x3 cross-correlation, stride 1, zero padding 1, built from matmuls.
 
-    x is (C_in, H, W), w is (C_out, C_in, 3, 3), b is (C_out,).
+    x is (B, C_in, H, W), w is (C_out, C_in, 3, 3), b is (C_out,). The
+    forward multiplies all nine kernel taps at once against the padded
+    input, W9 (9*C_out, C_in) @ Xpad (C_in, B*(H+2)*(W+2)), and sums the
+    nine tap planes at their shifts. The input gradient is the flipped,
+    channel-swapped kernel times the im2col of the padded output gradient
+    (C_out*9 rows); the weight gradient places the output gradient at
+    the nine tap offsets of a zero canvas and multiplies it by Xpad^T.
+    No (C_in*9, H*W) im2col of the input is built or kept.
     """
-    if x.data.ndim != 3:
-        raise DimensionError(f"conv2d_3x3 input must be (C, H, W), got {x.shape}")
+    if x.data.ndim != 4:
+        raise DimensionError(f"conv2d_3x3 input must be (B, C, H, W), got {x.shape}")
     if w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
         raise DimensionError(f"conv2d_3x3 weight must be (C_out, C_in, 3, 3), got {w.shape}")
-    c_in, h, wid = x.data.shape
+    bsz, c_in, h, wid = x.data.shape
     c_out = w.data.shape[0]
     if w.data.shape[1] != c_in:
         raise DimensionError(f"conv weight expects {w.data.shape[1]} input channels, got {c_in}")
     if b.data.shape != (c_out,):
         raise DimensionError(f"conv bias must have shape ({c_out},), got {b.shape}")
+    hp, wp = h + 2, wid + 2
+    shifts = [divmod(tap, 3) for tap in range(9)]  # tap = 3 * di + dj
 
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    # (C_in, H, W, 3, 3) -> (C_in*9, H*W)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * 9, h * wid)
-    w_mat = w.data.reshape(c_out, c_in * 9)
-    out = (w_mat @ cols + b.data[:, None]).reshape(c_out, h, wid)
+    # channels lead, so one matmul covers the whole batch
+    xp = np.zeros((c_in, bsz, hp, wp), dtype=x.data.dtype)
+    xp[:, :, 1:-1, 1:-1] = x.data.transpose(1, 0, 2, 3)
+    x_mat = xp.reshape(c_in, bsz * hp * wp)
+    w9 = w.data.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)
+    taps = (w9 @ x_mat).reshape(9, c_out, bsz, hp, wp)
+    out = taps[0, :, :, :h, :wid] + b.data[:, None, None, None]
+    for tap, (di, dj) in enumerate(shifts[1:], 1):
+        out += taps[tap, :, :, di : di + h, dj : dj + wid]
 
     def bwd(g):
-        gm = g.reshape(c_out, h * wid)
-        gw = (gm @ cols.T).reshape(w.data.shape) if w.needs_grad else None
-        gb = gm.sum(axis=1) if b.needs_grad else None
-        gx = None
+        gt = g.transpose(1, 0, 2, 3)  # (C_out, B, H, W)
+        gb = gt.sum(axis=(1, 2, 3)) if b.needs_grad else None
+        gw = gx = None
+        if w.needs_grad:
+            canvas = np.zeros((9, c_out, bsz, hp, wp), dtype=g.dtype)
+            for tap, (di, dj) in enumerate(shifts):
+                canvas[tap, :, :, di : di + h, dj : dj + wid] = gt
+            gw9 = canvas.reshape(9 * c_out, bsz * hp * wp) @ x_mat.T
+            gw = gw9.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1)
         if x.needs_grad:
-            gcols = (w_mat.T @ gm).reshape(c_in, 3, 3, h, wid)
-            gxp = np.zeros_like(xp)
-            for di in range(3):
-                for dj in range(3):
-                    gxp[:, di : di + h, dj : dj + wid] += gcols[:, di, dj]
-            gx = gxp[:, 1 : 1 + h, 1 : 1 + wid]
+            gp = np.zeros((c_out, bsz, hp, wp), dtype=g.dtype)
+            gp[:, :, 1:-1, 1:-1] = gt
+            windows = np.lib.stride_tricks.sliding_window_view(gp, (3, 3), axis=(2, 3))
+            # (C_out, B, H, W, 3, 3) -> (C_out*9, B*H*W)
+            cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c_out * 9, bsz * h * wid)
+            flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * 9)
+            gx = (flipped @ cols).reshape(c_in, bsz, h, wid).transpose(1, 0, 2, 3)
         return (gx, gw, gb)
 
-    return _emit(out, (x, w, b), bwd)
+    return _emit(np.ascontiguousarray(out.transpose(1, 0, 2, 3)), (x, w, b), bwd)
 
 
 _resize_rows_cache: dict = {}
@@ -513,47 +624,47 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Resize (C, H, W) to (C, out_h, out_w) with half-pixel bilinear sampling."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"bilinear_resize input must be (C, H, W), got {x.shape}")
+    """Resize (B, C, H, W) to (B, C, out_h, out_w) with half-pixel bilinear sampling."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"bilinear_resize input must be (B, C, H, W), got {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ArgumentError(f"output size must be positive, got {out_h}x{out_w}")
-    _, h, wid = x.data.shape
+    h, wid = x.data.shape[2:]
     ry = _resize_matrix(h, out_h).astype(x.data.dtype)
     rx = _resize_matrix(wid, out_w).astype(x.data.dtype)
-    # out[c] = Ry @ x[c] @ Rx^T, done as two tensordots
-    tmp = np.tensordot(ry, x.data, axes=(1, 1)).transpose(1, 0, 2)  # (C, oh, W)
-    out = np.tensordot(tmp, rx, axes=(2, 1))  # (C, oh, ow)
+
+    def rows_cols(a, rows, cols):
+        # rows @ a @ cols^T on every (H, W) plane, each side as one flat matmul
+        t = np.swapaxes(_mm(a, cols.T), -1, -2)
+        return np.ascontiguousarray(np.swapaxes(_mm(t, rows.T), -1, -2))
 
     def bwd(g):
-        t = np.tensordot(g, rx, axes=(2, 0))  # (C, oh, W)
-        gx = np.tensordot(ry, t, axes=(0, 1)).transpose(1, 0, 2)  # (C, H, W)
-        return (np.ascontiguousarray(gx),)
+        return (rows_cols(g, ry.T, rx.T),)
 
-    return _emit(np.ascontiguousarray(out), (x,), bwd)
+    return _emit(rows_cols(x.data, ry, rx), (x,), bwd)
 
 
 def global_average_pool(x: Tensor, grid: int = 1) -> Tensor:
-    """Adaptive average pool of (C, H, W) to a flat (C * grid * grid,) vector."""
-    if x.data.ndim != 3:
-        raise DimensionError(f"global_average_pool input must be (C, H, W), got {x.shape}")
-    c, h, wid = x.data.shape
+    """Adaptive average pool of (B, C, H, W) to (B, C * grid * grid)."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"global_average_pool input must be (B, C, H, W), got {x.shape}")
+    bsz, c, h, wid = x.data.shape
     if not 1 <= grid <= min(h, wid):
         raise ArgumentError(f"grid must be in [1, {min(h, wid)}], got {grid}")
     bounds_h = [(int(np.floor(i * h / grid)), int(np.ceil((i + 1) * h / grid))) for i in range(grid)]
     bounds_w = [(int(np.floor(j * wid / grid)), int(np.ceil((j + 1) * wid / grid))) for j in range(grid)]
-    out = np.empty((c, grid, grid), dtype=x.data.dtype)
+    out = np.empty((bsz, c, grid, grid), dtype=x.data.dtype)
     for i, (h0, h1) in enumerate(bounds_h):
         for j, (w0, w1) in enumerate(bounds_w):
-            out[:, i, j] = x.data[:, h0:h1, w0:w1].mean(axis=(1, 2))
+            out[:, :, i, j] = x.data[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
 
     def bwd(g):
-        gg = g.reshape(c, grid, grid)
+        gg = g.reshape(bsz, c, grid, grid)
         gx = np.zeros_like(x.data)
         for i, (h0, h1) in enumerate(bounds_h):
             for j, (w0, w1) in enumerate(bounds_w):
                 area = (h1 - h0) * (w1 - w0)
-                gx[:, h0:h1, w0:w1] += gg[:, i, j][:, None, None] / area
+                gx[:, :, h0:h1, w0:w1] += gg[:, :, i, j][:, :, None, None] / area
         return (gx,)
 
-    return _emit(out.reshape(c * grid * grid), (x,), bwd)
+    return _emit(out.reshape(bsz, c * grid * grid), (x,), bwd)

@@ -6,8 +6,10 @@ branch and fusion head, and regresses scores with an L1 loss. Both
 stages run one loop (``_train``): each epoch it samples the stage's
 items, shuffles them, and takes one classic Adam step (L2-coupled
 weight decay, stepped learning-rate schedule) per batch. A stage
-supplies only its per-epoch items and its batch loss. Stage 2 and
-inference score a crop through one function, ``score_crop``.
+supplies only its per-epoch items and its batch loss, and each batch
+runs as one forward over its stacked patches. Stage 2 and inference
+score crops through one function, ``score_crops``; inference stacks
+one image's evaluation crops into one batch.
 
 Checkpoints are a small binary format (magic ``TQTCKPT``, version 2):
 embedded configuration text followed by named float32 parameter blocks
@@ -37,7 +39,7 @@ from .errors import (
     DataError,
     TrainingError,
 )
-from .imaging import GrayImage, load_image
+from .imaging import GrayImage, ImageBatch, load_image
 from .params import ParamStore
 from .quality import ABLATION_MODES, fuse_and_predict, init_fusion_params, quality_loss
 from .rng import CounterRng, derive_seed
@@ -176,34 +178,37 @@ def build_quality_store(
     return store
 
 
-def forward_pem(img: GrayImage, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
-    """Encode with the error-map branch and decode to a (1, H, W) map."""
-    enc = encode(img, store, cfg, branch="pem", weight_prefix="pem", capture=False)
+def forward_pem(images, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
+    """Encode with the error-map branch and decode to (B, 1, H, W) maps.
+
+    ``images`` is an ImageBatch, or a GrayImage as a batch of one.
+    """
+    enc = encode(images, store, cfg, branch="pem", weight_prefix="pem", capture=False)
     return decode(enc.layer_tokens, store, cfg, cfg.image_size, cfg.image_size)
 
 
 def forward_pqt(
-    img: GrayImage,
+    images,
     store: ParamStore,
     cfg: ModelConfig,
     share_backbone: bool = False,
     capture: bool = False,
 ) -> EncoderOutput:
     prefix = "pem" if share_backbone else "pqt"
-    return encode(img, store, cfg, branch="pqt", weight_prefix=prefix, capture=capture)
+    return encode(images, store, cfg, branch="pqt", weight_prefix=prefix, capture=capture)
 
 
-def score_crop(
-    crop: GrayImage,
-    pem_map: T.Tensor | None,
+def score_crops(
+    crops: ImageBatch,
+    pem_maps: T.Tensor | None,
     store: ParamStore,
     cfg: ModelConfig,
     mode: str,
     share_backbone: bool,
 ) -> T.Tensor:
-    """Scalar score of one crop from its frozen error map (None in pqt_only)."""
-    token = forward_pqt(crop, store, cfg, share_backbone).token if mode != "pem_only" else None
-    return fuse_and_predict(pem_map, token, store, cfg, mode)
+    """(B,) scores of a crop batch from its frozen error maps (None in pqt_only)."""
+    token = forward_pqt(crops, store, cfg, share_backbone).token if mode != "pem_only" else None
+    return fuse_and_predict(pem_maps, token, store, cfg, mode)
 
 
 def predict_score(
@@ -213,12 +218,11 @@ def predict_score(
     mode: str = "both",
     share_backbone: bool = False,
 ) -> float:
-    """Mean predicted score over the deterministic evaluation crops."""
-    scores = []
-    for crop in eval_crops(img, cfg.image_size):
-        pem_map = forward_pem(crop, store, cfg) if mode != "pqt_only" else None
-        scores.append(score_crop(crop, pem_map, store, cfg, mode, share_backbone).item())
-    return float(np.mean(scores))
+    """Mean predicted score over the deterministic evaluation crops, run as one batch."""
+    crops = ImageBatch.stack(eval_crops(img, cfg.image_size))
+    pem_maps = forward_pem(crops, store, cfg) if mode != "pqt_only" else None
+    scores = score_crops(crops, pem_maps, store, cfg, mode, share_backbone)
+    return float(np.mean(scores.data, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +432,9 @@ def pretrain_pem(
         return items
 
     def batch_loss(batch: list) -> T.Tensor:
-        total = None
-        for d, r in batch:
-            item = pem_loss(forward_pem(d, store, model_cfg), compute_oem(d, r), d, r, loss_cfg)
-            total = item if total is None else T.add(total, item)
-        return T.scale(total, 1.0 / len(batch))
+        dist = ImageBatch.stack(d for d, _r in batch)
+        ref = ImageBatch.stack(r for _d, r in batch)
+        return pem_loss(forward_pem(dist, store, model_cfg), compute_oem(dist, ref), dist, ref, loss_cfg)
 
     _train(store, train_cfg, 1, epoch_items, batch_loss, log_path)
     return Checkpoint(model_cfg, train_cfg, loss_cfg, store.arrays())
@@ -468,19 +470,15 @@ def train_quality(
         items = []
         for si, (dist, _ref, score) in enumerate(samples):
             pseed = derive_seed(train_cfg.seed, "patch", 2, epoch, si)
-            for patch in sample_patches(dist, patch_count, crop, pseed, augment):
-                # the frozen map runs off the tape: on it, it records no node and only runs slower
-                pem_map = forward_pem(patch, store, model_cfg) if mode != "pqt_only" else None
-                items.append((patch, pem_map, score))
+            items.extend((p, score) for p in sample_patches(dist, patch_count, crop, pseed, augment))
         return items
 
     def batch_loss(batch: list) -> T.Tensor:
-        scores = [
-            T.reshape(score_crop(p, m, store, model_cfg, mode, train_cfg.share_backbone), (1,))
-            for p, m, _y in batch
-        ]
-        preds = scores[0] if len(scores) == 1 else T.concat(scores, axis=0)
-        return quality_loss(preds, np.array([y for _p, _m, y in batch], dtype=np.float32))
+        patches = ImageBatch.stack(p for p, _y in batch)
+        # the frozen branch records no tape node: none of its inputs needs a gradient
+        pem_maps = forward_pem(patches, store, model_cfg) if mode != "pqt_only" else None
+        preds = score_crops(patches, pem_maps, store, model_cfg, mode, train_cfg.share_backbone)
+        return quality_loss(preds, np.array([y for _p, y in batch], dtype=np.float32))
 
     _train(store, train_cfg, 2, epoch_items, batch_loss, log_path)
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())

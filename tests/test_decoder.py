@@ -25,10 +25,11 @@ def make_decoder_store(cfg, seed=0):
 
 
 def random_tokens(cfg, seed=0, dtype=np.float32):
+    """One (1, N, d) token set per selected layer: a batch of one."""
     rng = CounterRng(derive_seed(seed, "tok"))
     out = []
     for _ in cfg.selected_layers:
-        data = rng.normal(cfg.num_patches * cfg.embed_dim).reshape(cfg.num_patches, cfg.embed_dim)
+        data = rng.normal(cfg.num_patches * cfg.embed_dim).reshape(1, cfg.num_patches, cfg.embed_dim)
         out.append(T.constant(data.astype(dtype), dtype=dtype))
     return out
 
@@ -80,7 +81,7 @@ def test_decode_shape_and_range():
     cfg = tiny_config()
     store = make_decoder_store(cfg)
     pem = decode(random_tokens(cfg), store, cfg, cfg.image_size, cfg.image_size)
-    assert pem.shape == (1, cfg.image_size, cfg.image_size)
+    assert pem.shape == (1, 1, cfg.image_size, cfg.image_size)
     assert np.all(pem.data > 0.0)
     assert np.all(pem.data < 1.0)
 
@@ -122,10 +123,10 @@ def test_decode_validates_token_sets():
     tokens = random_tokens(cfg)
     with pytest.raises(DimensionError, match="layer token sets"):
         decode(tokens[:-1], store, cfg, cfg.image_size, cfg.image_size)
-    bad_width = [T.constant(np.zeros((cfg.num_patches, cfg.embed_dim + 1))) for _ in tokens]
+    bad_width = [T.constant(np.zeros((1, cfg.num_patches, cfg.embed_dim + 1))) for _ in tokens]
     with pytest.raises(DimensionError, match="embed_dim"):
         decode(bad_width, store, cfg, cfg.image_size, cfg.image_size)
-    bad_count = [T.constant(np.zeros((cfg.num_patches - 1, cfg.embed_dim))) for _ in tokens]
+    bad_count = [T.constant(np.zeros((1, cfg.num_patches - 1, cfg.embed_dim))) for _ in tokens]
     with pytest.raises(DimensionError, match="perfect square"):
         decode(bad_count, store, cfg, cfg.image_size, cfg.image_size)
     with pytest.raises(DimensionError, match="does not match grid"):
@@ -138,7 +139,7 @@ def test_decode_differentiable_to_tokens():
     rng = CounterRng(derive_seed(3, "tok"))
     tokens = []
     for _ in cfg.selected_layers:
-        data = rng.normal(cfg.num_patches * cfg.embed_dim).reshape(cfg.num_patches, cfg.embed_dim)
+        data = rng.normal(cfg.num_patches * cfg.embed_dim).reshape(1, cfg.num_patches, cfg.embed_dim)
         tokens.append(T.Tensor(data, requires_grad=True, dtype=np.float64))
     with T.Tape() as tape:
         pem = decode(tokens, store, cfg, cfg.image_size, cfg.image_size)

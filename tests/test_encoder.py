@@ -92,8 +92,8 @@ def test_patchify_embed_matches_manual():
     b = store["pem.embed.b"].data.astype(np.float64)
     pos = store["pem.pos"].data.astype(np.float64)
     expect = extract_patches(img.pixels, cfg.patch_size).astype(np.float64) @ w + b + pos
-    assert tokens.shape == (cfg.num_patches, cfg.embed_dim)
-    assert np.allclose(tokens.data, expect, atol=1e-5)
+    assert tokens.shape == (1, cfg.num_patches, cfg.embed_dim)
+    assert np.allclose(tokens.data[0], expect, atol=1e-5)
 
 
 def test_patchify_rejects_wrong_size():
@@ -115,7 +115,7 @@ def test_pem_branch_layer_tokens():
     # one token set per selected layer, in selected_layers order
     assert len(out.layer_tokens) == len(cfg.selected_layers)
     for tokens in out.layer_tokens:
-        assert tokens.shape == (cfg.num_patches, cfg.embed_dim)
+        assert tokens.shape == (1, cfg.num_patches, cfg.embed_dim)
     assert out.token is None
     assert out.attention is None
 
@@ -124,10 +124,10 @@ def test_pqt_branch_tokens_and_attention():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
     out = encode(rand_image(cfg), store, cfg, branch="pqt", capture=True)
-    assert out.token.shape == (cfg.embed_dim,)
+    assert out.token.shape == (1, cfg.embed_dim)
     assert len(out.attention) == cfg.layers
     for vec in out.attention:
-        assert vec.shape == (cfg.num_patches,)
+        assert vec.shape == (1, cfg.num_patches)
     assert out.layer_tokens is None
 
 

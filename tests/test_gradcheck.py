@@ -14,7 +14,7 @@ DIFFERENTIABLE_OPS = [
     "add", "sub", "mul", "scale", "abs_", "square", "mean", "sum_",
     "gelu", "prelu", "sigmoid", "matmul", "transpose", "reshape",
     "concat", "slice_rows", "slice_cols", "add_row_bias", "linear",
-    "softmax_rows", "layer_norm", "conv2d_3x3", "bilinear_resize",
+    "softmax_rows", "layer_norm", "attention", "conv2d_3x3", "bilinear_resize",
     "global_average_pool",
 ]
 
@@ -30,7 +30,8 @@ def test_registry_has_composites():
         assert name in CASES
 
 
-@pytest.mark.parametrize("name", ["add", "sigmoid", "layer_norm", "conv2d_3x3", "softmax_rows"])
+# every registered case, so each op and composite is gated
+@pytest.mark.parametrize("name", list(CASES))
 def test_representative_cases_pass(name):
     result = run_case(name, seed=0)
     assert result.ok, f"{name}: max rel err {result.max_rel_err}"

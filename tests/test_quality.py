@@ -26,12 +26,12 @@ def fusion_store(cfg, mode="both", seed=0):
 def rand_pem(cfg, seed=0):
     rng = CounterRng(derive_seed(seed, "pem"))
     data = rng.uniform(cfg.image_size * cfg.image_size)
-    return T.constant(data.reshape(1, cfg.image_size, cfg.image_size).astype(np.float32))
+    return T.constant(data.reshape(1, 1, cfg.image_size, cfg.image_size).astype(np.float32))
 
 
 def rand_token(cfg, seed=0):
     rng = CounterRng(derive_seed(seed, "tokv"))
-    return T.constant(rng.normal(cfg.embed_dim).astype(np.float32))
+    return T.constant(rng.normal(cfg.embed_dim).reshape(1, cfg.embed_dim).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_fusion_scalar_output():
     for mode in ABLATION_MODES:
         store = fusion_store(cfg, mode)
         score = fuse_and_predict(rand_pem(cfg), rand_token(cfg), store, cfg, mode=mode)
-        assert score.shape == ()
+        assert score.shape == (1,)
         assert np.isfinite(score.item())
 
 
@@ -92,7 +92,7 @@ def test_fusion_missing_inputs_rejected():
 def test_fusion_rejects_wrong_token_width():
     cfg = tiny_config()
     store = fusion_store(cfg, "both")
-    bad = T.constant(np.zeros(cfg.embed_dim + 1, dtype=np.float32))
+    bad = T.constant(np.zeros((1, cfg.embed_dim + 1), dtype=np.float32))
     with pytest.raises(DimensionError, match="quality token"):
         fuse_and_predict(rand_pem(cfg), bad, store, cfg, mode="both")
 

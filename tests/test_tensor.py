@@ -123,7 +123,7 @@ def test_layer_norm_statistics(x):
 
 
 def test_conv2d_3x3_identity_kernel():
-    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
+    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
     k = np.zeros((1, 1, 3, 3))
     k[0, 0, 1, 1] = 1.0
     out = T.conv2d_3x3(
@@ -135,8 +135,8 @@ def test_conv2d_3x3_identity_kernel():
 
 
 def test_bilinear_resize_known_values():
-    x = T.constant([[[0.0, 1.0]]], dtype=np.float64)  # (1,1,2)
-    out = T.bilinear_resize(x, 1, 4).data[0, 0]
+    x = T.constant([[[[0.0, 1.0]]]], dtype=np.float64)  # (1,1,1,2)
+    out = T.bilinear_resize(x, 1, 4).data[0, 0, 0]
     # align-corners-false grid: sample centers at 0, .5, 1, 1.5 of input scale
     assert out[0] == pytest.approx(0.0)
     assert out[-1] == pytest.approx(1.0)
@@ -146,8 +146,8 @@ def test_bilinear_resize_known_values():
 
 
 def test_global_average_pool_regions():
-    x = np.zeros((1, 4, 4))
-    x[0, :2, :2] = 1.0
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, :2, :2] = 1.0
     t = T.constant(x, dtype=np.float64)
     assert T.global_average_pool(t, 1).data == pytest.approx(0.25)
     g2 = T.global_average_pool(t, 2).data.reshape(4)
@@ -233,6 +233,23 @@ def test_finite_check_toggle():
     finally:
         T.set_finite_checks(False)
     T.constant([np.inf], dtype=np.float64)  # checks off again
+
+
+def test_finite_check_names_the_op_and_its_tape_node():
+    x = leaf(np.ones((1, 1, 3, 3)))
+    w = leaf(np.ones((1, 1, 3, 3)))
+    b = leaf([0.0])
+    T.set_finite_checks(True)
+    try:
+        with T.Tape():
+            y = T.add(x, 1.0)  # tape node 0
+            y.data[0, 0, 1, 1] = np.inf  # an Inf injected between two ops
+            with pytest.raises(ArgumentError, match=r"non-finite value from conv2d_3x3 \(tape node 1\)"):
+                T.conv2d_3x3(y, w, b)
+        with pytest.raises(ArgumentError, match=r"non-finite value from mul \(not taped\)"):
+            T.mul(T.constant([1.0]), np.inf)
+    finally:
+        T.set_finite_checks(False)
 
 
 def test_softmax_gradient_matches_closed_form():

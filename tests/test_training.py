@@ -7,18 +7,28 @@ import numpy as np
 import pytest
 
 from conftest import build_overfit_dataset
+from tempqt import tensor as T
 from tempqt import training
-from tempqt.data import load_manifest
-from tempqt.encoder import tiny_config
+from tempqt.data import DatasetManifest, Sample, eval_crops, load_manifest, save_manifest
+from tempqt.encoder import ModelConfig, tiny_config
 from tempqt.errors import (
     ArgumentError,
     CheckpointError,
     CompatibilityError,
     TrainingError,
 )
+from tempqt.imaging import (
+    DistortionSpec,
+    ImageBatch,
+    apply_distortion,
+    make_texture,
+    pseudo_mos,
+    save_image,
+)
 from tempqt.metrics import plcc, srocc
 from tempqt.params import ParamStore
-from tempqt.supervision import PemLossConfig
+from tempqt.rng import derive_seed
+from tempqt.supervision import PemLossConfig, compute_oem, pem_loss
 from tempqt.training import (
     AdamState,
     Checkpoint,
@@ -368,7 +378,8 @@ def test_shared_backbone_needs_every_block(micro_manifest, shallow_pem_ckpt):
         train_quality(micro_manifest, shallow_pem_ckpt, cfg, tc, patch_count=1, augment=False)
 
 
-def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micro_pem_ckpt, monkeypatch):
+def _record_tapes(monkeypatch):
+    """Spy on training.backward: keep every (loss, tape) a step replays."""
     tapes = []
     real_backward = training.backward
 
@@ -377,6 +388,11 @@ def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micr
         real_backward(loss, tape)
 
     monkeypatch.setattr(training, "backward", spy)
+    return tapes
+
+
+def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micro_pem_ckpt, monkeypatch):
+    tapes = _record_tapes(monkeypatch)
     tc = TrainConfig(**{**MICRO, "epochs_stage2": 1})
     train_quality(micro_manifest, micro_pem_ckpt, tiny_config(), tc, patch_count=1, augment=False)
     assert len(tapes) == 1
@@ -417,3 +433,114 @@ def test_overfit_set_learns_score_order(overfit_manifest, overfit_quality_ckpt):
     )["train"]
     assert srocc(targets, preds) >= 0.9
     assert plcc(targets, preds) >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# batches: one forward per batch, equal to the same crops run one at a time
+
+# float32 tolerances: batched and one-at-a-time runs differ only in how
+# BLAS blocks the flattened matmuls
+BATCH_ATOL = 1e-6  # maps and scores, which lie in about [0, 1]
+BATCH_GRAD_RTOL = 1e-5  # gradients, relative to the largest gradient entry
+
+
+def _textures(count, seed, size=32):
+    return [make_texture(size, size, derive_seed(seed, "batch", i)) for i in range(count)]
+
+
+def test_batched_forward_matches_one_at_a_time(micro_quality_ckpt):
+    cfg = tiny_config()
+    store = store_from_checkpoint(micro_quality_ckpt)
+    crops = _textures(8, 1)
+    batch = ImageBatch.stack(crops)
+    maps = training.forward_pem(batch, store, cfg)
+    assert maps.shape == (8, 1, cfg.image_size, cfg.image_size)
+    single = np.concatenate([training.forward_pem(c, store, cfg).data for c in crops])
+    assert np.allclose(maps.data, single, rtol=0.0, atol=BATCH_ATOL)
+
+    # predict_score batches one image's five evaluation crops
+    img = make_texture(48, 48, derive_seed(2, "batch"))
+    crops = eval_crops(img, cfg.image_size)
+    assert len(crops) == 5
+    one_by_one = [
+        training.score_crops(
+            ImageBatch.stack([c]), training.forward_pem(c, store, cfg), store, cfg, "both", False
+        ).item()
+        for c in crops
+    ]
+    assert training.predict_score(img, store, cfg) == pytest.approx(np.mean(one_by_one), abs=BATCH_ATOL)
+
+
+def test_batched_stage1_gradients_match_one_at_a_time(micro_pem_ckpt):
+    cfg = tiny_config()
+    store = training.build_pem_store(cfg, seed=0)
+    for name, t in store.items():
+        t.data[...] = micro_pem_ckpt.params[name]
+    dist, ref = _textures(8, 3), _textures(8, 4)
+    loss_cfg = PemLossConfig()
+
+    def grads(d, r):
+        d, r = ImageBatch.stack(d), ImageBatch.stack(r)
+        with T.Tape() as tape:
+            loss = pem_loss(training.forward_pem(d, store, cfg), compute_oem(d, r), d, r, loss_cfg)
+        T.backward(loss, tape)
+        out = {name: t.grad.copy() for name, t in store.items()}
+        T.zero_grads(store.tensors())
+        return out
+
+    batched = grads(dist, ref)
+    singles = [grads([d], [r]) for d, r in zip(dist, ref)]
+    scale = max(float(np.abs(g).max()) for g in batched.values())
+    for name, g in batched.items():
+        mean_single = np.mean([s[name] for s in singles], axis=0)
+        assert np.abs(g - mean_single).max() <= BATCH_GRAD_RTOL * scale, name
+
+
+@pytest.fixture(scope="module")
+def default_manifest(tmp_path_factory):
+    # two 64 px pairs: 4 patches each make one 8-patch step at the default config
+    root = tmp_path_factory.mktemp("default")
+    (root / "ref").mkdir()
+    (root / "dist").mkdir()
+    samples = []
+    for i, base in enumerate(_textures(2, 5, size=64)):
+        save_image(base, str(root / f"ref/{i}.pgm"))
+        spec = DistortionSpec("gaussian_blur", 3, seed=0)
+        save_image(apply_distortion(base, spec), str(root / f"dist/{i}.pgm"))
+        samples.append(Sample(f"dist/{i}.pgm", f"ref/{i}.pgm", pseudo_mos(spec), f"b{i}", "train"))
+    path = str(root / "manifest.csv")
+    save_manifest(DatasetManifest(1, 0, samples, str(root)), path)
+    return load_manifest(path)
+
+
+def test_default_steps_record_one_taped_forward_per_batch(default_manifest, monkeypatch):
+    cfg = ModelConfig()
+    tc = TrainConfig(epochs_stage1=1, epochs_stage2=1, batch_size=8)
+    tapes = _record_tapes(monkeypatch)
+    pem = pretrain_pem(default_manifest, cfg, tc, patch_count=4)
+    train_quality(default_manifest, pem, cfg, tc, patch_count=4)
+    (_loss1, step1), (_loss2, step2) = tapes
+    # one patch at a time with a per-head loop took 1,920 and 1,748 nodes
+    assert 0 < len(step1.nodes) <= 384
+    assert 0 < len(step2.nodes) <= 349
+
+
+def test_float32_stage2_backward_stays_float32(micro_manifest, micro_pem_ckpt, monkeypatch):
+    dtypes = set()
+    real_backward = training.backward
+
+    def recording(loss, tape):
+        for node in tape.nodes:
+            def bwd(g, inner=node.backward):
+                grads = inner(g)
+                dtypes.update((inner.__qualname__, gi.dtype) for gi in grads if gi is not None)
+                return grads
+
+            node.backward = bwd
+        real_backward(loss, tape)
+
+    monkeypatch.setattr(training, "backward", recording)
+    tc = TrainConfig(**{**MICRO, "epochs_stage2": 1})
+    train_quality(micro_manifest, micro_pem_ckpt, tiny_config(), tc, patch_count=1, augment=False)
+    assert dtypes
+    assert {dt for _op, dt in dtypes} == {np.dtype(np.float32)}, sorted(map(str, dtypes))
