@@ -223,9 +223,9 @@ def sample_patches(
         left = rng.randint(img.width - crop + 1)
         tile = img.pixels[top : top + crop, left : left + crop]
         if augment:
-            if rng.uniform(1)[0] < 0.5:
+            if rng.random() < 0.5:
                 tile = tile[:, ::-1]
-            if rng.uniform(1)[0] < 0.5:
+            if rng.random() < 0.5:
                 tile = tile[::-1, :]
         out.append(GrayImage(crop, crop, tile.copy()))
     return out

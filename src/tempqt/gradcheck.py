@@ -276,17 +276,17 @@ def _case_fusion(rng):
     cfg = tiny_config()
     store = ParamStore()
     init_fusion_params(store, cfg, CounterRng(rng.randint(1 << 30)), mode="both", dtype=np.float64)
-    pem = Tensor(
-        0.3 + 0.05 * _normal(rng, (2, 1, cfg.image_size, cfg.image_size)),
+    features = Tensor(
+        0.3 + 0.05 * _normal(rng, (2, cfg.gap_grid * cfg.gap_grid)),
         requires_grad=True,
         dtype=np.float64,
     )
     token = _leaf(rng, 2, cfg.embed_dim, scale=0.5)
-    leaves = [pem, token] + list(store.tensors())
+    leaves = [features, token] + list(store.tensors())
     proj = _projector(rng, (2,))
 
     def forward():
-        return proj(fuse_and_predict(pem, token, store, cfg, "both"))
+        return proj(fuse_and_predict(features, token, store, cfg, "both"))
 
     return leaves, forward
 
@@ -356,7 +356,8 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
             pem = forward_pem(dist, store, model)
             l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
             token = forward_pqt(dist, store, model).token
-            score = fuse_and_predict(pem, token, store, model, "both")
+            features = T.global_average_pool(pem, model.gap_grid)
+            score = fuse_and_predict(features, token, store, model, "both")
             l_q = quality_loss(score, [0.7])
             return T.add(l_em, l_q)
 

@@ -302,16 +302,16 @@ def make_texture(height: int, width: int, seed: int) -> GrayImage:
     rng = CounterRng(derive_seed(seed, "texture"))
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     checker = 2.0 * ((xs + ys) % 2) - 1.0
-    field = (0.42 + 0.08 * rng.uniform(1)[0]) * checker
+    field = (0.42 + 0.08 * rng.random()) * checker
     # (period, base weight, direction pair) per grating band
     bands = [(6.0, 0.95, (1.0, 0.7)), (12.0, 0.80, (0.6, -1.0)), (20.0, 0.60, (1.0, -0.35))]
     for period, weight, (dx, dy) in bands:
-        phase = 2.0 * np.pi * rng.uniform(1)[0]
-        w = weight * (0.9 + 0.2 * rng.uniform(1)[0])
+        phase = 2.0 * np.pi * rng.random()
+        w = weight * (0.9 + 0.2 * rng.random())
         field += w * np.sin(2.0 * np.pi * (dx * xs + dy * ys) / period + phase)
-    if rng.uniform(1)[0] < 0.5:
+    if rng.random() < 0.5:
         field = field[:, ::-1]
-    if rng.uniform(1)[0] < 0.5:
+    if rng.random() < 0.5:
         field = field[::-1, :]
     lo, hi = field.min(), field.max()
     if hi - lo < 1e-9:

@@ -1,11 +1,13 @@
 """Fusion head, quality regression loss, and attention-map export.
 
-The predicted error map is pooled and linearly lifted to the token
-width; the lifted vector is summed with the final quality-token state
-and regressed to a scalar by a two-layer head with a single shared
-PReLU. Ablation modes regress either vector alone through the same
-head. The head scores a batch: (B, 1, H, W) maps and (B, d) token
-states give (B,) scores.
+The head reads the error-map branch as pooled features: the predicted
+map averaged over a gap_grid x gap_grid grid (``training.frozen_features``
+computes them). The features are linearly lifted to the token width;
+the lifted vector is summed with the final quality-token state and
+regressed to a scalar by a two-layer head with a single shared PReLU.
+Ablation modes regress either vector alone through the same head. The
+head scores a batch: (B, gap_grid²) features and (B, d) token states
+give (B,) scores.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def init_fusion_params(
 
 
 def fuse_and_predict(
-    pem: T.Tensor | None,
+    pem_features: T.Tensor | None,
     pqt_token: T.Tensor | None,
     store: ParamStore,
     cfg: ModelConfig,
@@ -57,8 +59,9 @@ def fuse_and_predict(
 ) -> T.Tensor:
     """Regress (B,) scores from the available branch outputs.
 
-    ``pem`` is the (B, 1, H, W) predicted error map, ``pqt_token`` the
-    (B, d) final quality-token state; the mode decides which are read.
+    ``pem_features`` is the (B, gap_grid²) pooled predicted error map,
+    ``pqt_token`` the (B, d) final quality-token state; the mode decides
+    which are read.
     """
     if mode not in ABLATION_MODES:
         raise ArgumentError(f"unknown ablation mode {mode!r}")
@@ -66,10 +69,12 @@ def fuse_and_predict(
 
     v_pem = None
     if mode != "pqt_only":
-        if pem is None:
-            raise ArgumentError(f"mode {mode!r} needs a predicted error map")
-        pooled = T.global_average_pool(pem, cfg.gap_grid)
-        v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
+        if pem_features is None:
+            raise ArgumentError(f"mode {mode!r} needs pooled error-map features")
+        k = cfg.gap_grid * cfg.gap_grid
+        if pem_features.data.ndim != 2 or pem_features.shape[1] != k:
+            raise DimensionError(f"error-map features have shape {pem_features.shape}, expected (B, {k})")
+        v_pem = T.linear(pem_features, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
 
     z_pqt = None
     if mode != "pem_only":

@@ -89,6 +89,11 @@ class CounterRng:
         """n doubles in [0, 1)."""
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53
 
+    def random(self) -> float:
+        """One double in [0, 1): the value ``uniform(1)[0]`` would give, without numpy."""
+        self._counter += 1
+        return (mix64(self.seed + self._counter * _GOLDEN) >> 11) * _U53
+
     def normal(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller."""
         m = (n + 1) // 2
@@ -106,12 +111,12 @@ class CounterRng:
         """One integer in [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return min(int(self.uniform(1)[0] * bound), bound - 1)
+        return min(int(self.random() * bound), bound - 1)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
-            j = min(int(self.uniform(1)[0] * (i + 1)), i)
+            j = min(int(self.random() * (i + 1)), i)
             items[i], items[j] = items[j], items[i]
 
     def truncated_normal(self, n: int, std: float) -> np.ndarray:

@@ -11,6 +11,14 @@ runs as one forward over its stacked patches. Stage 2 and inference
 score crops through one function, ``score_crops``; inference stacks
 one image's evaluation crops into one batch.
 
+The fusion head reads the frozen branch only through
+``frozen_features``: the predicted map pooled to (B, gap_grid²). Since
+the branch is frozen, a patch's features are a constant for the whole
+of stage 2, so ``train_quality`` encodes each distinct patch once,
+keyed by a digest of its pixels, and reuses the row on every later
+draw. Its log ends with ``stage=2 frozen_encoded=<distinct>
+frozen_drawn=<drawn>``.
+
 Checkpoints are a small binary format (magic ``TQTCKPT``, version 2):
 embedded configuration text followed by named float32 parameter blocks
 in store order, and nothing after the last block. Optimizer state and
@@ -22,6 +30,7 @@ replaces the file atomically.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -198,17 +207,22 @@ def forward_pqt(
     return encode(images, store, cfg, branch="pqt", weight_prefix=prefix, capture=capture)
 
 
+def frozen_features(images, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
+    """(B, gap_grid²) pooled error maps: all the fusion head reads of the frozen branch."""
+    return T.global_average_pool(forward_pem(images, store, cfg), cfg.gap_grid)
+
+
 def score_crops(
     crops: ImageBatch,
-    pem_maps: T.Tensor | None,
+    pem_features: T.Tensor | None,
     store: ParamStore,
     cfg: ModelConfig,
     mode: str,
     share_backbone: bool,
 ) -> T.Tensor:
-    """(B,) scores of a crop batch from its frozen error maps (None in pqt_only)."""
+    """(B,) scores of a crop batch from its frozen features (None in pqt_only)."""
     token = forward_pqt(crops, store, cfg, share_backbone).token if mode != "pem_only" else None
-    return fuse_and_predict(pem_maps, token, store, cfg, mode)
+    return fuse_and_predict(pem_features, token, store, cfg, mode)
 
 
 def predict_score(
@@ -220,8 +234,8 @@ def predict_score(
 ) -> float:
     """Mean predicted score over the deterministic evaluation crops, run as one batch."""
     crops = ImageBatch.stack(eval_crops(img, cfg.image_size))
-    pem_maps = forward_pem(crops, store, cfg) if mode != "pqt_only" else None
-    scores = score_crops(crops, pem_maps, store, cfg, mode, share_backbone)
+    features = frozen_features(crops, store, cfg) if mode != "pqt_only" else None
+    scores = score_crops(crops, features, store, cfg, mode, share_backbone)
     return float(np.mean(scores.data, dtype=np.float64))
 
 
@@ -378,14 +392,13 @@ def _load_pairs(manifest: DatasetManifest, need_ref: bool) -> list:
     return out
 
 
-def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, batch_loss, log_path) -> None:
+def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, batch_loss, log: _Log) -> None:
     """Adam over shuffled batches of ``epoch_items(epoch)``, one step per batch."""
     if stage == 1:
         epochs, base_lr = train_cfg.epochs_stage1, train_cfg.alpha
     else:
         epochs, base_lr = train_cfg.epochs_stage2, train_cfg.beta
     state = AdamState(store)
-    log = _Log(log_path)
     logged_first = False
     for epoch in range(epochs):
         lr = lr_at(epoch, train_cfg, base=base_lr)
@@ -436,7 +449,7 @@ def pretrain_pem(
         ref = ImageBatch.stack(r for _d, r in batch)
         return pem_loss(forward_pem(dist, store, model_cfg), compute_oem(dist, ref), dist, ref, loss_cfg)
 
-    _train(store, train_cfg, 1, epoch_items, batch_loss, log_path)
+    _train(store, train_cfg, 1, epoch_items, batch_loss, _Log(log_path))
     return Checkpoint(model_cfg, train_cfg, loss_cfg, store.arrays())
 
 
@@ -458,8 +471,16 @@ def train_quality(
     expected = {name: t.data.shape for name, t in skeleton.items()}
     got = {name: arr.shape for name, arr in pem_arrays.items()}
     if expected != got:
-        missing = sorted(set(expected) ^ set(got))[:6]
-        raise CompatibilityError("checkpoint does not hold a complete error-map branch", tuple(missing))
+        wrong = (
+            [f"missing {name}" for name in sorted(expected.keys() - got.keys())]
+            + [f"extra {name}" for name in sorted(got.keys() - expected.keys())]
+            + [
+                f"{name} is {got[name]}, expected {shape}"
+                for name, shape in sorted(expected.items())
+                if name in got and got[name] != shape
+            ]
+        )
+        raise CompatibilityError("checkpoint does not hold a complete error-map branch", tuple(wrong[:6]))
 
     mode = train_cfg.ablation_mode
     store = build_quality_store(model_cfg, train_cfg, pem_arrays)
@@ -473,14 +494,34 @@ def train_quality(
             items.extend((p, score) for p in sample_patches(dist, patch_count, crop, pseed, augment))
         return items
 
+    # patch digest -> its frozen feature row; valid for the whole stage,
+    # because adam_step never touches the frozen pem.*/dec.* parameters
+    rows: dict[bytes, np.ndarray] = {}
+    drawn = 0
+
+    def features(patches: ImageBatch) -> T.Tensor:
+        nonlocal drawn
+        drawn += patches.pixels.shape[0]
+        keys = [hashlib.blake2b(p.tobytes(), digest_size=16).digest() for p in patches.pixels]
+        unseen = {}  # key -> batch index of its first occurrence
+        for i, key in enumerate(keys):
+            if key not in rows:
+                unseen.setdefault(key, i)
+        if unseen:
+            encoded = frozen_features(ImageBatch(patches.pixels[list(unseen.values())]), store, model_cfg)
+            rows.update(zip(unseen, encoded.data))
+        # a constant: the frozen branch records no tape node
+        return T.constant(np.stack([rows[key] for key in keys]))
+
     def batch_loss(batch: list) -> T.Tensor:
         patches = ImageBatch.stack(p for p, _y in batch)
-        # the frozen branch records no tape node: none of its inputs needs a gradient
-        pem_maps = forward_pem(patches, store, model_cfg) if mode != "pqt_only" else None
-        preds = score_crops(patches, pem_maps, store, model_cfg, mode, train_cfg.share_backbone)
+        pem_features = features(patches) if mode != "pqt_only" else None
+        preds = score_crops(patches, pem_features, store, model_cfg, mode, train_cfg.share_backbone)
         return quality_loss(preds, np.array([y for _p, y in batch], dtype=np.float32))
 
-    _train(store, train_cfg, 2, epoch_items, batch_loss, log_path)
+    log = _Log(log_path)
+    _train(store, train_cfg, 2, epoch_items, batch_loss, log)
+    log.line(f"stage=2 frozen_encoded={len(rows)} frozen_drawn={drawn}")
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 
 

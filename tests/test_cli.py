@@ -8,6 +8,7 @@ import pytest
 from tempqt import cli
 from tempqt import gradcheck
 from tempqt import tensor as T
+from tempqt.data import load_manifest
 from tempqt.imaging import load_image, make_texture, save_image
 from tempqt.training import load_checkpoint, save_checkpoint
 
@@ -98,6 +99,9 @@ def test_train_outputs(pipeline):
     assert (run / "quality.ckpt").is_file()
     log = (run / "train.log").read_text().splitlines()
     assert any(ln.startswith("stage=2 epoch=0 ") for ln in log)
+    # one epoch of whole-image patches: each is drawn once, so each is encoded
+    n = len(load_manifest(str(pipeline["ds"] / "manifest.csv")).split_samples("train"))
+    assert log[-1] == f"stage=2 frozen_encoded={n} frozen_drawn={n}"
 
 
 def test_eval_report_format(pipeline):

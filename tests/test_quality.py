@@ -23,10 +23,11 @@ def fusion_store(cfg, mode="both", seed=0):
     return store
 
 
-def rand_pem(cfg, seed=0):
+def rand_features(cfg, seed=0):
+    # pooled error-map features, as training.frozen_features gives them
     rng = CounterRng(derive_seed(seed, "pem"))
-    data = rng.uniform(cfg.image_size * cfg.image_size)
-    return T.constant(data.reshape(1, 1, cfg.image_size, cfg.image_size).astype(np.float32))
+    k = cfg.gap_grid * cfg.gap_grid
+    return T.constant(rng.uniform(k).reshape(1, k).astype(np.float32))
 
 
 def rand_token(cfg, seed=0):
@@ -65,7 +66,7 @@ def test_fusion_scalar_output():
     cfg = tiny_config()
     for mode in ABLATION_MODES:
         store = fusion_store(cfg, mode)
-        score = fuse_and_predict(rand_pem(cfg), rand_token(cfg), store, cfg, mode=mode)
+        score = fuse_and_predict(rand_features(cfg), rand_token(cfg), store, cfg, mode=mode)
         assert score.shape == (1,)
         assert np.isfinite(score.item())
 
@@ -73,20 +74,20 @@ def test_fusion_scalar_output():
 def test_fusion_modes_disagree():
     cfg = tiny_config()
     store = fusion_store(cfg, "both")
-    pem, tok = rand_pem(cfg), rand_token(cfg)
-    scores = {m: fuse_and_predict(pem, tok, store, cfg, mode=m).item() for m in ABLATION_MODES}
+    features, tok = rand_features(cfg), rand_token(cfg)
+    scores = {m: fuse_and_predict(features, tok, store, cfg, mode=m).item() for m in ABLATION_MODES}
     assert len(set(scores.values())) == 3
 
 
 def test_fusion_missing_inputs_rejected():
     cfg = tiny_config()
     store = fusion_store(cfg, "both")
-    with pytest.raises(ArgumentError, match="needs a predicted error map"):
+    with pytest.raises(ArgumentError, match="needs pooled error-map features"):
         fuse_and_predict(None, rand_token(cfg), store, cfg, mode="both")
     with pytest.raises(ArgumentError, match="needs a quality-token state"):
-        fuse_and_predict(rand_pem(cfg), None, store, cfg, mode="both")
+        fuse_and_predict(rand_features(cfg), None, store, cfg, mode="both")
     with pytest.raises(ArgumentError, match="unknown ablation mode"):
-        fuse_and_predict(rand_pem(cfg), rand_token(cfg), store, cfg, mode="fused")
+        fuse_and_predict(rand_features(cfg), rand_token(cfg), store, cfg, mode="fused")
 
 
 def test_fusion_rejects_wrong_token_width():
@@ -94,15 +95,23 @@ def test_fusion_rejects_wrong_token_width():
     store = fusion_store(cfg, "both")
     bad = T.constant(np.zeros((1, cfg.embed_dim + 1), dtype=np.float32))
     with pytest.raises(DimensionError, match="quality token"):
-        fuse_and_predict(rand_pem(cfg), bad, store, cfg, mode="both")
+        fuse_and_predict(rand_features(cfg), bad, store, cfg, mode="both")
+
+
+def test_fusion_rejects_unpooled_map():
+    cfg = tiny_config()
+    store = fusion_store(cfg, "both")
+    pem_map = T.constant(np.zeros((1, 1, cfg.image_size, cfg.image_size), dtype=np.float32))
+    with pytest.raises(DimensionError, match="error-map features"):
+        fuse_and_predict(pem_map, rand_token(cfg), store, cfg, mode="both")
 
 
 def test_fusion_pem_only_ignores_token():
     cfg = tiny_config()
     store = fusion_store(cfg, "pem_only")
-    pem = rand_pem(cfg)
-    a = fuse_and_predict(pem, rand_token(cfg, seed=1), store, cfg, mode="pem_only")
-    b = fuse_and_predict(pem, rand_token(cfg, seed=2), store, cfg, mode="pem_only")
+    features = rand_features(cfg)
+    a = fuse_and_predict(features, rand_token(cfg, seed=1), store, cfg, mode="pem_only")
+    b = fuse_and_predict(features, rand_token(cfg, seed=2), store, cfg, mode="pem_only")
     assert a.item() == b.item()
 
 
@@ -122,12 +131,12 @@ def test_fusion_matches_manual_computation():
 def test_fusion_differentiable():
     cfg = tiny_config()
     store = fusion_store(cfg, "both")
-    pem = T.Tensor(rand_pem(cfg).data, requires_grad=True, dtype=np.float32)
+    features = T.Tensor(rand_features(cfg).data, requires_grad=True, dtype=np.float32)
     with T.Tape() as tape:
-        score = fuse_and_predict(pem, rand_token(cfg), store, cfg, mode="both")
+        score = fuse_and_predict(features, rand_token(cfg), store, cfg, mode="both")
         T.backward(score, tape)
-    assert pem.grad is not None
-    assert np.any(pem.grad != 0.0)
+    assert features.grad is not None
+    assert np.any(features.grad != 0.0)
     assert store["fuse.mlp2.slope"].grad is not None
 
 

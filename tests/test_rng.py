@@ -51,6 +51,20 @@ def test_stream_is_stateless_in_counter():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 0xDEADBEEF, MASK])
+def test_scalar_draws_equal_array_draws(seed):
+    ref = CounterRng(seed).uniform(1000)
+    rng = CounterRng(seed)
+    drawn = []
+    while len(drawn) < 1000:
+        # interleaved: one scalar draw, then three from the array path
+        u = rng.random()
+        assert type(u) is float
+        drawn.append(u)
+        drawn.extend(rng.uniform(3))
+    assert np.array_equal(np.array(drawn[:1000]), ref)
+
+
 def test_uniform_range_and_moments():
     u = CounterRng(3).uniform(200_000)
     assert u.min() >= 0.0 and u.max() < 1.0

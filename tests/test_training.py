@@ -324,8 +324,21 @@ def test_stage2_rejects_incomplete_pem_branch(micro_manifest, micro_pem_ckpt):
     broken = Checkpoint(
         micro_pem_ckpt.model_cfg, micro_pem_ckpt.train_cfg, micro_pem_ckpt.loss_cfg, partial
     )
-    with pytest.raises(CompatibilityError, match="complete error-map branch"):
+    with pytest.raises(CompatibilityError, match="complete error-map branch") as err:
         train_quality(micro_manifest, broken, tiny_config(), TrainConfig(**MICRO))
+    assert err.value.fields and all(f.startswith("missing dec.") for f in err.value.fields)
+
+
+def test_stage2_names_pem_parameter_with_wrong_shape(micro_manifest, micro_pem_ckpt):
+    params = dict(micro_pem_ckpt.params)
+    shape = params["dec.head.w"].shape
+    params["dec.head.w"] = np.zeros((1, 2, 3, 3), dtype=np.float32)
+    broken = Checkpoint(
+        micro_pem_ckpt.model_cfg, micro_pem_ckpt.train_cfg, micro_pem_ckpt.loss_cfg, params
+    )
+    with pytest.raises(CompatibilityError, match="complete error-map branch") as err:
+        train_quality(micro_manifest, broken, tiny_config(), TrainConfig(**MICRO))
+    assert err.value.fields == (f"dec.head.w is (1, 2, 3, 3), expected {shape}",)
 
 
 def test_share_backbone_trains_token_only(micro_manifest, micro_pem_ckpt):
@@ -389,6 +402,47 @@ def _record_tapes(monkeypatch):
 
     monkeypatch.setattr(training, "backward", spy)
     return tapes
+
+
+def _record_frozen_rows(monkeypatch):
+    """Spy on training.forward_pem: how many patches each call encodes."""
+    rows = []
+    real_forward_pem = training.forward_pem
+
+    def spy(images, store, cfg):
+        maps = real_forward_pem(images, store, cfg)
+        rows.append(maps.shape[0])
+        return maps
+
+    monkeypatch.setattr(training, "forward_pem", spy)
+    return rows
+
+
+def test_stage2_encodes_each_distinct_patch_once(
+    micro_manifest, micro_pem_ckpt, default_manifest, monkeypatch, tmp_path
+):
+    cfg = tiny_config()
+    rows = _record_frozen_rows(monkeypatch)
+
+    # whole 32 px images without flips: every epoch draws the same patches
+    n = len(micro_manifest.split_samples("train"))
+    log = tmp_path / "s2.log"
+    tc = TrainConfig(**{**MICRO, "epochs_stage2": 5})
+    train_quality(micro_manifest, micro_pem_ckpt, cfg, tc, patch_count=1, augment=False, log_path=str(log))
+    assert sum(rows) == n
+    assert log.read_text().splitlines()[-1] == f"stage=2 frozen_encoded={n} frozen_drawn={5 * n}"
+
+    # flipped random 32 px crops of 64 px images: no patch repeats at this seed
+    rows.clear()
+    tc = TrainConfig(**{**MICRO, "epochs_stage2": 2})
+    train_quality(default_manifest, micro_pem_ckpt, cfg, tc, patch_count=4)
+    assert sum(rows) == 2 * 4 * len(default_manifest.split_samples("train"))
+
+    # the quality token alone never reads the frozen branch
+    rows.clear()
+    tc = TrainConfig(**{**MICRO, "epochs_stage2": 5, "ablation_mode": "pqt_only"})
+    train_quality(micro_manifest, micro_pem_ckpt, cfg, tc, patch_count=1, augment=False)
+    assert rows == []
 
 
 def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micro_pem_ckpt, monkeypatch):
@@ -458,13 +512,20 @@ def test_batched_forward_matches_one_at_a_time(micro_quality_ckpt):
     single = np.concatenate([training.forward_pem(c, store, cfg).data for c in crops])
     assert np.allclose(maps.data, single, rtol=0.0, atol=BATCH_ATOL)
 
+    # stage 2 reuses a patch's features whatever batch first encoded it
+    features = training.frozen_features(batch, store, cfg)
+    assert features.shape == (8, cfg.gap_grid * cfg.gap_grid)
+    rows = [1, 4, 6]
+    part = training.frozen_features(ImageBatch(batch.pixels[rows]), store, cfg)
+    assert np.allclose(features.data[rows], part.data, rtol=0.0, atol=BATCH_ATOL)
+
     # predict_score batches one image's five evaluation crops
     img = make_texture(48, 48, derive_seed(2, "batch"))
     crops = eval_crops(img, cfg.image_size)
     assert len(crops) == 5
     one_by_one = [
         training.score_crops(
-            ImageBatch.stack([c]), training.forward_pem(c, store, cfg), store, cfg, "both", False
+            ImageBatch.stack([c]), training.frozen_features(c, store, cfg), store, cfg, "both", False
         ).item()
         for c in crops
     ]
