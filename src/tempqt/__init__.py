@@ -41,7 +41,7 @@ from .imaging import (
     pseudo_mos,
     save_image,
 )
-from .metrics import minmax_normalize, plcc, srocc
+from .metrics import plcc, srocc
 from .quality import extract_attention_map, fuse_and_predict, quality_loss
 from .rng import CounterRng, derive_seed
 from .supervision import PemLossConfig, compute_oem, pem_loss
@@ -107,7 +107,6 @@ __all__ = [
     "load_run_config",
     "lr_at",
     "make_texture",
-    "minmax_normalize",
     "paper_scale_config",
     "paper_train_config",
     "parse_run_text",

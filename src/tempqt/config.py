@@ -148,7 +148,7 @@ def _build(pairs: dict):
 
 def parse_settings(text: str):
     """Model/train/loss triple from text; missing keys keep defaults."""
-    groups = _build(text if isinstance(text, dict) else parse_pairs(text))
+    groups = _build(parse_pairs(text))
     if groups["run"]:
         extra = ", ".join(sorted(groups["run"]))
         raise ArgumentError(f"run-level keys not allowed here: {extra}")

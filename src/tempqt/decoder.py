@@ -16,8 +16,7 @@ import numpy as np
 from . import tensor as T
 from .encoder import ModelConfig
 from .errors import ArgumentError, DimensionError
-from .params import ParamStore, trunc_normal
-from .rng import CounterRng
+from .params import ParamStore
 
 # Head bias prior: sigmoid(-2.5) ~= 0.076, the scale of a typical error
 # map. Starting there instead of at 0.5 spares the short pretraining
@@ -38,23 +37,25 @@ def upsample_stages(patch: int) -> tuple[int, int]:
     return patch, 1
 
 
-def init_decoder_params(store: ParamStore, cfg: ModelConfig, rng: CounterRng, dtype=np.float32) -> None:
-    """Unit-gain conv weights (std 1/sqrt(fan_in)) plus the head bias prior.
+def decoder_params(cfg: ModelConfig) -> list:
+    """The decoder's (name, shape, init) entries: unit-gain convs plus the head bias prior.
 
-    Fan-scaled init keeps feature magnitudes stable through the conv
-    stack, so the pre-sigmoid output moves with its inputs from the
-    first step instead of after the weights have drifted into range.
+    Conv weights have std 1/sqrt(fan_in). Fan-scaled init keeps feature
+    magnitudes stable through the conv stack, so the pre-sigmoid output
+    moves with its inputs from the first step instead of after the
+    weights have drifted into range.
     """
-    c_dec = decoder_channels(cfg)
-    d = cfg.embed_dim
-    layer_std = 1.0 / np.sqrt(9.0 * d)
-    for idx in range(len(cfg.selected_layers)):
-        store.add(f"dec.layer{idx}.w", trunc_normal(rng, (c_dec, d, 3, 3), layer_std, dtype), dtype=dtype)
-        store.add(f"dec.layer{idx}.b", np.zeros(c_dec, dtype=dtype), dtype=dtype)
-    k = len(cfg.selected_layers)
-    head_std = 1.0 / np.sqrt(9.0 * k * c_dec)
-    store.add("dec.head.w", trunc_normal(rng, (1, k * c_dec, 3, 3), head_std, dtype), dtype=dtype)
-    store.add("dec.head.b", np.full(1, HEAD_BIAS_PRIOR, dtype=dtype), dtype=dtype)
+    c_dec, d, k = decoder_channels(cfg), cfg.embed_dim, len(cfg.selected_layers)
+    entries = []
+    for idx in range(k):
+        entries += [
+            (f"dec.layer{idx}.w", (c_dec, d, 3, 3), ("trunc", 1.0 / np.sqrt(9.0 * d))),
+            (f"dec.layer{idx}.b", (c_dec,), ("const", 0.0)),
+        ]
+    return entries + [
+        ("dec.head.w", (1, k * c_dec, 3, 3), ("trunc", 1.0 / np.sqrt(9.0 * k * c_dec))),
+        ("dec.head.b", (1,), ("const", HEAD_BIAS_PRIOR)),
+    ]
 
 
 def aggregate_topdown(layer_tokens: list) -> list:

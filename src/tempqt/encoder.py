@@ -21,8 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ArgumentError, DimensionError
 from .imaging import as_batch
-from .params import ParamStore, trunc_normal
-from .rng import CounterRng
+from .params import ParamStore
 
 INIT_STD = 0.02
 
@@ -122,36 +121,34 @@ class EncoderOutput:
     attention: list | None = None
 
 
-def init_encoder_params(
-    store: ParamStore,
-    cfg: ModelConfig,
-    rng: CounterRng,
-    prefix: str,
-    with_token: bool,
-    dtype=np.float32,
-) -> None:
-    d = cfg.embed_dim
-    p2 = cfg.patch_size * cfg.patch_size
-    hid = cfg.mlp_hidden
-    if with_token:
-        store.add(f"{prefix}.token", (rng.normal(d) * INIT_STD).astype(dtype), dtype=dtype)
-    store.add(f"{prefix}.embed.w", trunc_normal(rng, (p2, d), INIT_STD, dtype), dtype=dtype)
-    store.add(f"{prefix}.embed.b", np.zeros(d, dtype=dtype), dtype=dtype)
-    store.add(f"{prefix}.pos", trunc_normal(rng, (cfg.num_patches, d), INIT_STD, dtype), dtype=dtype)
-    for layer in range(1, (cfg.layers if with_token else cfg.pem_depth) + 1):
-        base = f"{prefix}.block{layer}"
-        store.add(f"{base}.ln1.g", np.ones(d, dtype=dtype), dtype=dtype)
-        store.add(f"{base}.ln1.b", np.zeros(d, dtype=dtype), dtype=dtype)
-        for proj in ("wq", "wk", "wv", "wo"):
-            store.add(f"{base}.attn.{proj}", trunc_normal(rng, (d, d), INIT_STD, dtype), dtype=dtype)
-        for bias in ("bq", "bk", "bv", "bo"):
-            store.add(f"{base}.attn.{bias}", np.zeros(d, dtype=dtype), dtype=dtype)
-        store.add(f"{base}.ln2.g", np.ones(d, dtype=dtype), dtype=dtype)
-        store.add(f"{base}.ln2.b", np.zeros(d, dtype=dtype), dtype=dtype)
-        store.add(f"{base}.mlp.w1", trunc_normal(rng, (d, hid), INIT_STD, dtype), dtype=dtype)
-        store.add(f"{base}.mlp.b1", np.zeros(hid, dtype=dtype), dtype=dtype)
-        store.add(f"{base}.mlp.w2", trunc_normal(rng, (hid, d), INIT_STD, dtype), dtype=dtype)
-        store.add(f"{base}.mlp.b2", np.zeros(d, dtype=dtype), dtype=dtype)
+def encoder_params(cfg: ModelConfig, branch: str) -> list:
+    """The branch's parameters as (name, shape, init) entries, in draw order.
+
+    The pqt branch leads with its quality token and has every block; the
+    pem branch has no token and stops at cfg.pem_depth.
+    """
+    d, hid = cfg.embed_dim, cfg.mlp_hidden
+    weight, zeros, ones = ("trunc", INIT_STD), ("const", 0.0), ("const", 1.0)
+    entries = [("pqt.token", (d,), ("normal", INIT_STD))] if branch == "pqt" else []
+    entries += [
+        (f"{branch}.embed.w", (cfg.patch_size * cfg.patch_size, d), weight),
+        (f"{branch}.embed.b", (d,), zeros),
+        (f"{branch}.pos", (cfg.num_patches, d), weight),
+    ]
+    for layer in range(1, (cfg.layers if branch == "pqt" else cfg.pem_depth) + 1):
+        base = f"{branch}.block{layer}"
+        entries += [(f"{base}.ln1.g", (d,), ones), (f"{base}.ln1.b", (d,), zeros)]
+        entries += [(f"{base}.attn.{proj}", (d, d), weight) for proj in ("wq", "wk", "wv", "wo")]
+        entries += [(f"{base}.attn.{bias}", (d,), zeros) for bias in ("bq", "bk", "bv", "bo")]
+        entries += [
+            (f"{base}.ln2.g", (d,), ones),
+            (f"{base}.ln2.b", (d,), zeros),
+            (f"{base}.mlp.w1", (d, hid), weight),
+            (f"{base}.mlp.b1", (hid,), zeros),
+            (f"{base}.mlp.w2", (hid, d), weight),
+            (f"{base}.mlp.b2", (d,), zeros),
+        ]
+    return entries
 
 
 def extract_patches(pixels: np.ndarray, patch: int) -> np.ndarray:

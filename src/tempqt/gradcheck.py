@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .decoder import decode, init_decoder_params
-from .encoder import ModelConfig, encoder_block, init_encoder_params, tiny_config
+from .decoder import decode
+from .encoder import ModelConfig, encoder_block, tiny_config
 from .errors import ArgumentError
 from .imaging import ImageBatch, make_texture
-from .params import ParamStore
-from .quality import fuse_and_predict, init_fusion_params, quality_loss
+from .quality import fuse_and_predict, quality_loss
 from .rng import CounterRng, derive_seed
 from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, Tensor, backward
-from .training import forward_pem, forward_pqt
+from .training import build_store, forward_pem, forward_pqt, param_table
 
 STEP = 1e-3
 TOLERANCE = 1e-3
@@ -54,6 +53,13 @@ def _normal(rng: CounterRng, shape) -> np.ndarray:
 
 def _leaf(rng: CounterRng, *shape, scale: float = 1.0) -> Tensor:
     return Tensor(_normal(rng, shape) * scale, requires_grad=True, dtype=np.float64)
+
+
+def _model_store(rng: CounterRng, cfg: ModelConfig, *families):
+    """float64 parameters of the given families (all by default), seeded from ``rng``."""
+    table = param_table(cfg)
+    chosen = {f: table[f] for f in families} if families else table
+    return build_store(chosen, rng.randint(1 << 30), dtype=np.float64)
 
 
 def _away_from_kink(t: Tensor) -> Tensor:
@@ -241,10 +247,7 @@ def _case_gap(rng):
 
 def _case_encoder_block(rng):
     cfg = tiny_config()
-    store = ParamStore()
-    init_encoder_params(
-        store, cfg, CounterRng(rng.randint(1 << 30)), "pem", with_token=False, dtype=np.float64
-    )
+    store = _model_store(rng, cfg, "pem")
     x = _leaf(rng, 2, cfg.num_patches + 1, cfg.embed_dim, scale=0.5)
     proj = _projector(rng, (2, cfg.num_patches + 1, cfg.embed_dim))
     # only the first block runs, so only its parameters are leaves
@@ -259,8 +262,7 @@ def _case_encoder_block(rng):
 
 def _case_decoder(rng):
     cfg = tiny_config()
-    store = ParamStore()
-    init_decoder_params(store, cfg, CounterRng(rng.randint(1 << 30)), dtype=np.float64)
+    store = _model_store(rng, cfg, "dec")
     tokens = [_leaf(rng, 2, cfg.num_patches, cfg.embed_dim, scale=0.5) for _ in cfg.selected_layers]
     proj = _projector(rng, (2, 1, cfg.image_size, cfg.image_size))
     leaves = tokens + list(store.tensors())
@@ -274,8 +276,7 @@ def _case_decoder(rng):
 
 def _case_fusion(rng):
     cfg = tiny_config()
-    store = ParamStore()
-    init_fusion_params(store, cfg, CounterRng(rng.randint(1 << 30)), mode="both", dtype=np.float64)
+    store = _model_store(rng, cfg, "fuse")
     features = Tensor(
         0.3 + 0.05 * _normal(rng, (2, cfg.gap_grid * cfg.gap_grid)),
         requires_grad=True,
@@ -325,17 +326,7 @@ def build_tiny_model_case(cfg: ModelConfig | None = None):
 
     def builder(rng):
         model = cfg if cfg is not None else tiny_config()
-        store = ParamStore()
-        init_encoder_params(
-            store, model, CounterRng(rng.randint(1 << 30)), "pem", with_token=False, dtype=np.float64
-        )
-        init_decoder_params(store, model, CounterRng(rng.randint(1 << 30)), dtype=np.float64)
-        init_encoder_params(
-            store, model, CounterRng(rng.randint(1 << 30)), "pqt", with_token=True, dtype=np.float64
-        )
-        init_fusion_params(
-            store, model, CounterRng(rng.randint(1 << 30)), mode="both", dtype=np.float64
-        )
+        store = _model_store(rng, model)
         size = model.image_size
         dist = make_texture(size, size, rng.randint(1 << 30))
         ref = make_texture(size, size, rng.randint(1 << 30))

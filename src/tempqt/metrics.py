@@ -69,13 +69,3 @@ def srocc(gt, pred) -> float:
     """Spearman rank-order correlation with average-tie ranks."""
     g, p = _check_pair(gt, pred)
     return _pearson(rank_average_ties(g), rank_average_ties(p), "srocc")
-
-
-def minmax_normalize(values) -> np.ndarray:
-    """Affine map of a vector onto [0, 1]; constant input is an error."""
-    arr = _as_vector(values, "values")
-    lo = float(arr.min())
-    hi = float(arr.max())
-    if hi <= lo:
-        raise MetricError("degenerate range: all values are equal")
-    return (arr - lo) / (hi - lo)

@@ -1,6 +1,14 @@
-"""Named parameter storage shared by the model branches."""
+"""Named parameter storage shared by the model branches.
+
+Modules declare their parameters as plain data: a list of entries
+``(name, shape, init)``, where init is ``("trunc", std)`` (normals
+clipped at two sigma), ``("normal", std)`` or ``("const", value)``.
+``fill`` turns such a list into stored parameters.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,10 +27,10 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, values: np.ndarray, dtype=np.float32) -> Tensor:
+    def add(self, name: str, values: np.ndarray, dtype=np.float32, trainable: bool = True) -> Tensor:
         if name in self._params:
             raise KeyError(f"duplicate parameter {name!r}")
-        t = Tensor(values, requires_grad=True, dtype=dtype)
+        t = Tensor(values, requires_grad=trainable, dtype=dtype)
         self._params[name] = t
         return t
 
@@ -32,14 +40,8 @@ class ParamStore:
         except KeyError:
             raise CompatibilityError("the model needs a parameter the store lacks", (name,)) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -50,12 +52,6 @@ class ParamStore:
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
-    def freeze_prefix(self, prefix: str) -> None:
-        for name, t in self._params.items():
-            if name.startswith(prefix):
-                t.requires_grad = False
-                t.needs_grad = False
-
     def has_prefix(self, prefix: str) -> bool:
         return any(name.startswith(prefix) for name in self._params)
 
@@ -64,6 +60,14 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._params.items()}
 
 
-def trunc_normal(rng: CounterRng, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    return rng.truncated_normal(n, std).reshape(shape).astype(dtype)
+def fill(store: ParamStore, entries: list, rng: CounterRng, dtype=np.float32) -> None:
+    """Add every entry to ``store``, drawing the random ones from ``rng`` in list order."""
+    for name, shape, (rule, arg) in entries:
+        n = math.prod(shape)
+        if rule == "trunc":
+            values = rng.truncated_normal(n, arg)
+        elif rule == "normal":
+            values = rng.normal(n) * arg
+        else:
+            values = np.full(n, arg)
+        store.add(name, values.reshape(shape), dtype=dtype)

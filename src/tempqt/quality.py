@@ -15,39 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .encoder import ModelConfig
+from .encoder import INIT_STD, ModelConfig
 from .errors import ArgumentError, DimensionError
 from .imaging import GrayImage
-from .params import ParamStore, trunc_normal
-from .rng import CounterRng
+from .params import ParamStore
 
-INIT_STD = 0.02
 ABLATION_MODES = ("both", "pem_only", "pqt_only")
 
 # below this spread an attention map is treated as constant on export
 _FLAT_EPS = 1e-9
 
 
-def init_fusion_params(
-    store: ParamStore,
-    cfg: ModelConfig,
-    rng: CounterRng,
-    mode: str = "both",
-    dtype=np.float32,
-) -> None:
-    """Create the head parameters a given ablation mode actually uses."""
+def fusion_params(cfg: ModelConfig, mode: str = "both") -> list:
+    """The (name, shape, init) entries of the head a given ablation mode actually uses."""
     if mode not in ABLATION_MODES:
         raise ArgumentError(f"unknown ablation mode {mode!r}")
-    d = cfg.embed_dim
+    d, weight, zeros = cfg.embed_dim, ("trunc", INIT_STD), ("const", 0.0)
+    entries = []
     if mode != "pqt_only":
-        k = cfg.gap_grid * cfg.gap_grid
-        store.add("fuse.mlp1.w", trunc_normal(rng, (k, d), INIT_STD, dtype), dtype=dtype)
-        store.add("fuse.mlp1.b", np.zeros(d, dtype=dtype), dtype=dtype)
-    store.add("fuse.mlp2.w1", trunc_normal(rng, (d, d), INIT_STD, dtype), dtype=dtype)
-    store.add("fuse.mlp2.b1", np.zeros(d, dtype=dtype), dtype=dtype)
-    store.add("fuse.mlp2.slope", np.asarray(0.25, dtype=dtype), dtype=dtype)
-    store.add("fuse.mlp2.w2", trunc_normal(rng, (d, 1), INIT_STD, dtype), dtype=dtype)
-    store.add("fuse.mlp2.b2", np.zeros(1, dtype=dtype), dtype=dtype)
+        entries += [("fuse.mlp1.w", (cfg.gap_grid * cfg.gap_grid, d), weight), ("fuse.mlp1.b", (d,), zeros)]
+    return entries + [
+        ("fuse.mlp2.w1", (d, d), weight),
+        ("fuse.mlp2.b1", (d,), zeros),
+        ("fuse.mlp2.slope", (1,), ("const", 0.25)),
+        ("fuse.mlp2.w2", (d, 1), weight),
+        ("fuse.mlp2.b2", (1,), zeros),
+    ]
 
 
 def fuse_and_predict(

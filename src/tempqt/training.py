@@ -19,12 +19,17 @@ keyed by a digest of its pixels, and reuses the row on every later
 draw. Its log ends with ``stage=2 frozen_encoded=<distinct>
 frozen_drawn=<drawn>``.
 
+``param_table`` declares the model's parameters once, by init family;
+both stages build their stores from it through ``build_store``.
+
 Checkpoints are a small binary format (magic ``TQTCKPT``, version 2):
 embedded configuration text followed by named float32 parameter blocks
 in store order, and nothing after the last block. Optimizer state and
 epoch counters are not stored; nothing resumes from them. Little-endian
 throughout; a save/load/save round trip is byte-identical, and a save
-replaces the file atomically.
+replaces the file atomically. A load validates the parameter names and
+shapes against the table of the file's own configuration: the whole
+model if the file has a fusion head, else the error-map branch.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import DatasetManifest, eval_crops, sample_patches
-from .decoder import decode, init_decoder_params
-from .encoder import INIT_STD, EncoderOutput, ModelConfig, encode, init_encoder_params
+from .decoder import decode, decoder_params
+from .encoder import EncoderOutput, ModelConfig, encode, encoder_params
 from .errors import (
     ArgumentError,
     CheckpointError,
@@ -49,14 +54,16 @@ from .errors import (
     TrainingError,
 )
 from .imaging import GrayImage, ImageBatch, load_image
-from .params import ParamStore
-from .quality import ABLATION_MODES, fuse_and_predict, init_fusion_params, quality_loss
+from .params import ParamStore, fill
+from .quality import ABLATION_MODES, fuse_and_predict, fusion_params, quality_loss
 from .rng import CounterRng, derive_seed
 from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, backward, zero_grads
 
 CHECKPOINT_MAGIC = b"TQTCKPT"
 CHECKPOINT_VERSION = 2
+
+STAGE1_FAMILIES = ("pem", "dec")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -155,36 +162,65 @@ def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: floa
 # model assembly
 
 
-def build_pem_store(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
-    """Fresh error-map branch: patch encoder (no quality token) + decoder."""
-    store = ParamStore()
-    init_encoder_params(
-        store, cfg, CounterRng(derive_seed(seed, "init", "pem")), "pem", with_token=False, dtype=dtype
-    )
-    init_decoder_params(store, cfg, CounterRng(derive_seed(seed, "init", "dec")), dtype=dtype)
-    return store
+def param_table(cfg: ModelConfig, mode: str = "both", share_backbone: bool = False) -> dict:
+    """The model's parameters by init family, in checkpoint order.
 
-
-def build_quality_store(
-    cfg: ModelConfig, train_cfg: TrainConfig, pem_arrays: dict, dtype=np.float32
-) -> ParamStore:
-    """Frozen error-map branch plus the quality branch and head the mode uses."""
-    mode = train_cfg.ablation_mode
-    store = ParamStore()
-    for name, arr in pem_arrays.items():
-        store.add(name, arr, dtype=dtype)
-    store.freeze_prefix("pem.")
-    store.freeze_prefix("dec.")
-    seed = train_cfg.seed
+    Each family ("pem", "dec", "pqt", "fuse") is a list of (name, shape,
+    init) entries. A shared backbone keeps only the quality token of
+    its pqt family; pem_only has no pqt family.
+    """
+    table = {"pem": encoder_params(cfg, "pem"), "dec": decoder_params(cfg)}
     if mode != "pem_only":
-        rng = CounterRng(derive_seed(seed, "init", "pqt"))
-        if train_cfg.share_backbone:
-            # token only; blocks and embedding are read from the frozen branch
-            store.add("pqt.token", (rng.normal(cfg.embed_dim) * INIT_STD).astype(dtype), dtype=dtype)
+        pqt = encoder_params(cfg, "pqt")
+        # a shared backbone reads blocks and embedding from pem.*
+        table["pqt"] = [e for e in pqt if e[0] == "pqt.token"] if share_backbone else pqt
+    table["fuse"] = fusion_params(cfg, mode)
+    return table
+
+
+def stage1(table: dict) -> dict:
+    """The error-map branch of a table: its pem and dec families."""
+    return {family: table[family] for family in STAGE1_FAMILIES}
+
+
+def build_store(table: dict, seed: int, frozen: dict | None = None, dtype=np.float32) -> ParamStore:
+    """Every parameter of ``table``, in table order.
+
+    Each family draws from its own stream, ``derive_seed(seed, "init",
+    family)``. With ``frozen`` (arrays by name) the stage-1 families copy
+    their values from it and are frozen.
+    """
+    store = ParamStore()
+    for family, entries in table.items():
+        if frozen is not None and family in STAGE1_FAMILIES:
+            for name, _shape, _init in entries:
+                store.add(name, frozen[name], dtype, trainable=False)
         else:
-            init_encoder_params(store, cfg, rng, "pqt", with_token=True, dtype=dtype)
-    init_fusion_params(store, cfg, CounterRng(derive_seed(seed, "init", "fuse")), mode=mode, dtype=dtype)
+            fill(store, entries, CounterRng(derive_seed(seed, "init", family)), dtype)
     return store
+
+
+def build_pem_store(cfg: ModelConfig, seed: int) -> ParamStore:
+    """A fresh error-map branch (the benchmark's tests build one by this name)."""
+    return build_store(stage1(param_table(cfg)), seed)
+
+
+def check_params(arrays: dict, table: dict, what: str) -> None:
+    """Raise CompatibilityError naming each missing, extra or misshapen parameter."""
+    expected = {name: shape for entries in table.values() for name, shape, _init in entries}
+    got = {name: arr.shape for name, arr in arrays.items()}
+    if got == expected:
+        return
+    wrong = (
+        [f"missing {name}" for name in sorted(expected.keys() - got.keys())]
+        + [f"extra {name}" for name in sorted(got.keys() - expected.keys())]
+        + [
+            f"{name} is {got[name]}, expected {shape}"
+            for name, shape in sorted(expected.items())
+            if name in got and got[name] != shape
+        ]
+    )
+    raise CompatibilityError(what, tuple(wrong[:6]))
 
 
 def forward_pem(images, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
@@ -255,10 +291,7 @@ def store_from_checkpoint(ckpt: Checkpoint) -> ParamStore:
     """Rebuild an inference store: every parameter present, all frozen."""
     store = ParamStore()
     for name, arr in ckpt.params.items():
-        store.add(name, arr)
-    for t in store.tensors():
-        t.requires_grad = False
-        t.needs_grad = False
+        store.add(name, arr, trainable=False)
     return store
 
 
@@ -343,6 +376,11 @@ def load_checkpoint(path) -> Checkpoint:
         params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if cur.pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - cur.pos} trailing bytes after the last parameter")
+    # a file with a fusion head holds the whole model, any other the error-map branch
+    table = param_table(model_cfg, train_cfg.ablation_mode, train_cfg.share_backbone)
+    if not any(name.startswith("fuse.") for name in params):
+        table = stage1(table)
+    check_params(params, table, f"{path}: parameters do not match the checkpoint's configuration")
     return Checkpoint(model_cfg, train_cfg, loss_cfg, params)
 
 
@@ -432,7 +470,7 @@ def pretrain_pem(
     """Stage 1: train encoder+decoder against objective error maps."""
     loss_cfg = loss_cfg if loss_cfg is not None else PemLossConfig()
     pairs = _load_pairs(manifest, need_ref=True)
-    store = build_pem_store(model_cfg, train_cfg.seed)
+    store = build_store(stage1(param_table(model_cfg)), train_cfg.seed)
     crop = model_cfg.image_size
 
     def epoch_items(epoch: int) -> list:
@@ -467,23 +505,10 @@ def train_quality(
     pem_arrays = {
         n: a for n, a in pem_ckpt.params.items() if n.startswith(("pem.", "dec."))
     }
-    skeleton = build_pem_store(model_cfg, seed=0)
-    expected = {name: t.data.shape for name, t in skeleton.items()}
-    got = {name: arr.shape for name, arr in pem_arrays.items()}
-    if expected != got:
-        wrong = (
-            [f"missing {name}" for name in sorted(expected.keys() - got.keys())]
-            + [f"extra {name}" for name in sorted(got.keys() - expected.keys())]
-            + [
-                f"{name} is {got[name]}, expected {shape}"
-                for name, shape in sorted(expected.items())
-                if name in got and got[name] != shape
-            ]
-        )
-        raise CompatibilityError("checkpoint does not hold a complete error-map branch", tuple(wrong[:6]))
-
     mode = train_cfg.ablation_mode
-    store = build_quality_store(model_cfg, train_cfg, pem_arrays)
+    table = param_table(model_cfg, mode, train_cfg.share_backbone)
+    check_params(pem_arrays, stage1(table), "checkpoint does not hold a complete error-map branch")
+    store = build_store(table, train_cfg.seed, frozen=pem_arrays)
     samples = _load_pairs(manifest, need_ref=False)
     crop = model_cfg.image_size
 

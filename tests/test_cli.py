@@ -196,17 +196,39 @@ def test_eval_checkpoint_with_trailing_bytes_exit_1(pipeline, tmp_path, capsys):
 
 
 def test_eval_checkpoint_missing_parameter_exit_1(pipeline, tmp_path, capsys):
-    ckpt = load_checkpoint(pipeline["run"] / "quality.ckpt")
-    del ckpt.params["fuse.mlp2.w2"]
-    partial = tmp_path / "partial.ckpt"
-    save_checkpoint(ckpt, partial)
-    assert cli.main([
-        "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(partial),
-        "--out", str(tmp_path / "e"),
-    ]) == 1
-    assert "fuse.mlp2.w2" in capsys.readouterr().err
-    # scoring fails before eval writes anything
-    assert not (tmp_path / "e").exists()
+    # each file's parameters differ from its own configuration: a load names them
+    def missing(params):
+        del params["fuse.mlp2.w2"]
+
+    def misshapen(params):
+        params["fuse.mlp2.w2"] = np.zeros((3, 1), dtype=np.float32)
+
+    def extra(params):
+        params["dec.extra.w"] = np.zeros(2, dtype=np.float32)
+
+    cases = [
+        ("quality.ckpt", missing, "missing fuse.mlp2.w2"),
+        ("quality.ckpt", misshapen, "fuse.mlp2.w2 is (3, 1), expected (16, 1)"),
+        ("pem.ckpt", extra, "extra dec.extra.w"),
+    ]
+    for i, (source, damage, message) in enumerate(cases):
+        ckpt = load_checkpoint(pipeline["run"] / source)
+        damage(ckpt.params)
+        bad = tmp_path / f"bad{i}.ckpt"
+        save_checkpoint(ckpt, bad)
+        out = tmp_path / f"e{i}"
+        assert cli.main([
+            "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(bad), "--out", str(out),
+        ]) == 1
+        assert message in capsys.readouterr().err
+        # the load fails before eval writes anything
+        assert not out.exists()
+        if damage is misshapen:
+            assert cli.main([
+                "maps", "--ckpt", str(bad), "--images", str(pipeline["dist"]), "--out", str(out),
+            ]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_corrupt_checkpoint_exit_1(pipeline, tmp_path, capsys):

@@ -9,18 +9,18 @@ from tempqt.decoder import (
     aggregate_topdown,
     decode,
     decoder_channels,
-    init_decoder_params,
+    decoder_params,
     upsample_stages,
 )
 from tempqt.encoder import ModelConfig, tiny_config
 from tempqt.errors import ArgumentError, DimensionError
-from tempqt.params import ParamStore
+from tempqt.params import ParamStore, fill
 from tempqt.rng import CounterRng, derive_seed
 
 
 def make_decoder_store(cfg, seed=0):
     store = ParamStore()
-    init_decoder_params(store, cfg, CounterRng(derive_seed(seed, "dec")))
+    fill(store, decoder_params(cfg), CounterRng(derive_seed(seed, "dec")))
     return store
 
 

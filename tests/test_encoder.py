@@ -7,23 +7,23 @@ from tempqt import tensor as T
 from tempqt.encoder import (
     ModelConfig,
     encode,
+    encoder_params,
     extract_patches,
-    init_encoder_params,
     paper_scale_config,
     patchify_embed,
     tiny_config,
 )
 from tempqt.errors import ArgumentError, DimensionError
 from tempqt.imaging import GrayImage
-from tempqt.params import ParamStore
+from tempqt.params import ParamStore, fill
 from tempqt.rng import CounterRng, derive_seed
 
 
-def make_store(cfg, prefix="pem", with_token=False, seed=0):
+def make_store(cfg, with_token=False, seed=0):
     store = ParamStore()
-    init_encoder_params(store, cfg, CounterRng(derive_seed(seed, "enc")), prefix, with_token=False)
+    fill(store, encoder_params(cfg, "pem"), CounterRng(derive_seed(seed, "enc")))
     if with_token:
-        init_encoder_params(store, cfg, CounterRng(derive_seed(seed, "tok")), "pqt", with_token=True)
+        fill(store, encoder_params(cfg, "pqt"), CounterRng(derive_seed(seed, "tok")))
     return store
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempqt.errors import MetricError
-from tempqt.metrics import minmax_normalize, plcc, rank_average_ties, srocc
+from tempqt.metrics import plcc, rank_average_ties, srocc
 
 
 def brute_ranks(values):
@@ -105,10 +105,3 @@ def test_error_conditions():
         srocc([1.0, np.nan], [1.0, 2.0])
     with pytest.raises(MetricError):
         plcc(np.ones((2, 2)), np.ones(4))
-
-
-def test_minmax_normalize():
-    out = minmax_normalize([2.0, 4.0, 3.0])
-    assert np.allclose(out, [0.0, 1.0, 0.5])
-    with pytest.raises(MetricError):
-        minmax_normalize([1.0, 1.0])

@@ -6,12 +6,12 @@ import pytest
 from tempqt import tensor as T
 from tempqt.encoder import tiny_config
 from tempqt.errors import ArgumentError, DimensionError
-from tempqt.params import ParamStore
+from tempqt.params import ParamStore, fill
 from tempqt.quality import (
     ABLATION_MODES,
     extract_attention_map,
     fuse_and_predict,
-    init_fusion_params,
+    fusion_params,
     quality_loss,
 )
 from tempqt.rng import CounterRng, derive_seed
@@ -19,7 +19,7 @@ from tempqt.rng import CounterRng, derive_seed
 
 def fusion_store(cfg, mode="both", seed=0):
     store = ParamStore()
-    init_fusion_params(store, cfg, CounterRng(derive_seed(seed, "fuse")), mode=mode)
+    fill(store, fusion_params(cfg, mode), CounterRng(derive_seed(seed, "fuse")))
     return store
 
 
@@ -55,7 +55,7 @@ def test_param_sets_per_mode():
 def test_init_rejects_unknown_mode():
     cfg = tiny_config()
     with pytest.raises(ArgumentError, match="unknown ablation mode"):
-        init_fusion_params(ParamStore(), cfg, CounterRng(1), mode="quality")
+        fusion_params(cfg, mode="quality")
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_fusion_matches_manual_computation():
     score = fuse_and_predict(None, tok, store, cfg, mode="pqt_only")
     z = tok.data.astype(np.float64).reshape(1, -1)
     h = z @ store["fuse.mlp2.w1"].data + store["fuse.mlp2.b1"].data
-    slope = float(store["fuse.mlp2.slope"].data)
+    slope = store["fuse.mlp2.slope"].data.item()
     h = np.where(h >= 0, h, slope * h)
     out = h @ store["fuse.mlp2.w2"].data + store["fuse.mlp2.b2"].data
     assert score.item() == pytest.approx(float(out[0, 0]), abs=1e-6)

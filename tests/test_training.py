@@ -182,7 +182,7 @@ def test_checkpoint_round_trip_bytes(micro_pem_ckpt, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_fields_survive(micro_pem_ckpt, tmp_path):
+def test_checkpoint_fields_survive(micro_pem_ckpt, micro_quality_ckpt, tmp_path):
     path = tmp_path / "c.ckpt"
     save_checkpoint(micro_pem_ckpt, path)
     loaded = load_checkpoint(path)
@@ -192,6 +192,10 @@ def test_checkpoint_fields_survive(micro_pem_ckpt, tmp_path):
     assert set(loaded.params) == set(micro_pem_ckpt.params)
     for name, arr in micro_pem_ckpt.params.items():
         assert np.array_equal(loaded.params[name], arr.astype(np.float32))
+    # every shape, the fusion head's one-element slope included, survives a round trip
+    save_checkpoint(micro_quality_ckpt, path)
+    shapes = {name: arr.shape for name, arr in load_checkpoint(path).params.items()}
+    assert shapes == {name: arr.shape for name, arr in micro_quality_ckpt.params.items()}
 
 
 def test_checkpoint_save_replaces_atomically(micro_pem_ckpt, micro_quality_ckpt, tmp_path, monkeypatch):
@@ -534,7 +538,7 @@ def test_batched_forward_matches_one_at_a_time(micro_quality_ckpt):
 
 def test_batched_stage1_gradients_match_one_at_a_time(micro_pem_ckpt):
     cfg = tiny_config()
-    store = training.build_pem_store(cfg, seed=0)
+    store = training.build_store(training.stage1(training.param_table(cfg)), seed=0)
     for name, t in store.items():
         t.data[...] = micro_pem_ckpt.params[name]
     dist, ref = _textures(8, 3), _textures(8, 4)
