@@ -2,9 +2,15 @@
 
 Subcommands: synth (build a distorted dataset), pretrain (stage 1),
 train (stage 2), eval (score a manifest), maps (export error and
-attention maps), gradcheck (finite-difference audit). Every command
-writes its fully resolved configuration beside its outputs, so a run
-directory is self-describing.
+attention maps), gradcheck (finite-difference audit of every case in
+``gradcheck.CASES``; it takes only a seed). Every command writes its
+fully resolved configuration beside its outputs, so a run directory is
+self-describing.
+
+maps draws the maps of each image's center crop of the checkpoint's
+image_size, at ((H - s) // 2, (W - s) // 2) for crop size s: the crop
+``eval_crops`` takes last. An image of exactly s is its own crop, and
+one smaller than s on either side is an error.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 """
@@ -30,7 +36,7 @@ from .errors import (
     ParseError,
     TrainingError,
 )
-from .gradcheck import CASES, TOLERANCE, build_tiny_model_case, run_case
+from .gradcheck import CASES, TOLERANCE, run_case
 from .imaging import DISTORTION_KINDS, GrayImage, ImageBatch, load_image, save_image
 from .metrics import plcc, srocc
 from .quality import extract_attention_map
@@ -144,8 +150,6 @@ def cmd_train(args) -> int:
     out = _ensure_out(run.out_dir)
     manifest = load_manifest(run.manifest)
     pem_ckpt = load_checkpoint(args.pem_ckpt)
-    check_model_compat(pem_ckpt.model_cfg, run.model)
-    _resolved_run(run, out, "train")
     ckpt = train_quality(
         manifest,
         pem_ckpt,
@@ -155,6 +159,8 @@ def cmd_train(args) -> int:
         augment=run.augment,
         log_path=os.path.join(out, "train.log"),
     )
+    # written after training: a checkpoint that does not match run.model leaves no files
+    _resolved_run(run, out, "train")
     path = os.path.join(out, "quality.ckpt")
     save_checkpoint(ckpt, path)
     print(f"wrote {path}")
@@ -196,15 +202,17 @@ def cmd_maps(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     store = store_from_checkpoint(ckpt)
     cfg = ckpt.model_cfg
+    size = cfg.image_size
     images = []
     for path in args.images:
         img = load_image(path)
-        if (img.height, img.width) != (cfg.image_size, cfg.image_size):
+        if img.height < size or img.width < size:
             raise DimensionError(
-                f"{path}: image is {img.height}x{img.width}, checkpoint requires "
-                f"{cfg.image_size}x{cfg.image_size}"
+                f"{path}: image is {img.height}x{img.width}, smaller than the "
+                f"checkpoint's {size}x{size} crop"
             )
-        images.append(img)
+        top, left = (img.height - size) // 2, (img.width - size) // 2
+        images.append(GrayImage(size, size, img.pixels[top : top + size, left : left + size]))
     # every image in one batch, mapped before anything is written
     batch = ImageBatch.stack(images)
     pems = np.clip(forward_pem(batch, store, cfg).data[:, 0], 0.0, 1.0)
@@ -217,7 +225,6 @@ def cmd_maps(args) -> int:
         os.path.join(out, "maps.resolved.config"),
         serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
     )
-    size = cfg.image_size
     for i, path in enumerate(args.images):
         stem = os.path.join(out, os.path.splitext(os.path.basename(path))[0])
         save_image(GrayImage(size, size, pems[i]), f"{stem}.pem.pgm")
@@ -229,14 +236,9 @@ def cmd_maps(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    model_cfg = None
-    if args.config:
-        model_cfg = load_run_config(args.config).model
     failing = []
     worst = 0.0
     for name, case in CASES.items():
-        if name == "tiny_model" and model_cfg is not None:
-            case = build_tiny_model_case(model_cfg)
         result = run_case(name, seed=args.seed, case=case)
         status = "ok" if result.ok else "FAIL"
         print(f"op={result.name} max_rel_err={result.max_rel_err:.3e} "
@@ -298,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_maps)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all backward rules")
-    p.add_argument("--config", default=None, help="model config for the full-graph case")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -60,8 +60,6 @@ def _format_value(value) -> str:
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
-    if value is None:
-        return ""
     return str(value)
 
 

@@ -65,6 +65,11 @@ def _validate(manifest: DatasetManifest) -> None:
         if s.dist_path in seen:
             raise DataError(f"duplicate dist_path {s.dist_path!r}")
         seen.add(s.dist_path)
+        for field in ("dist_path", "ref_path", "ref_group"):
+            value = getattr(s, field)
+            # the manifest is comma-separated, one sample per line
+            if any(c in value for c in ",\r\n"):
+                raise DataError(f"{field} {value!r} holds a comma or a line break")
         if not (0.0 <= s.score <= 1.0) or not math.isfinite(s.score):
             raise DataError(f"score {s.score!r} outside [0, 1] for {s.dist_path!r}")
         if s.split not in SPLITS:

@@ -4,9 +4,10 @@ Selected layers are aggregated shallow-to-deep by running addition,
 then each aggregate is reshaped onto the patch grid, convolved, and
 upsampled. The concatenated features pass a 1-channel head conv and a
 final resize to the image resolution; a sigmoid bounds the map to
-(0, 1). The two upsampling stages adapt to the patch size so their
-product is exactly the patch size (8 -> 4x then 2x, 16 -> 4x then 4x).
-Every step carries the batch: (B, N, d) tokens give (B, 1, H, W) maps.
+(0, 1). The first upsampling stage adapts to the patch size, and the
+final resize supplies the rest of the patch-size factor (8 -> 4x then
+2x, 16 -> 4x then 4x). Every step carries the batch: (B, N, d) tokens
+of cfg.num_patches patches give (B, 1, image_size, image_size) maps.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ def decoder_channels(cfg: ModelConfig) -> int:
     return max(1, cfg.embed_dim // 4)
 
 
-def upsample_stages(patch: int) -> tuple[int, int]:
-    """Split the total patch-size upsampling into two bilinear stages."""
+def upsample_stages(patch: int) -> int:
+    """The first of two bilinear upsampling stages; the second is patch // first."""
     if patch % 4 == 0:
-        return 4, patch // 4
+        return 4
     if patch % 2 == 0:
-        return 2, patch // 2
-    return patch, 1
+        return 2
+    return patch
 
 
 def decoder_params(cfg: ModelConfig) -> list:
@@ -72,37 +73,24 @@ def aggregate_topdown(layer_tokens: list) -> list:
     return out
 
 
-def decode(
-    layer_tokens: list,
-    store: ParamStore,
-    cfg: ModelConfig,
-    out_h: int,
-    out_w: int,
-) -> T.Tensor:
-    """Map B samples' selected-layer tokens to (B, 1, out_h, out_w) error maps in (0, 1).
+def decode(layer_tokens: list, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
+    """Map B samples' selected-layer tokens to (B, 1, image_size, image_size) maps in (0, 1).
 
-    ``layer_tokens`` holds one (B, N, d) tensor per selected layer, in
-    cfg.selected_layers order.
+    ``layer_tokens`` holds one (B, num_patches, embed_dim) tensor per
+    selected layer, in cfg.selected_layers order.
     """
     if len(layer_tokens) != len(cfg.selected_layers):
         raise DimensionError(
             f"expected {len(cfg.selected_layers)} layer token sets, got {len(layer_tokens)}"
         )
-    if layer_tokens[0].data.ndim != 3:
-        raise DimensionError(f"layer tokens must be (B, N, d), got {layer_tokens[0].shape}")
-    bsz, n, d = layer_tokens[0].shape
-    grid = int(round(np.sqrt(n)))
-    if grid * grid != n:
-        raise DimensionError(f"token count {n} is not a perfect square")
-    if d != cfg.embed_dim:
-        raise DimensionError(f"token width {d} does not match embed_dim {cfg.embed_dim}")
-    s1, s2 = upsample_stages(cfg.patch_size)
-    if (grid * cfg.patch_size, grid * cfg.patch_size) != (out_h, out_w):
+    shape = layer_tokens[0].shape
+    if len(shape) != 3 or shape[1:] != (cfg.num_patches, cfg.embed_dim):
         raise DimensionError(
-            f"output {out_h}x{out_w} does not match grid {grid} x patch {cfg.patch_size}"
+            f"layer tokens have shape {shape}, expected (B, {cfg.num_patches}, {cfg.embed_dim})"
         )
+    bsz, grid, d = shape[0], cfg.grid, cfg.embed_dim
 
-    mid = grid * s1
+    mid = grid * upsample_stages(cfg.patch_size)
     feats = []
     for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
         fmap = T.reshape(T.transpose(tokens), (bsz, d, grid, grid))
@@ -111,5 +99,5 @@ def decode(
         feats.append(T.bilinear_resize(fmap, mid, mid))
     merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
     head = T.conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"])
-    full = T.bilinear_resize(head, out_h, out_w)
+    full = T.bilinear_resize(head, cfg.image_size, cfg.image_size)
     return T.sigmoid(full)

@@ -152,8 +152,8 @@ def _case_sigmoid(rng):
 
 
 def _case_matmul(rng):
-    # a batch times a shared weight, then times a per-sample matrix
-    a, b, c = _leaf(rng, 2, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 2, 3, 5)
+    # a batch times a shared weight, then times a second shared weight
+    a, b, c = _leaf(rng, 2, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 3, 5)
     proj = _projector(rng, (2, 4, 5))
     return [a, b, c], lambda: proj(T.matmul(T.matmul(a, b), c))
 
@@ -268,7 +268,7 @@ def _case_decoder(rng):
     leaves = tokens + list(store.tensors())
 
     def forward():
-        out = decode(tokens, store, cfg, cfg.image_size, cfg.image_size)
+        out = decode(tokens, store, cfg)
         return proj(out)
 
     return leaves, forward
@@ -287,7 +287,7 @@ def _case_fusion(rng):
     proj = _projector(rng, (2,))
 
     def forward():
-        return proj(fuse_and_predict(features, token, store, cfg, "both"))
+        return proj(fuse_and_predict(features, token, store, cfg))
 
     return leaves, forward
 
@@ -321,40 +321,36 @@ def _case_quality_loss(rng):
     return [preds], lambda: quality_loss(preds, targets)
 
 
-def build_tiny_model_case(cfg: ModelConfig | None = None):
+def _case_tiny_model(rng):
     """Joint two-branch graph: pem_loss + quality_loss, nothing frozen."""
+    model = tiny_config()
+    store = _model_store(rng, model)
+    size = model.image_size
+    dist = make_texture(size, size, rng.randint(1 << 30))
+    ref = make_texture(size, size, rng.randint(1 << 30))
+    oem = compute_oem(dist, ref)
+    loss_cfg = PemLossConfig()
+    leaves = list(store.tensors())
 
-    def builder(rng):
-        model = cfg if cfg is not None else tiny_config()
-        store = _model_store(rng, model)
-        size = model.image_size
-        dist = make_texture(size, size, rng.randint(1 << 30))
-        ref = make_texture(size, size, rng.randint(1 << 30))
-        oem = compute_oem(dist, ref)
-        loss_cfg = PemLossConfig()
-        leaves = list(store.tensors())
+    # Place the head's PReLU preactivations a safe distance from the
+    # kink at the operating point, so the fd step cannot straddle it.
+    pooled = T.global_average_pool(forward_pem(dist, store, model), model.gap_grid)
+    v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
+    fused = T.add(v_pem, forward_pqt(dist, store, model).token)
+    pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
+    signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
+    store["fuse.mlp2.b1"].data += 0.05 * signs - pre
 
-        # Place the head's PReLU preactivations a safe distance from the
-        # kink at the operating point, so the fd step cannot straddle it.
-        pooled = T.global_average_pool(forward_pem(dist, store, model), model.gap_grid)
-        v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
-        fused = T.add(v_pem, forward_pqt(dist, store, model).token)
-        pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
-        signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
-        store["fuse.mlp2.b1"].data += 0.05 * signs - pre
+    def forward():
+        pem = forward_pem(dist, store, model)
+        l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
+        token = forward_pqt(dist, store, model).token
+        features = T.global_average_pool(pem, model.gap_grid)
+        score = fuse_and_predict(features, token, store, model)
+        l_q = quality_loss(score, [0.7])
+        return T.add(l_em, l_q)
 
-        def forward():
-            pem = forward_pem(dist, store, model)
-            l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
-            token = forward_pqt(dist, store, model).token
-            features = T.global_average_pool(pem, model.gap_grid)
-            score = fuse_and_predict(features, token, store, model, "both")
-            l_q = quality_loss(score, [0.7])
-            return T.add(l_em, l_q)
-
-        return leaves, forward
-
-    return builder
+    return leaves, forward
 
 
 CASES = {
@@ -388,7 +384,7 @@ CASES = {
     "fusion_head": _case_fusion,
     "pem_loss": _case_pem_loss,
     "quality_loss": _case_quality_loss,
-    "tiny_model": build_tiny_model_case(),
+    "tiny_model": _case_tiny_model,
 }
 
 # the joint model touches every parameter; a handful of probes per tensor

@@ -34,18 +34,10 @@ def _check_pair(gt, pred) -> tuple[np.ndarray, np.ndarray]:
 def rank_average_ties(values) -> np.ndarray:
     """Ranks 1..n with equal values sharing the average of their ranks."""
     arr = _as_vector(values, "values")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.shape[0], dtype=np.float64)
-    i = 0
-    n = arr.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    # a run of c equal values ending at rank e holds ranks e - c + 1 .. e
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def _pearson(u: np.ndarray, v: np.ndarray, what: str) -> float:

@@ -5,9 +5,10 @@ map averaged over a gap_grid x gap_grid grid (``training.frozen_features``
 computes them). The features are linearly lifted to the token width;
 the lifted vector is summed with the final quality-token state and
 regressed to a scalar by a two-layer head with a single shared PReLU.
-Ablation modes regress either vector alone through the same head. The
-head scores a batch: (B, gap_grid²) features and (B, d) token states
-give (B,) scores.
+The head regresses what it is given: an ablation passes only the
+branch it keeps, and the same head regresses that vector alone. It
+scores a batch: (B, gap_grid²) features and (B, d) token states give
+(B,) scores.
 """
 
 from __future__ import annotations
@@ -48,41 +49,26 @@ def fuse_and_predict(
     pqt_token: T.Tensor | None,
     store: ParamStore,
     cfg: ModelConfig,
-    mode: str = "both",
 ) -> T.Tensor:
-    """Regress (B,) scores from the available branch outputs.
+    """Regress (B,) scores from the branch outputs given.
 
     ``pem_features`` is the (B, gap_grid²) pooled predicted error map,
-    ``pqt_token`` the (B, d) final quality-token state; the mode decides
-    which are read.
+    lifted to the token width; ``pqt_token`` is the (B, d) final
+    quality-token state, added to the lifted features when both are given.
     """
-    if mode not in ABLATION_MODES:
-        raise ArgumentError(f"unknown ablation mode {mode!r}")
-    d = cfg.embed_dim
-
-    v_pem = None
-    if mode != "pqt_only":
-        if pem_features is None:
-            raise ArgumentError(f"mode {mode!r} needs pooled error-map features")
+    if pem_features is None and pqt_token is None:
+        raise ArgumentError("fusion needs pooled error-map features, a quality-token state, or both")
+    fused = None
+    if pem_features is not None:
         k = cfg.gap_grid * cfg.gap_grid
         if pem_features.data.ndim != 2 or pem_features.shape[1] != k:
             raise DimensionError(f"error-map features have shape {pem_features.shape}, expected (B, {k})")
-        v_pem = T.linear(pem_features, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
-
-    z_pqt = None
-    if mode != "pem_only":
-        if pqt_token is None:
-            raise ArgumentError(f"mode {mode!r} needs a quality-token state")
+        fused = T.linear(pem_features, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
+    if pqt_token is not None:
+        d = cfg.embed_dim
         if pqt_token.data.ndim != 2 or pqt_token.shape[1] != d:
             raise DimensionError(f"quality token has shape {pqt_token.shape}, expected (B, {d})")
-        z_pqt = pqt_token
-
-    if mode == "both":
-        fused = T.add(v_pem, z_pqt)
-    elif mode == "pem_only":
-        fused = v_pem
-    else:
-        fused = z_pqt
+        fused = pqt_token if fused is None else T.add(fused, pqt_token)
 
     hidden = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"])
     hidden = T.prelu(hidden, store["fuse.mlp2.slope"])

@@ -14,17 +14,19 @@ the exact same code paths.
 Model tensors are batch-first: tokens are (B, N, d), feature maps
 (B, C, H, W), and a single image is a batch of one. The shaped ops act
 on the trailing axes and carry any leading axes through: ``matmul``
-multiplies the last two axes, ``transpose`` swaps them, ``slice_rows``
-and ``slice_cols`` cut axis -2 and -1, ``softmax_rows`` and
-``layer_norm`` normalize the last axis, ``attention`` runs multi-head
-attention over (B, N, d), and the spatial ops take (B, C, H, W).
+multiplies the last axis by a shared (k, m) weight, ``transpose`` swaps
+the last two axes, ``slice_rows`` and ``slice_cols`` cut axis -2 and -1,
+``softmax_rows`` and ``layer_norm`` normalize the last axis,
+``attention`` runs multi-head attention over (B, N, d), and the spatial
+ops take (B, C, H, W).
 
-Broadcasting is deliberately limited. Scalars broadcast with tensors;
-``matmul`` broadcasts its leading (batch) axes by numpy's rules, so a
-(k, m) weight multiplies every (N, k) slice of a (B, N, k) stack;
-``add_row_bias`` adds a bias shaped like x's trailing axes to every
-leading index. Every other pairing needs equal shapes. Each of these
-ops sums its gradient back over the axes it broadcast.
+Broadcasting is deliberately limited. ``add`` and ``sub`` take two
+tensors of equal shape; ``mul`` also takes a plain number, which is how
+``scale`` works. ``matmul``'s 2-D weight meets every leading index of
+its left operand, and ``add_row_bias`` adds a bias shaped like x's
+trailing axes to every leading index. Every other pairing needs equal
+shapes. Each of these ops sums its gradient back over the axes it
+broadcast.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import ArgumentError, DimensionError
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_LN_EPS = 1e-5  # layer_norm's variance floor
 
 # When true, every op result is checked for NaN/Inf. Off by default:
 # the scan costs more than most desk-scale ops it guards.
@@ -201,18 +204,12 @@ def _check_same_shape(a: Tensor, b: Tensor, name: str) -> None:
         raise DimensionError(f"{name} needs equal shapes, got {a.shape} and {b.shape}")
 
 
-def add(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return _emit(a.data + s, (a,), lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    s = _as_scalar(b)
-    if s is not None:
-        return _emit(a.data - s, (a,), lambda g: (g,))
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
@@ -308,15 +305,6 @@ def sigmoid(a: Tensor) -> Tensor:
 # structural ops
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes its operand was broadcast along."""
-    lead = g.ndim - len(shape)
-    if lead:
-        g = g.sum(axis=tuple(range(lead)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y; a 2-D y meets every leading index of x in one flat matmul."""
     if y.ndim == 2 and x.ndim > 2:
@@ -325,27 +313,16 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b over the last two axes; leading (batch) axes broadcast."""
+    """(..., k) @ (k, m): one shared 2-D weight for every leading index of a."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise DimensionError(f"matmul needs operands of at least 2-D, got {a.shape} and {b.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.ndim < 2 or bd.ndim != 2:
+        raise DimensionError(f"matmul needs (..., k) @ (k, m), got {a.shape} and {b.shape}")
+    if ad.shape[-1] != bd.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    try:
-        np.broadcast_shapes(ad.shape[:-2], bd.shape[:-2])
-    except ValueError:
-        raise DimensionError(f"matmul batch dims do not broadcast: {a.shape} x {b.shape}") from None
 
     def bwd(g):
-        ga = gb = None
-        if a.needs_grad:
-            ga = _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        if b.needs_grad:
-            if bd.ndim == 2:
-                # a shared weight: one matmul over every leading index
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        ga = _mm(g, bd.T) if a.needs_grad else None
+        gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if b.needs_grad else None
         return (ga, gb)
 
     return _emit(_mm(ad, bd), (a, b), bwd)
@@ -464,7 +441,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(y, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance; scale and shift."""
     d = x.data.shape[-1] if x.data.ndim else 0
     if x.data.ndim < 1:
@@ -477,7 +454,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = xd.mean(axis=-1, keepdims=True)
     centered = xd - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
 

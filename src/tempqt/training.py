@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import DatasetManifest, eval_crops, sample_patches
+from .data import SPLITS, DatasetManifest, eval_crops, sample_patches
 from .decoder import decode, decoder_params
 from .encoder import EncoderOutput, ModelConfig, encode, encoder_params
 from .errors import (
@@ -107,6 +107,8 @@ class TrainConfig:
             raise ArgumentError("lr_period must be positive")
         if self.ablation_mode not in ABLATION_MODES:
             raise ArgumentError(f"ablation_mode must be one of {ABLATION_MODES}")
+        if self.share_backbone and self.ablation_mode == "pem_only":
+            raise ArgumentError("share_backbone needs a quality-token branch; pem_only has none")
 
 
 def paper_train_config() -> TrainConfig:
@@ -114,26 +116,20 @@ def paper_train_config() -> TrainConfig:
     return TrainConfig(alpha=2e-5, beta=2e-5, epochs_stage1=15, epochs_stage2=15)
 
 
-def lr_at(epoch: int, cfg: TrainConfig, base: float | None = None) -> float:
+def lr_at(epoch: int, cfg: TrainConfig, base: float) -> float:
     """Stepped schedule: base * decay ** (epoch // period)."""
     if epoch < 0:
         raise ArgumentError("epoch must be nonnegative")
-    if base is None:
-        base = cfg.alpha
     return base * cfg.lr_decay ** (epoch // cfg.lr_period)
 
 
 class AdamState:
     """First/second moment buffers for the trainable parameters."""
 
-    def __init__(self, store: ParamStore | None = None):
+    def __init__(self, store: ParamStore):
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        if store is not None:
-            for name, p in store.trainable():
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
+        self.m = {name: np.zeros_like(p.data) for name, p in store.trainable()}
+        self.v = {name: np.zeros_like(p.data) for name, p in store.trainable()}
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: float) -> None:
@@ -229,7 +225,7 @@ def forward_pem(images, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
     ``images`` is an ImageBatch, or a GrayImage as a batch of one.
     """
     enc = encode(images, store, cfg, branch="pem", weight_prefix="pem", capture=False)
-    return decode(enc.layer_tokens, store, cfg, cfg.image_size, cfg.image_size)
+    return decode(enc.layer_tokens, store, cfg)
 
 
 def forward_pqt(
@@ -258,7 +254,7 @@ def score_crops(
 ) -> T.Tensor:
     """(B,) scores of a crop batch from its frozen features (None in pqt_only)."""
     token = forward_pqt(crops, store, cfg, share_backbone).token if mode != "pem_only" else None
-    return fuse_and_predict(pem_features, token, store, cfg, mode)
+    return fuse_and_predict(pem_features, token, store, cfg)
 
 
 def predict_score(
@@ -550,10 +546,8 @@ def train_quality(
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 
 
-def evaluate_manifest(
-    manifest: DatasetManifest, ckpt: Checkpoint, splits: tuple = ("train", "test")
-) -> dict:
-    """Predict every sample; returns {split: (paths, targets, predictions)}."""
+def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint) -> dict:
+    """Predict every sample; returns {split: (paths, targets, predictions)} for train and test."""
     store = store_from_checkpoint(ckpt)
     if not store.has_prefix("fuse."):
         raise CompatibilityError("checkpoint has no fusion head; evaluate a quality checkpoint")
@@ -561,7 +555,7 @@ def evaluate_manifest(
     mode = ckpt.train_cfg.ablation_mode
     share = ckpt.train_cfg.share_backbone
     out = {}
-    for split in splits:
+    for split in SPLITS:
         paths, targets, preds = [], [], []
         for s in manifest.split_samples(split):
             img = load_image(manifest.resolve(s.dist_path))

@@ -9,8 +9,17 @@ from tempqt import cli
 from tempqt import gradcheck
 from tempqt import tensor as T
 from tempqt.data import load_manifest
-from tempqt.imaging import load_image, make_texture, save_image
-from tempqt.training import load_checkpoint, save_checkpoint
+from tempqt.encoder import ModelConfig
+from tempqt.imaging import GrayImage, load_image, make_texture, save_image
+from tempqt.supervision import PemLossConfig
+from tempqt.training import (
+    Checkpoint,
+    TrainConfig,
+    build_store,
+    load_checkpoint,
+    param_table,
+    save_checkpoint,
+)
 
 TINY_RUN_CONFIG = """\
 # model
@@ -166,6 +175,17 @@ def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):
     ]) == 1
     assert "no fusion head" in capsys.readouterr().err
 
+    # train on a stage-1 checkpoint of another model: the run writes no file
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(TINY_RUN_CONFIG.replace("embed_dim = 16", "embed_dim = 32"), encoding="utf-8")
+    out = tmp_path / "t"
+    assert cli.main([
+        "train", "--config", str(wide), "--pem-ckpt", str(pipeline["run"] / "pem.ckpt"),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ]) == 1
+    assert "checkpoint model configuration differs" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
 
 def test_synth_empty_bases_exit_1(tmp_path, capsys):
     empty = tmp_path / "none"
@@ -174,14 +194,46 @@ def test_synth_empty_bases_exit_1(tmp_path, capsys):
     assert "no .pgm" in capsys.readouterr().err
 
 
+def test_synth_comma_in_base_name_exit_1(tmp_path, capsys):
+    # a comma would split a manifest row into extra fields
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    save_image(make_texture(32, 32, seed=1), bases / "a,b.pgm")
+    save_image(make_texture(32, 32, seed=2), bases / "c.pgm")
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--bases", str(bases), "--out", str(out), "--severities", "1"]) == 1
+    assert "dist_path 'dist/a,b_pristine.pgm' holds a comma" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+
+
 def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
-    big = tmp_path / "big.pgm"
-    save_image(make_texture(64, 64, seed=1), big)
+    # 32 rows fit the 32 px checkpoint, 31 columns do not
+    small = tmp_path / "small.pgm"
+    save_image(make_texture(32, 31, seed=1), small)
     assert cli.main([
         "maps", "--ckpt", str(pipeline["run"] / "quality.ckpt"),
-        "--images", str(big), "--out", str(tmp_path / "m"),
+        "--images", str(small), "--out", str(tmp_path / "m"),
     ]) == 1
-    assert "checkpoint requires" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(small) in err and "smaller than the checkpoint's 32x32 crop" in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_maps_draws_the_center_crop_of_a_larger_image(tmp_path):
+    cfg = ModelConfig(image_size=64, embed_dim=16, layers=2, heads=2, selected_layers=(0, 1, 2))
+    store = build_store(param_table(cfg), seed=0)
+    ckpt = tmp_path / "quality.ckpt"
+    save_checkpoint(Checkpoint(cfg, TrainConfig(), PemLossConfig(), store.arrays()), ckpt)
+    big, crop = tmp_path / "big.pgm", tmp_path / "crop.pgm"
+    save_image(make_texture(96, 80, seed=3), big)
+    # the center crop of a 96x80 image at 64 px starts at row 16, column 8
+    save_image(GrayImage(64, 64, load_image(big).pixels[16:80, 8:72]), crop)
+    for image in (big, crop):
+        assert cli.main(["maps", "--ckpt", str(ckpt), "--images", str(image), "--out", str(tmp_path / "m")]) == 0
+    for kind in ("pem", "am"):
+        mapped = (tmp_path / "m" / f"big.{kind}.pgm").read_bytes()
+        assert mapped == (tmp_path / "m" / f"crop.{kind}.pgm").read_bytes()
+        assert load_image(tmp_path / "m" / f"big.{kind}.pgm").pixels.shape == (64, 64)
 
 
 def test_eval_checkpoint_with_trailing_bytes_exit_1(pipeline, tmp_path, capsys):

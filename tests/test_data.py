@@ -75,6 +75,9 @@ def test_manifest_resolve_relative_to_location(tmp_path):
         (lambda s: s.__setattr__("score", float("nan")), "outside"),
         (lambda s: s.__setattr__("split", "val"), "unknown split"),
         (lambda s: s.__setattr__("dist_path", ""), "empty dist_path"),
+        (lambda s: s.__setattr__("dist_path", "dist/a,b.pgm"), "dist_path 'dist/a,b.pgm' holds a comma"),
+        (lambda s: s.__setattr__("ref_path", "ref/a\nb.pgm"), r"ref_path 'ref/a\\nb.pgm' holds a comma or a line"),
+        (lambda s: s.__setattr__("ref_group", "a,b"), "ref_group 'a,b' holds a comma"),
     ],
 )
 def test_save_rejects_bad_samples(tmp_path, mutate, message):

@@ -39,13 +39,13 @@ def random_tokens(cfg, seed=0, dtype=np.float32):
 
 
 def test_upsample_stage_products():
+    # the final resize supplies the second factor, patch // first
     for patch in (2, 3, 4, 6, 8, 16):
-        s1, s2 = upsample_stages(patch)
-        assert s1 * s2 == patch
-    assert upsample_stages(8) == (4, 2)
-    assert upsample_stages(16) == (4, 4)
-    assert upsample_stages(6) == (2, 3)
-    assert upsample_stages(3) == (3, 1)
+        assert patch % upsample_stages(patch) == 0
+    assert upsample_stages(8) == 4
+    assert upsample_stages(16) == 4
+    assert upsample_stages(6) == 2
+    assert upsample_stages(3) == 3
 
 
 def test_decoder_channels_floor():
@@ -80,7 +80,7 @@ def test_aggregate_topdown_errors():
 def test_decode_shape_and_range():
     cfg = tiny_config()
     store = make_decoder_store(cfg)
-    pem = decode(random_tokens(cfg), store, cfg, cfg.image_size, cfg.image_size)
+    pem = decode(random_tokens(cfg), store, cfg)
     assert pem.shape == (1, 1, cfg.image_size, cfg.image_size)
     assert np.all(pem.data > 0.0)
     assert np.all(pem.data < 1.0)
@@ -90,8 +90,8 @@ def test_decode_deterministic():
     cfg = tiny_config()
     store = make_decoder_store(cfg)
     tokens = random_tokens(cfg)
-    a = decode(tokens, store, cfg, cfg.image_size, cfg.image_size)
-    b = decode(tokens, store, cfg, cfg.image_size, cfg.image_size)
+    a = decode(tokens, store, cfg)
+    b = decode(tokens, store, cfg)
     assert np.array_equal(a.data, b.data)
 
 
@@ -104,7 +104,7 @@ def test_decode_zeroed_weights_give_prior_map():
         if name.endswith(".w") or name.endswith(".b"):
             t.data[:] = 0.0
     store["dec.head.b"].data[:] = HEAD_BIAS_PRIOR
-    pem = decode(random_tokens(cfg), store, cfg, cfg.image_size, cfg.image_size)
+    pem = decode(random_tokens(cfg), store, cfg)
     expect = 1.0 / (1.0 + np.exp(-HEAD_BIAS_PRIOR))
     assert np.allclose(pem.data, expect, atol=1e-6)
 
@@ -112,8 +112,8 @@ def test_decode_zeroed_weights_give_prior_map():
 def test_decode_input_dependence():
     cfg = tiny_config()
     store = make_decoder_store(cfg)
-    a = decode(random_tokens(cfg, seed=1), store, cfg, cfg.image_size, cfg.image_size)
-    b = decode(random_tokens(cfg, seed=2), store, cfg, cfg.image_size, cfg.image_size)
+    a = decode(random_tokens(cfg, seed=1), store, cfg)
+    b = decode(random_tokens(cfg, seed=2), store, cfg)
     assert not np.allclose(a.data, b.data)
 
 
@@ -122,15 +122,17 @@ def test_decode_validates_token_sets():
     store = make_decoder_store(cfg)
     tokens = random_tokens(cfg)
     with pytest.raises(DimensionError, match="layer token sets"):
-        decode(tokens[:-1], store, cfg, cfg.image_size, cfg.image_size)
-    bad_width = [T.constant(np.zeros((1, cfg.num_patches, cfg.embed_dim + 1))) for _ in tokens]
-    with pytest.raises(DimensionError, match="embed_dim"):
-        decode(bad_width, store, cfg, cfg.image_size, cfg.image_size)
-    bad_count = [T.constant(np.zeros((1, cfg.num_patches - 1, cfg.embed_dim))) for _ in tokens]
-    with pytest.raises(DimensionError, match="perfect square"):
-        decode(bad_count, store, cfg, cfg.image_size, cfg.image_size)
-    with pytest.raises(DimensionError, match="does not match grid"):
-        decode(tokens, store, cfg, cfg.image_size * 2, cfg.image_size * 2)
+        decode(tokens[:-1], store, cfg)
+    expected = rf"expected \(B, {cfg.num_patches}, {cfg.embed_dim}\)"
+    for shape in [
+        (1, cfg.num_patches, cfg.embed_dim + 1),
+        (1, cfg.num_patches - 1, cfg.embed_dim),
+        (1, 4 * cfg.num_patches, cfg.embed_dim),  # the grid of an image twice the size
+        (cfg.num_patches, cfg.embed_dim),  # no batch axis
+    ]:
+        bad = [T.constant(np.zeros(shape)) for _ in tokens]
+        with pytest.raises(DimensionError, match=expected):
+            decode(bad, store, cfg)
 
 
 def test_decode_differentiable_to_tokens():
@@ -142,7 +144,7 @@ def test_decode_differentiable_to_tokens():
         data = rng.normal(cfg.num_patches * cfg.embed_dim).reshape(1, cfg.num_patches, cfg.embed_dim)
         tokens.append(T.Tensor(data, requires_grad=True, dtype=np.float64))
     with T.Tape() as tape:
-        pem = decode(tokens, store, cfg, cfg.image_size, cfg.image_size)
+        pem = decode(tokens, store, cfg)
         T.backward(T.mean(pem), tape)
     for tok in tokens:
         assert tok.grad is not None

@@ -62,11 +62,17 @@ def test_init_rejects_unknown_mode():
 # fuse_and_predict
 
 
+def mode_inputs(cfg, mode):
+    """The branch outputs a mode passes the head: None for the branch it ablates."""
+    features = None if mode == "pqt_only" else rand_features(cfg)
+    return features, None if mode == "pem_only" else rand_token(cfg)
+
+
 def test_fusion_scalar_output():
     cfg = tiny_config()
     for mode in ABLATION_MODES:
         store = fusion_store(cfg, mode)
-        score = fuse_and_predict(rand_features(cfg), rand_token(cfg), store, cfg, mode=mode)
+        score = fuse_and_predict(*mode_inputs(cfg, mode), store, cfg)
         assert score.shape == (1,)
         assert np.isfinite(score.item())
 
@@ -74,20 +80,15 @@ def test_fusion_scalar_output():
 def test_fusion_modes_disagree():
     cfg = tiny_config()
     store = fusion_store(cfg, "both")
-    features, tok = rand_features(cfg), rand_token(cfg)
-    scores = {m: fuse_and_predict(features, tok, store, cfg, mode=m).item() for m in ABLATION_MODES}
+    scores = {m: fuse_and_predict(*mode_inputs(cfg, m), store, cfg).item() for m in ABLATION_MODES}
     assert len(set(scores.values())) == 3
 
 
 def test_fusion_missing_inputs_rejected():
     cfg = tiny_config()
     store = fusion_store(cfg, "both")
-    with pytest.raises(ArgumentError, match="needs pooled error-map features"):
-        fuse_and_predict(None, rand_token(cfg), store, cfg, mode="both")
-    with pytest.raises(ArgumentError, match="needs a quality-token state"):
-        fuse_and_predict(rand_features(cfg), None, store, cfg, mode="both")
-    with pytest.raises(ArgumentError, match="unknown ablation mode"):
-        fuse_and_predict(rand_features(cfg), rand_token(cfg), store, cfg, mode="fused")
+    with pytest.raises(ArgumentError, match="needs pooled error-map features, a quality-token state"):
+        fuse_and_predict(None, None, store, cfg)
 
 
 def test_fusion_rejects_wrong_token_width():
@@ -95,7 +96,7 @@ def test_fusion_rejects_wrong_token_width():
     store = fusion_store(cfg, "both")
     bad = T.constant(np.zeros((1, cfg.embed_dim + 1), dtype=np.float32))
     with pytest.raises(DimensionError, match="quality token"):
-        fuse_and_predict(rand_features(cfg), bad, store, cfg, mode="both")
+        fuse_and_predict(rand_features(cfg), bad, store, cfg)
 
 
 def test_fusion_rejects_unpooled_map():
@@ -103,23 +104,14 @@ def test_fusion_rejects_unpooled_map():
     store = fusion_store(cfg, "both")
     pem_map = T.constant(np.zeros((1, 1, cfg.image_size, cfg.image_size), dtype=np.float32))
     with pytest.raises(DimensionError, match="error-map features"):
-        fuse_and_predict(pem_map, rand_token(cfg), store, cfg, mode="both")
-
-
-def test_fusion_pem_only_ignores_token():
-    cfg = tiny_config()
-    store = fusion_store(cfg, "pem_only")
-    features = rand_features(cfg)
-    a = fuse_and_predict(features, rand_token(cfg, seed=1), store, cfg, mode="pem_only")
-    b = fuse_and_predict(features, rand_token(cfg, seed=2), store, cfg, mode="pem_only")
-    assert a.item() == b.item()
+        fuse_and_predict(pem_map, rand_token(cfg), store, cfg)
 
 
 def test_fusion_matches_manual_computation():
     cfg = tiny_config()
     store = fusion_store(cfg, "pqt_only")
     tok = rand_token(cfg)
-    score = fuse_and_predict(None, tok, store, cfg, mode="pqt_only")
+    score = fuse_and_predict(None, tok, store, cfg)
     z = tok.data.astype(np.float64).reshape(1, -1)
     h = z @ store["fuse.mlp2.w1"].data + store["fuse.mlp2.b1"].data
     slope = store["fuse.mlp2.slope"].data.item()
@@ -133,7 +125,7 @@ def test_fusion_differentiable():
     store = fusion_store(cfg, "both")
     features = T.Tensor(rand_features(cfg).data, requires_grad=True, dtype=np.float32)
     with T.Tape() as tape:
-        score = fuse_and_predict(features, rand_token(cfg), store, cfg, mode="both")
+        score = fuse_and_predict(features, rand_token(cfg), store, cfg)
         T.backward(score, tape)
     assert features.grad is not None
     assert np.any(features.grad != 0.0)

@@ -85,6 +85,7 @@ def micro_quality_ckpt(micro_manifest, micro_pem_ckpt):
         dict(lr_decay=1.5),
         dict(lr_period=0),
         dict(ablation_mode="none"),
+        dict(ablation_mode="pem_only", share_backbone=True),
     ],
 )
 def test_train_config_rejects(kwargs):
@@ -94,10 +95,10 @@ def test_train_config_rejects(kwargs):
 
 def test_lr_schedule_steps():
     cfg = paper_train_config()
-    assert lr_at(0, cfg) == pytest.approx(2e-5, rel=1e-12)
-    assert lr_at(4, cfg) == pytest.approx(2e-5, rel=1e-12)
-    assert lr_at(5, cfg) == pytest.approx(1.8e-5, rel=1e-12)
-    assert lr_at(10, cfg) == pytest.approx(1.62e-5, rel=1e-12)
+    assert lr_at(0, cfg, cfg.alpha) == pytest.approx(2e-5, rel=1e-12)
+    assert lr_at(4, cfg, cfg.alpha) == pytest.approx(2e-5, rel=1e-12)
+    assert lr_at(5, cfg, cfg.alpha) == pytest.approx(1.8e-5, rel=1e-12)
+    assert lr_at(10, cfg, cfg.alpha) == pytest.approx(1.62e-5, rel=1e-12)
 
 
 def test_lr_schedule_base_override_and_guard():
@@ -105,7 +106,7 @@ def test_lr_schedule_base_override_and_guard():
     assert lr_at(0, cfg, base=cfg.beta) == pytest.approx(4e-4)
     assert lr_at(2, cfg, base=cfg.beta) == pytest.approx(2e-4)
     with pytest.raises(ArgumentError, match="nonnegative"):
-        lr_at(-1, cfg)
+        lr_at(-1, cfg, cfg.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +487,7 @@ def test_evaluate_rejects_pem_checkpoint(micro_manifest, micro_pem_ckpt):
 
 def test_overfit_set_learns_score_order(overfit_manifest, overfit_quality_ckpt):
     # headline check: both stages together rank and fit the training scores
-    _paths, targets, preds = evaluate_manifest(
-        overfit_manifest, overfit_quality_ckpt, splits=("train",)
-    )["train"]
+    _paths, targets, preds = evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
     assert srocc(targets, preds) >= 0.9
     assert plcc(targets, preds) >= 0.9
 
