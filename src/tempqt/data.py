@@ -152,33 +152,37 @@ def generate_synthetic_dataset(
     for sev in severities:
         if not 1 <= int(sev) <= 5:
             raise ArgumentError(f"severity {sev} outside 1..5")
-    os.makedirs(os.path.join(out_dir, "ref"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "dist"), exist_ok=True)
-
+    # the manifest is built and validated before anything is written, so
+    # a rejected dataset leaves no images behind
     samples = []
+    writes = []  # per base: (base path, ref path, pristine path, [(path, spec)])
     item_index = 0
     base_seed = derive_seed(seed, "noise")
     for base_path in base_images:
         stem = os.path.splitext(os.path.basename(base_path))[0]
-        base = quantize_to_8bit(load_image(base_path))
         ref_rel = f"ref/{stem}.pgm"
-        save_image(base, os.path.join(out_dir, ref_rel))
-
         pristine_rel = f"dist/{stem}_pristine.pgm"
-        save_image(base, os.path.join(out_dir, pristine_rel))
         samples.append(Sample(pristine_rel, ref_rel, 1.0, stem, "train"))
-
+        distortions = []
         for kind in kinds:
             for sev in severities:
                 spec = DistortionSpec(kind, int(sev), seed=base_seed ^ item_index)
                 item_index += 1
-                distorted = apply_distortion(base, spec)
                 rel = f"dist/{stem}_{kind}_s{sev}.pgm"
-                save_image(distorted, os.path.join(out_dir, rel))
+                distortions.append((rel, spec))
                 samples.append(Sample(rel, ref_rel, pseudo_mos(spec), stem, "train"))
-
+        writes.append((base_path, ref_rel, pristine_rel, distortions))
     manifest = DatasetManifest(MANIFEST_VERSION, seed, samples, base_dir=out_dir)
     _validate(manifest)
+
+    os.makedirs(os.path.join(out_dir, "ref"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "dist"), exist_ok=True)
+    for base_path, ref_rel, pristine_rel, distortions in writes:
+        base = quantize_to_8bit(load_image(base_path))
+        save_image(base, os.path.join(out_dir, ref_rel))
+        save_image(base, os.path.join(out_dir, pristine_rel))
+        for rel, spec in distortions:
+            save_image(apply_distortion(base, spec), os.path.join(out_dir, rel))
     return manifest
 
 

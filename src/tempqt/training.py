@@ -355,7 +355,10 @@ def load_checkpoint(path) -> Checkpoint:
         text = cur.take(text_len, "config text").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: config text is not UTF-8") from exc
-    model_cfg, train_cfg, loss_cfg = parse_settings(text)
+    try:
+        model_cfg, train_cfg, loss_cfg = parse_settings(text)
+    except ArgumentError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
     n_params = cur.unpack("<I", "parameter count")
     params: dict = {}

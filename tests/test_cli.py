@@ -204,6 +204,7 @@ def test_synth_comma_in_base_name_exit_1(tmp_path, capsys):
     assert cli.main(["synth", "--bases", str(bases), "--out", str(out), "--severities", "1"]) == 1
     assert "dist_path 'dist/a,b_pristine.pgm' holds a comma" in capsys.readouterr().err
     assert not (out / "manifest.csv").exists()
+    assert list(out.rglob("*.pgm")) == []  # validated before any image is written
 
 
 def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):

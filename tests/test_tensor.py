@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
 from tempqt import tensor as T
 from tempqt.errors import ArgumentError, DimensionError
@@ -57,6 +58,35 @@ def test_gelu_known_values():
     x = T.constant([0.0, 1.0, -1.0], dtype=np.float64)
     got = T.gelu(x).data
     assert np.allclose(got, [0.0, 0.8413447460685429, -0.15865525393145707], atol=1e-12)
+
+
+GELU_F32_TOL = 4e-7  # |error| / max(1, |x|), forward and gradient, both float32 kernels
+
+
+def test_gelu_float32_accuracy_both_kernels():
+    x = np.concatenate([np.linspace(-12.0, 12.0, 48001), [0.0, -0.0, 1e4, -1e4]]).astype(np.float32)
+    n = T.GELU_RATIONAL_MIN_SIZE
+    # one array takes the rational kernel, slices below the size limit take erf
+    whole, slices = [x], np.array_split(x, 2 * x.size // n + 1)
+    assert x.size >= n and max(map(len, slices)) < n
+    x64 = x.astype(np.float64)
+    cdf = ndtr(x64)
+    ref_out = x64 * cdf
+    ref_grad = cdf + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+    scale = np.maximum(1.0, np.abs(x64))
+    for parts in (whole, slices):
+        outs, grads = [], []
+        for part in parts:
+            a = leaf(part, dtype=np.float32)
+            with T.Tape() as tape:
+                y = T.gelu(a)
+                T.backward(T.sum_(y), tape)  # g = 1
+            outs.append(y.data)
+            grads.append(a.grad)
+        out, grad = np.concatenate(outs), np.concatenate(grads)
+        assert out.dtype == np.float32
+        assert (np.abs(out - ref_out) / scale).max() <= GELU_F32_TOL
+        assert (np.abs(grad - ref_grad) / scale).max() <= GELU_F32_TOL
 
 
 def test_prelu_and_sigmoid():

@@ -253,6 +253,17 @@ def test_checkpoint_bad_version(micro_pem_ckpt, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_bad_embedded_config_names_the_file(micro_pem_ckpt, tmp_path):
+    path = tmp_path / "cfg.ckpt"
+    save_checkpoint(micro_pem_ckpt, path)
+    blob = path.read_bytes()
+    assert blob.count(b"lr_period = 5") == 1
+    path.write_bytes(blob.replace(b"lr_period = 5", b"lr_period = 0"))  # same length
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: lr_period must be positive"
+
+
 def test_store_from_checkpoint_is_frozen(micro_pem_ckpt):
     store = store_from_checkpoint(micro_pem_ckpt)
     assert len(store) == len(micro_pem_ckpt.params)
