@@ -8,11 +8,13 @@ fully resolved configuration beside its outputs, so a run directory is
 self-describing.
 
 maps draws the maps of each image's center crop of the checkpoint's
-image_size, at ((H - s) // 2, (W - s) // 2) for crop size s: the crop
-``eval_crops`` takes last. An image of exactly s is its own crop, and
-one smaller than s on either side is an error.
+image_size: the crop of size s at ((H - s) // 2, (W - s) // 2). An
+image of exactly s is its own crop, and one smaller than s on either
+side is an error.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
+A training step with a non-finite loss exits 1 with no checkpoint, and
+its stage's log ends with an ``error=`` line.
 """
 
 from __future__ import annotations
@@ -150,17 +152,16 @@ def cmd_train(args) -> int:
     out = _ensure_out(run.out_dir)
     manifest = load_manifest(run.manifest)
     pem_ckpt = load_checkpoint(args.pem_ckpt)
+    check_model_compat(pem_ckpt.model_cfg, run.model)
+    _resolved_run(run, out, "train")
     ckpt = train_quality(
         manifest,
         pem_ckpt,
-        run.model,
         run.train,
         patch_count=run.patch_count,
         augment=run.augment,
         log_path=os.path.join(out, "train.log"),
     )
-    # written after training: a checkpoint that does not match run.model leaves no files
-    _resolved_run(run, out, "train")
     path = os.path.join(out, "quality.ckpt")
     save_checkpoint(ckpt, path)
     print(f"wrote {path}")

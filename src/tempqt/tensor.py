@@ -5,7 +5,9 @@ explicitly against the recorded inputs. A ``Tape`` collects operations
 in execution order while active, and ``backward`` replays the tape in
 reverse, accumulating gradients into every ``requires_grad`` leaf that
 the loss reaches. Ops executed with no active tape produce plain
-constants, which is the inference path.
+constants, which is the inference path. No op scans for NaN or Inf:
+``backward`` checks the loss, once per step, and names the first taped
+op whose output went non-finite.
 
 float32 is the working precision. All ops follow the dtype of their
 inputs, so the finite-difference harness can run a float64 shadow of
@@ -38,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, TrainingError
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -70,30 +72,13 @@ _PHI_P = tuple(np.float32(0.5 / _SQRT2 * c / 2.0**k) for k, c in enumerate(_ERF_
 _PHI_Q = tuple(np.float32(c / 2.0**k) for k, c in enumerate(_ERF_B))[::-1]
 _PHI_CLAMP = 4.0 * _SQRT2
 
-# When true, every op result is checked for NaN/Inf. Off by default:
-# the scan costs more than most desk-scale ops it guards.
-check_finite = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global check_finite
-    check_finite = bool(enabled)
-
-
-def _guard(arr: np.ndarray) -> None:
-    if check_finite and not np.all(np.isfinite(arr)):
-        raise ArgumentError("tensor holds a non-finite value")
-
-
 class Tensor:
     """A dense float array plus an optional accumulated gradient."""
 
     __slots__ = ("data", "grad", "requires_grad", "needs_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
-        arr = np.array(data, dtype=dtype)
-        _guard(arr)
-        self.data = arr
+        self.data = np.array(data, dtype=dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         # needs_grad marks tensors the backward sweep must visit: leaves
@@ -160,11 +145,6 @@ def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:
     """Wrap a computed array, recording the op if a tape is active."""
     tape = _active_tape()
     track = tape is not None and any(t.needs_grad for t in inputs)
-    if check_finite and not np.all(np.isfinite(arr)):
-        # the backward closure's qualname names the op, e.g. "conv2d_3x3.<locals>.bwd"
-        op = backward.__qualname__.split(".", 1)[0]
-        where = f"tape node {len(tape.nodes)}" if track else "not taped"
-        raise ArgumentError(f"non-finite value from {op} ({where})")
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
@@ -178,12 +158,21 @@ def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep: accumulate d(loss)/d(leaf) into leaf.grad.
 
-    Repeated calls keep accumulating until grads are zeroed.
+    Repeated calls keep accumulating until grads are zeroed. A non-finite
+    loss raises TrainingError, naming the first non-finite tape node,
+    before any gradient is touched.
     """
     if loss.data.size != 1:
         raise ArgumentError(f"backward needs a scalar loss, shape is {loss.shape}")
     if not loss.needs_grad:
         raise ArgumentError("loss is not connected to any requires_grad tensor on the tape")
+    if not np.isfinite(loss.data).all():
+        for i, node in enumerate(tape.nodes):
+            if not np.isfinite(node.out.data).all():
+                # the backward closure's qualname names the op, e.g. "conv2d_3x3.<locals>.bwd"
+                op = node.backward.__qualname__.split(".", 1)[0]
+                raise TrainingError(f"non-finite loss: first non-finite value from {op} (tape node {i})")
+        raise TrainingError("non-finite loss")
     grads = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
     for node in reversed(tape.nodes):

@@ -371,8 +371,10 @@ def load_checkpoint(path) -> Checkpoint:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if nbytes != 4 * count:
             raise CheckpointError(f"{path}: parameter {name!r} length mismatch")
-        raw = cur.take(nbytes, f"data for {name!r}")
-        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(cur.take(nbytes, f"data for {name!r}"), dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
+        params[name] = arr.reshape(shape).copy()
     if cur.pos != len(data):
         raise CheckpointError(f"{path}: {len(data) - cur.pos} trailing bytes after the last parameter")
     # a file with a fusion head holds the whole model, any other the error-map branch
@@ -430,7 +432,10 @@ def _load_pairs(manifest: DatasetManifest, need_ref: bool) -> list:
 
 
 def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, batch_loss, log: _Log) -> None:
-    """Adam over shuffled batches of ``epoch_items(epoch)``, one step per batch."""
+    """Adam over shuffled batches of ``epoch_items(epoch)``, one step per batch.
+
+    A step's TrainingError ends the log with an ``error=`` line and propagates.
+    """
     if stage == 1:
         epochs, base_lr = train_cfg.epochs_stage1, train_cfg.alpha
     else:
@@ -443,11 +448,15 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
         CounterRng(derive_seed(train_cfg.seed, "order", stage, epoch)).shuffle(items)
 
         epoch_losses = []
-        for start in range(0, len(items), train_cfg.batch_size):
+        for batch, start in enumerate(range(0, len(items), train_cfg.batch_size)):
             with Tape() as tape:
                 loss = batch_loss(items[start : start + train_cfg.batch_size])
-            backward(loss, tape)
-            adam_step(store, state, lr, train_cfg.weight_decay)
+            try:
+                backward(loss, tape)
+                adam_step(store, state, lr, train_cfg.weight_decay)
+            except TrainingError as exc:
+                log.line(f"stage={stage} epoch={epoch} batch={batch} error={exc}")
+                raise
             zero_grads(store.tensors())
             value = loss.item()
             if not logged_first:
@@ -493,14 +502,13 @@ def pretrain_pem(
 def train_quality(
     manifest: DatasetManifest,
     pem_ckpt: Checkpoint,
-    model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     patch_count: int = 4,
     augment: bool = True,
     log_path=None,
 ) -> Checkpoint:
-    """Stage 2: freeze the error-map branch, train token branch + head."""
-    check_model_compat(pem_ckpt.model_cfg, model_cfg)
+    """Stage 2 on ``pem_ckpt``'s model: freeze its error-map branch, train token branch + head."""
+    model_cfg = pem_ckpt.model_cfg
     pem_arrays = {
         n: a for n, a in pem_ckpt.params.items() if n.startswith(("pem.", "dec."))
     }

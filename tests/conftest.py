@@ -93,9 +93,8 @@ def overfit_pem_ckpt(overfit_manifest):
 
 @pytest.fixture(scope="session")
 def overfit_quality_ckpt(overfit_manifest, overfit_pem_ckpt):
-    cfg = tiny_config()
     tc = TrainConfig(**{**FIXTURE_STAGE1, **FIXTURE_STAGE2})
     return train_quality(
-        overfit_manifest, overfit_pem_ckpt, cfg, tc, patch_count=1, augment=False
+        overfit_manifest, overfit_pem_ckpt, tc, patch_count=1, augment=False
     )
 

@@ -10,6 +10,7 @@ from tempqt import gradcheck
 from tempqt import tensor as T
 from tempqt.data import load_manifest
 from tempqt.encoder import ModelConfig
+from tempqt.errors import CheckpointError
 from tempqt.imaging import GrayImage, load_image, make_texture, save_image
 from tempqt.supervision import PemLossConfig
 from tempqt.training import (
@@ -184,6 +185,42 @@ def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):
         "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
     ]) == 1
     assert "checkpoint model configuration differs" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_diverging_pretrain_exit_1_without_checkpoint(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        TINY_RUN_CONFIG.replace("alpha = 0.001", "alpha = 1e8").replace("epochs_stage1 = 1", "epochs_stage1 = 3"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    # the run overflows on purpose; unsilenced, the test's warnings-as-errors
+    # filter would raise numpy's overflow warning in place of the loss check
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main([
+            "pretrain", "--config", str(cfg),
+            "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+        ])
+    assert rc == 1
+    assert "non-finite loss" in capsys.readouterr().err
+    assert not (out / "pem.ckpt").exists()
+    assert "error=" in (out / "pretrain.log").read_text().splitlines()[-1]
+
+
+def test_non_finite_checkpoint_exit_1(pipeline, tmp_path, capsys):
+    ckpt = load_checkpoint(pipeline["run"] / "pem.ckpt")
+    ckpt.params["pem.block1.mlp.w1"][0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, bad)
+    with pytest.raises(CheckpointError, match=r"nan\.ckpt: parameter 'pem\.block1\.mlp\.w1' holds a non-finite"):
+        load_checkpoint(bad)
+    out = tmp_path / "t"
+    assert cli.main([
+        "train", "--config", str(pipeline["cfg"]), "--pem-ckpt", str(bad),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ]) == 1
+    assert f"{bad}: parameter 'pem.block1.mlp.w1' holds a non-finite value" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

@@ -1,5 +1,7 @@
 """Tensor op semantics and the taped backward pass."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
+from tempqt import gradcheck
 from tempqt import tensor as T
-from tempqt.errors import ArgumentError, DimensionError
+from tempqt.errors import ArgumentError, DimensionError, TrainingError
+from tempqt.rng import CounterRng
 
 
 def leaf(values, dtype=np.float64):
@@ -256,31 +260,34 @@ def test_item_requires_single_element():
         T.constant([1.0, 2.0]).item()
 
 
-def test_finite_check_toggle():
-    T.set_finite_checks(True)
-    try:
-        with pytest.raises(ArgumentError):
-            T.constant([np.inf], dtype=np.float64)
-    finally:
-        T.set_finite_checks(False)
-    T.constant([np.inf], dtype=np.float64)  # checks off again
-
-
 def test_finite_check_names_the_op_and_its_tape_node():
     x = leaf(np.ones((1, 1, 3, 3)))
     w = leaf(np.ones((1, 1, 3, 3)))
     b = leaf([0.0])
-    T.set_finite_checks(True)
-    try:
-        with T.Tape():
-            y = T.add(x, x)  # tape node 0
-            y.data[0, 0, 1, 1] = np.inf  # an Inf injected between two ops
-            with pytest.raises(ArgumentError, match=r"non-finite value from conv2d_3x3 \(tape node 1\)"):
-                T.conv2d_3x3(y, w, b)
-        with pytest.raises(ArgumentError, match=r"non-finite value from mul \(not taped\)"):
-            T.mul(T.constant([1.0]), np.inf)
-    finally:
-        T.set_finite_checks(False)
+    with T.Tape() as tape:
+        y = T.add(x, x)  # tape node 0, finite
+        b.data[0] = np.inf  # an Inf injected between add and conv2d_3x3
+        loss = T.sum_(T.conv2d_3x3(y, w, b))
+    with pytest.raises(TrainingError, match=r"non-finite value from conv2d_3x3 \(tape node 1\)"):
+        T.backward(loss, tape)
+    assert x.grad is None and w.grad is None and b.grad is None  # nothing accumulated
+    # a NaN leaf is no taped output, so there is no op to name
+    with pytest.raises(TrainingError, match=r"^non-finite loss$"):
+        T.backward(leaf(np.nan), T.Tape())
+
+
+def test_every_taped_op_names_itself():
+    # backward's non-finite message and bench/tracer.py both read the op
+    # from the closure's qualname, e.g. "conv2d_3x3.<locals>.bwd"
+    for name, case in gradcheck.CASES.items():
+        _leaves, forward = case(CounterRng(0))
+        with T.Tape() as tape:
+            forward()
+        assert tape.nodes, name
+        for node in tape.nodes:
+            op = node.backward.__qualname__.split(".", 1)[0]
+            fn = getattr(T, op, None)
+            assert inspect.isfunction(fn) and fn.__module__ == T.__name__, (name, op)
 
 
 def test_softmax_gradient_matches_closed_form():
