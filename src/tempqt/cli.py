@@ -10,7 +10,9 @@ self-describing.
 maps draws the maps of each image's center crop of the checkpoint's
 image_size: the crop of size s at ((H - s) // 2, (W - s) // 2). An
 image of exactly s is its own crop, and one smaller than s on either
-side is an error.
+side is an error. Each image's maps are named by its file stem, so
+images that share a stem are an error, raised before anything is
+mapped or written.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
 A training step with a non-finite loss exits 1 with no checkpoint, and
@@ -200,6 +202,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_maps(args) -> int:
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
+    shared = next((stem for stem in stems if stems.count(stem) > 1), None)
+    if shared is not None:
+        raise ArgumentError(f"images share the file stem {shared!r}, so their maps would overwrite each other")
     ckpt = load_checkpoint(args.ckpt)
     store = store_from_checkpoint(ckpt)
     cfg = ckpt.model_cfg
@@ -226,13 +232,13 @@ def cmd_maps(args) -> int:
         os.path.join(out, "maps.resolved.config"),
         serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
     )
-    for i, path in enumerate(args.images):
-        stem = os.path.join(out, os.path.splitext(os.path.basename(path))[0])
-        save_image(GrayImage(size, size, pems[i]), f"{stem}.pem.pgm")
-        print(f"wrote {stem}.pem.pgm")
+    for i, stem in enumerate(stems):
+        base = os.path.join(out, stem)
+        save_image(GrayImage(size, size, pems[i]), f"{base}.pem.pgm")
+        print(f"wrote {base}.pem.pgm")
         if attention is not None:
-            save_image(extract_attention_map([a[i] for a in attention], size, size), f"{stem}.am.pgm")
-            print(f"wrote {stem}.am.pgm")
+            save_image(extract_attention_map([a[i] for a in attention], size, size), f"{base}.am.pgm")
+            print(f"wrote {base}.am.pgm")
     return 0
 
 

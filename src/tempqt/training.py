@@ -7,9 +7,12 @@ stages run one loop (``_train``): each epoch it samples the stage's
 items, shuffles them, and takes one classic Adam step (L2-coupled
 weight decay, stepped learning-rate schedule) per batch. A stage
 supplies only its per-epoch items and its batch loss, and each batch
-runs as one forward over its stacked patches. Stage 2 and inference
-score crops through one function, ``score_crops``; inference stacks
-one image's evaluation crops into one batch.
+runs as one forward over its stacked patches. From the first step on,
+a stage's trainable parameters live in one flat buffer, each ``p.data``
+a view of it, and Adam updates that buffer in place (``AdamState``).
+Stage 2 and inference score crops through one function,
+``score_crops``; inference stacks one image's evaluation crops into
+one batch.
 
 The fusion head reads the frozen branch only through
 ``frozen_features``: the predicted map pooled to (B, gap_grid²). Since
@@ -124,34 +127,72 @@ def lr_at(epoch: int, cfg: TrainConfig, base: float) -> float:
 
 
 class AdamState:
-    """First/second moment buffers for the trainable parameters."""
+    """Adam's step count and flat buffers over the trainable parameters.
+
+    The trainable parameters live in one buffer, ``values``, from the
+    first step on: construction copies them there in store order and
+    rebinds each ``p.data`` to a reshaped view of it, so the model and
+    ``store.arrays()`` read the optimizer's values. ``m`` and ``v`` are
+    the moments, ``g`` gathers the gradients and ``tmp`` is scratch.
+    Frozen parameters stay outside the buffer.
+    """
 
     def __init__(self, store: ParamStore):
+        self.params = store.trainable()
+        dtypes = sorted({str(p.data.dtype) for _name, p in self.params})
+        if len(dtypes) > 1:
+            raise ArgumentError(f"trainable parameters must share one dtype, got {', '.join(dtypes)}")
+        size = sum(p.data.size for _name, p in self.params)
+        self.values = np.empty(size, dtype=dtypes[0] if dtypes else np.float32)
+        offset = 0
+        for _name, p in self.params:
+            view = self.values[offset : offset + p.data.size].reshape(p.data.shape)
+            view[...] = p.data
+            offset += p.data.size
+            p.data = view
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        self.g = np.empty_like(self.values)
+        self.tmp = np.empty_like(self.values)
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in store.trainable()}
-        self.v = {name: np.zeros_like(p.data) for name, p in store.trainable()}
 
 
-def adam_step(store: ParamStore, state: AdamState, lr: float, weight_decay: float) -> None:
-    """One coupled-decay Adam update over every trainable parameter."""
+def adam_step(state: AdamState, lr: float, weight_decay: float) -> None:
+    """One coupled-decay Adam update over every trainable parameter.
+
+    Every check runs before anything changes, so a step that raises
+    leaves the values, moments and step count as they were. The update
+    runs in place over the flat buffers, ``v`` before ``m`` so that the
+    gradient buffer can be scaled in place; each element sees the
+    operations of the per-tensor rule in the same order.
+    """
+    for name, p in state.params:
+        if p.grad is None:
+            raise TrainingError(f"missing gradient for trainable parameter {name!r}")
+        if p.data.base is not state.values:
+            raise TrainingError(f"trainable parameter {name!r} no longer views the optimizer's buffer")
+    values, m, v, g, tmp = state.values, state.m, state.v, state.g, state.tmp
+    np.concatenate([p.grad.ravel() for _name, p in state.params], out=g)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, p in store.trainable():
-        if p.grad is None:
-            raise TrainingError(f"missing gradient for trainable parameter {name!r}")
-        g = p.grad
-        if weight_decay != 0.0:
-            g = g + weight_decay * p.data
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if weight_decay != 0.0:
+        np.multiply(values, weight_decay, out=tmp)
+        g += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += tmp
+    m *= ADAM_BETA1
+    g *= 1.0 - ADAM_BETA1
+    m += g
+    np.divide(m, bc1, out=g)
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    g *= lr
+    g /= tmp
+    values -= g
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +494,7 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
                 loss = batch_loss(items[start : start + train_cfg.batch_size])
             try:
                 backward(loss, tape)
-                adam_step(store, state, lr, train_cfg.weight_decay)
+                adam_step(state, lr, train_cfg.weight_decay)
             except TrainingError as exc:
                 log.line(f"stage={stage} epoch={epoch} batch={batch} error={exc}")
                 raise

@@ -257,6 +257,22 @@ def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_maps_rejects_images_that_share_a_file_stem(pipeline, tmp_path, capsys):
+    first, second = tmp_path / "a" / "x.pgm", tmp_path / "b" / "x.pgm"
+    for i, path in enumerate((first, second)):
+        path.parent.mkdir()
+        save_image(make_texture(32, 32, seed=20 + i), path)
+    out = tmp_path / "m"
+    assert cli.main([
+        "maps", "--ckpt", str(pipeline["run"] / "quality.ckpt"),
+        "--images", str(first), str(second), "--out", str(out),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "images share the file stem 'x'" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 def test_maps_draws_the_center_crop_of_a_larger_image(tmp_path):
     cfg = ModelConfig(image_size=64, embed_dim=16, layers=2, heads=2, selected_layers=(0, 1, 2))
     store = build_store(param_table(cfg), seed=0)

@@ -123,7 +123,7 @@ def one_param_store(value, grad):
 def test_adam_first_step_is_signed_lr():
     for grad in (0.3, -2.0, 1e-4):
         store = one_param_store(1.0, grad)
-        adam_step(store, AdamState(store), lr=0.01, weight_decay=0.0)
+        adam_step(AdamState(store), lr=0.01, weight_decay=0.0)
         # m_hat = g, v_hat = g^2 on step 1, so the move is -lr * sign(g)
         expect = 1.0 - 0.01 * np.sign(grad) * (abs(grad) / (abs(grad) + 1e-8))
         assert store["p"].data[0] == pytest.approx(expect, abs=1e-9)
@@ -132,14 +132,14 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_lr_is_noop():
     store = one_param_store(0.7, 1.3)
     state = AdamState(store)
-    adam_step(store, state, lr=0.0, weight_decay=0.0)
+    adam_step(state, lr=0.0, weight_decay=0.0)
     assert store["p"].data[0] == 0.7
     assert state.t == 1
 
 
 def test_adam_coupled_weight_decay_moves_zero_grad_param():
     store = one_param_store(2.0, 0.0)
-    adam_step(store, AdamState(store), lr=0.1, weight_decay=0.01)
+    adam_step(AdamState(store), lr=0.1, weight_decay=0.01)
     # effective gradient is wd * p > 0, so the parameter shrinks
     assert store["p"].data[0] < 2.0
 
@@ -151,9 +151,9 @@ def test_adam_skips_frozen_and_requires_grads():
     live = store.add("live", np.ones(2))
     state = AdamState(store)
     with pytest.raises(TrainingError, match="missing gradient"):
-        adam_step(store, state, lr=0.1, weight_decay=0.0)
+        adam_step(state, lr=0.1, weight_decay=0.0)
     live.grad = np.full(2, 0.5, dtype=np.float32)
-    adam_step(store, state, lr=0.1, weight_decay=0.0)
+    adam_step(state, lr=0.1, weight_decay=0.0)
     assert np.all(frozen.data == 1.0)
     assert np.all(live.data < 1.0)
 
@@ -165,9 +165,108 @@ def test_adam_step_counter_shared():
     a.grad = np.ones(2, dtype=np.float32)
     b.grad = np.ones(3, dtype=np.float32)
     state = AdamState(store)
-    adam_step(store, state, lr=0.01, weight_decay=0.0)
-    adam_step(store, state, lr=0.01, weight_decay=0.0)
+    adam_step(state, lr=0.01, weight_decay=0.0)
+    adam_step(state, lr=0.01, weight_decay=0.0)
     assert state.t == 2
+
+
+def test_failed_adam_step_changes_nothing():
+    store = ParamStore()
+    store.add("a", np.linspace(-1.0, 1.0, 4)).grad = np.ones(4, dtype=np.float32)
+    store.add("b", np.full(3, 0.5))
+    state = AdamState(store)
+    before = store.arrays()
+    with pytest.raises(TrainingError, match="missing gradient for trainable parameter 'b'"):
+        adam_step(state, lr=0.1, weight_decay=1e-5)
+    assert state.t == 0
+    for name, arr in before.items():
+        assert np.array_equal(store[name].data, arr)
+    assert not state.m.any() and not state.v.any()
+
+
+def test_adam_state_holds_the_trainable_values_in_one_buffer():
+    store = ParamStore()
+    a = store.add("a", np.arange(6.0).reshape(2, 3))
+    frozen = store.add("frozen", np.ones(2), trainable=False)
+    b = store.add("b", np.full((), 0.25))
+    state = AdamState(store)
+    assert all(p.data.base is state.values for _name, p in store.trainable())
+    assert frozen.data.base is not state.values
+    assert np.array_equal(state.values, [0, 1, 2, 3, 4, 5, 0.25])
+    saved = store.arrays()
+    a.grad = np.ones((2, 3), dtype=np.float32)
+    b.grad = np.ones((), dtype=np.float32)
+    adam_step(state, lr=0.1, weight_decay=0.0)
+    # the copies keep the values of before the step; the views see the step
+    assert np.array_equal(saved["a"], np.arange(6.0).reshape(2, 3)) and saved["b"] == 0.25
+    assert np.all(a.data < saved["a"]) and b.data < 0.25
+    assert np.array_equal(frozen.data, [1.0, 1.0])
+
+
+def test_adam_step_rejects_a_parameter_moved_off_the_buffer():
+    store = ParamStore()
+    a = store.add("a", np.ones(2))
+    b = store.add("b", np.ones(3))
+    state = AdamState(store)
+    b.data = b.data.copy()
+    a.grad = np.ones(2, dtype=np.float32)
+    b.grad = np.ones(3, dtype=np.float32)
+    with pytest.raises(TrainingError, match="'b' no longer views"):
+        adam_step(state, lr=0.1, weight_decay=0.0)
+    assert state.t == 0 and np.array_equal(a.data, [1.0, 1.0])
+
+
+def test_adam_state_rejects_mixed_dtypes():
+    store = ParamStore()
+    store.add("a", np.ones(2), dtype=np.float32)
+    store.add("b", np.ones(2), dtype=np.float64)
+    with pytest.raises(ArgumentError, match="share one dtype"):
+        AdamState(store)
+
+
+def per_tensor_adam_step(params, grads, m, v, t, lr, weight_decay):
+    """The per-tensor update the flat step replaced, over dicts of arrays."""
+    bc1 = 1.0 - training.ADAM_BETA1**t
+    bc2 = 1.0 - training.ADAM_BETA2**t
+    for name, data in params.items():
+        g = grads[name]
+        if weight_decay != 0.0:
+            g = g + weight_decay * data
+        m[name] *= training.ADAM_BETA1
+        m[name] += (1.0 - training.ADAM_BETA1) * g
+        v[name] *= training.ADAM_BETA2
+        v[name] += (1.0 - training.ADAM_BETA2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        data -= lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-5])
+def test_flat_adam_matches_the_per_tensor_rule_bit_for_bit(weight_decay):
+    rng = np.random.default_rng(11)
+    shapes = {"a": (1,), "b": (3,), "frozen": (4,), "c": (4, 5), "d": (2, 3, 3, 3)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape), trainable=name != "frozen")
+    frozen = store["frozen"].data.copy()
+    ref = {name: p.data.copy() for name, p in store.trainable()}
+    m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    state = AdamState(store)
+    for t, lr in enumerate((1e-3, 1e-3, 0.03, 0.03, 1e-3), start=1):
+        grads = {
+            name: (rng.normal(size=arr.shape) * 10.0 ** rng.uniform(-4, 1, arr.shape)).astype(np.float32)
+            for name, arr in ref.items()
+        }
+        for name, g in grads.items():
+            store[name].grad = g
+        per_tensor_adam_step(ref, grads, m, v, t, lr, weight_decay)
+        adam_step(state, lr, weight_decay)
+        for name, arr in ref.items():
+            assert np.array_equal(store[name].data, arr), (t, name)
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+    assert np.array_equal(store["frozen"].data, frozen)
 
 
 # ---------------------------------------------------------------------------
