@@ -54,7 +54,6 @@ from .training import (
     forward_pem,
     load_checkpoint,
     lr_at,
-    paper_train_config,
     predict_score,
     pretrain_pem,
     save_checkpoint,
@@ -108,7 +107,6 @@ __all__ = [
     "lr_at",
     "make_texture",
     "paper_scale_config",
-    "paper_train_config",
     "parse_run_text",
     "pem_loss",
     "plcc",

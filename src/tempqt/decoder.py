@@ -1,13 +1,18 @@
 """Top-down decoder from selected token layers to a predicted error map.
 
 Selected layers are aggregated shallow-to-deep by running addition,
-then each aggregate is reshaped onto the patch grid, convolved, and
-upsampled. The concatenated features pass a 1-channel head conv and a
-final resize to the image resolution; a sigmoid bounds the map to
-(0, 1). The first upsampling stage adapts to the patch size, and the
-final resize supplies the rest of the patch-size factor (8 -> 4x then
-2x, 16 -> 4x then 4x). Every step carries the batch: (B, N, d) tokens
-of cfg.num_patches patches give (B, 1, image_size, image_size) maps.
+then each aggregate is reshaped onto the patch grid, convolved and
+passed through GELU. The model then upsamples the concatenated features
+in two bilinear stages, with a 1-channel head conv between them, and a
+sigmoid bounds the map to (0, 1). The first stage adapts to the patch
+size and the second supplies the rest of the patch-size factor (8 -> 4x
+then 2x, 16 -> 4x then 4x).
+
+Everything from the GELUs to the sigmoid is linear, so
+``tensor.resized_conv2d_3x3`` runs upsample, head conv and final resize
+as one op on the patch grid, and the intermediate resolution is never
+built. Every step carries the batch: (B, N, d) tokens of
+cfg.num_patches patches give (B, 1, image_size, image_size) maps.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ def decoder_channels(cfg: ModelConfig) -> int:
 
 
 def upsample_stages(patch: int) -> int:
-    """The first of two bilinear upsampling stages; the second is patch // first."""
+    """Factor of the first of two bilinear upsampling stages; the second is patch // first.
+
+    The head conv acts between the stages, at grid * first pixels a
+    side. ``decode`` folds both stages and the conv into one op on the
+    patch grid, so the factor sets where the conv's taps fall, not the
+    size of any array.
+    """
     if patch % 4 == 0:
         return 4
     if patch % 2 == 0:
@@ -95,9 +106,7 @@ def decode(layer_tokens: list, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
     for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
         fmap = T.reshape(T.transpose(tokens), (bsz, d, grid, grid))
         fmap = T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"])
-        fmap = T.gelu(fmap)
-        feats.append(T.bilinear_resize(fmap, mid, mid))
+        feats.append(T.gelu(fmap))
     merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
-    head = T.conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"])
-    full = T.bilinear_resize(head, cfg.image_size, cfg.image_size)
-    return T.sigmoid(full)
+    head = T.resized_conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"], mid, cfg.image_size)
+    return T.sigmoid(head)

@@ -236,6 +236,15 @@ def _case_bilinear(rng):
     return [x], lambda: proj(T.bilinear_resize(x, 7, 9))
 
 
+def _case_resized_conv2d(rng):
+    # non-square input, upsampled by a non-integer factor, then down again
+    x = _leaf(rng, 2, 3, 4, 5)
+    w = _leaf(rng, 2, 3, 3, 3, scale=0.5)
+    b = _leaf(rng, 2)
+    proj = _projector(rng, (2, 2, 7, 7))
+    return [x, w, b], lambda: proj(T.resized_conv2d_3x3(x, w, b, 9, 7))
+
+
 def _case_gap(rng):
     x = _leaf(rng, 2, 3, 5, 5)
     proj = _projector(rng, (2, 12))
@@ -378,6 +387,7 @@ CASES = {
     "attention": _case_attention,
     "conv2d_3x3": _case_conv2d,
     "bilinear_resize": _case_bilinear,
+    "resized_conv2d_3x3": _case_resized_conv2d,
     "global_average_pool": _case_gap,
     "encoder_block": _case_encoder_block,
     "decoder": _case_decoder,

@@ -576,6 +576,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
 # spatial ops
 
 
+def _conv_shapes(x: Tensor, w: Tensor, b: Tensor, name: str) -> tuple:
+    """(B, C_in, H, W, C_out) of a 3x3 conv, after checking that the operands agree."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"{name} input must be (B, C, H, W), got {x.shape}")
+    if w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
+        raise DimensionError(f"{name} weight must be (C_out, C_in, 3, 3), got {w.shape}")
+    bsz, c_in, h, wid = x.data.shape
+    c_out = w.data.shape[0]
+    if w.data.shape[1] != c_in:
+        raise DimensionError(f"conv weight expects {w.data.shape[1]} input channels, got {c_in}")
+    if b.data.shape != (c_out,):
+        raise DimensionError(f"conv bias must have shape ({c_out},), got {b.shape}")
+    return bsz, c_in, h, wid, c_out
+
+
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3 cross-correlation, stride 1, zero padding 1, built from matmuls.
 
@@ -588,16 +603,7 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the nine tap offsets of a zero canvas and multiplies it by Xpad^T.
     No (C_in*9, H*W) im2col of the input is built or kept.
     """
-    if x.data.ndim != 4:
-        raise DimensionError(f"conv2d_3x3 input must be (B, C, H, W), got {x.shape}")
-    if w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
-        raise DimensionError(f"conv2d_3x3 weight must be (C_out, C_in, 3, 3), got {w.shape}")
-    bsz, c_in, h, wid = x.data.shape
-    c_out = w.data.shape[0]
-    if w.data.shape[1] != c_in:
-        raise DimensionError(f"conv weight expects {w.data.shape[1]} input channels, got {c_in}")
-    if b.data.shape != (c_out,):
-        raise DimensionError(f"conv bias must have shape ({c_out},), got {b.shape}")
+    bsz, c_in, h, wid, c_out = _conv_shapes(x, w, b, "conv2d_3x3")
     hp, wp = h + 2, wid + 2
     shifts = [divmod(tap, 3) for tap in range(9)]  # tap = 3 * di + dj
 
@@ -657,6 +663,12 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return r
 
 
+def _rows_cols(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ a @ cols^T on every trailing plane, each side as one flat matmul."""
+    t = np.swapaxes(_mm(a, cols.T), -1, -2)
+    return np.ascontiguousarray(np.swapaxes(_mm(t, rows.T), -1, -2))
+
+
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Resize (B, C, H, W) to (B, C, out_h, out_w) with half-pixel bilinear sampling."""
     if x.data.ndim != 4:
@@ -667,15 +679,73 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     ry = _resize_matrix(h, out_h).astype(x.data.dtype)
     rx = _resize_matrix(wid, out_w).astype(x.data.dtype)
 
-    def rows_cols(a, rows, cols):
-        # rows @ a @ cols^T on every (H, W) plane, each side as one flat matmul
-        t = np.swapaxes(_mm(a, cols.T), -1, -2)
-        return np.ascontiguousarray(np.swapaxes(_mm(t, rows.T), -1, -2))
+    def bwd(g):
+        return (_rows_cols(g, ry.T, rx.T),)
+
+    return _emit(_rows_cols(x.data, ry, rx), (x,), bwd)
+
+
+_fold_cache: dict = {}
+
+
+def _fold_matrix(n_in: int, n_mid: int, n_out: int) -> np.ndarray:
+    """[A_0 | A_1 | A_2], (n_out, 3 * n_in), with A_d = R(n_mid -> n_out) S_d R(n_in -> n_mid).
+
+    R is ``_resize_matrix``. S_d takes row i + d - 1 of what it meets,
+    and zero past either edge: tap d of a zero-padded 3x3 conv at n_mid.
+    """
+    key = (n_in, n_mid, n_out)
+    cached = _fold_cache.get(key)
+    if cached is not None:
+        return cached
+    padded = np.zeros((n_mid + 2, n_in), dtype=np.float64)
+    padded[1:-1] = _resize_matrix(n_in, n_mid)
+    down = _resize_matrix(n_mid, n_out)
+    fold = np.concatenate([down @ padded[d : d + n_mid] for d in range(3)], axis=1)
+    _fold_cache[key] = fold
+    return fold
+
+
+def resized_conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mid: int, out: int) -> Tensor:
+    """Resize (B, C_in, H, W) to mid x mid, 3x3 conv, resize to out x out; all at H x W.
+
+    Equals ``bilinear_resize(conv2d_3x3(bilinear_resize(x, mid, mid),
+    w, b), out, out)``. Both resizes and each zero-padded tap shift are
+    fixed matrices per axis, so the chain is the sum over taps (di, dj)
+    of A_di (W_tap x) A_dj^T plus b, where A_d is an (out, H) matrix
+    (``_fold_matrix``) and W_tap mixes the channels. Resize rows sum to
+    1, so the bias passes through unchanged. The forward stacks the nine
+    channel mixes as the (3H, 3W) blocks of one plane per sample and
+    output channel, and multiplies it by [A_0 | A_1 | A_2] on each side.
+    Nothing is built at mid x mid.
+    """
+    bsz, c_in, h, wid, c_out = _conv_shapes(x, w, b, "resized_conv2d_3x3")
+    if mid < 1 or out < 1:
+        raise ArgumentError(f"resize sizes must be positive, got {mid} and {out}")
+    ay = _fold_matrix(h, mid, out).astype(x.data.dtype)
+    ax = _fold_matrix(wid, mid, out).astype(x.data.dtype)
+
+    # channels lead, so one matmul mixes every tap over the whole batch;
+    # rows of w9 run over (C_out, di, dj)
+    x_mat = x.data.transpose(1, 0, 2, 3).reshape(c_in, bsz * h * wid)
+    w9 = w.data.transpose(0, 2, 3, 1).reshape(c_out * 9, c_in)
+    taps = (w9 @ x_mat).reshape(c_out, 3, 3, bsz, h, wid)
+    planes = taps.transpose(3, 0, 1, 4, 2, 5).reshape(bsz, c_out, 3 * h, 3 * wid)
+    y = _rows_cols(planes, ay, ax)
+    y += b.data[:, None, None]
 
     def bwd(g):
-        return (rows_cols(g, ry.T, rx.T),)
+        gb = g.sum(axis=(0, 2, 3)) if b.needs_grad else None
+        gplanes = _rows_cols(g, ay.T, ax.T).reshape(bsz, c_out, 3, h, 3, wid)
+        gtaps = gplanes.transpose(1, 2, 4, 0, 3, 5).reshape(c_out * 9, bsz * h * wid)
+        gw = gx = None
+        if w.needs_grad:
+            gw = (gtaps @ x_mat.T).reshape(c_out, 3, 3, c_in).transpose(0, 3, 1, 2)
+        if x.needs_grad:
+            gx = (w9.T @ gtaps).reshape(c_in, bsz, h, wid).transpose(1, 0, 2, 3)
+        return (gx, gw, gb)
 
-    return _emit(rows_cols(x.data, ry, rx), (x,), bwd)
+    return _emit(y, (x, w, b), bwd)
 
 
 def global_average_pool(x: Tensor, grid: int = 1) -> Tensor:

@@ -79,8 +79,7 @@ class TrainConfig:
 
     alpha is the stage-1 learning rate, beta the stage-2 rate. The
     desk-scale defaults are tuned for training the small configuration
-    from scratch; ``paper_train_config`` preserves the full-scale
-    fine-tuning preset.
+    from scratch.
     """
 
     alpha: float = 1e-3
@@ -112,11 +111,6 @@ class TrainConfig:
             raise ArgumentError(f"ablation_mode must be one of {ABLATION_MODES}")
         if self.share_backbone and self.ablation_mode == "pem_only":
             raise ArgumentError("share_backbone needs a quality-token branch; pem_only has none")
-
-
-def paper_train_config() -> TrainConfig:
-    """Full-scale preset: fine-tuning rates, up to 15 epochs per stage."""
-    return TrainConfig(alpha=2e-5, beta=2e-5, epochs_stage1=15, epochs_stage2=15)
 
 
 def lr_at(epoch: int, cfg: TrainConfig, base: float) -> float:

@@ -151,6 +151,67 @@ def test_decode_differentiable_to_tokens():
         assert np.any(tok.grad != 0.0)
 
 
+def reference_decode(layer_tokens, store, cfg):
+    """``decode`` with its head unfolded: resize each layer to mid, concat, head conv, resize."""
+    bsz, grid, d = layer_tokens[0].shape[0], cfg.grid, cfg.embed_dim
+    mid = grid * upsample_stages(cfg.patch_size)
+    feats = []
+    for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
+        fmap = T.reshape(T.transpose(tokens), (bsz, d, grid, grid))
+        fmap = T.gelu(T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"]))
+        feats.append(T.bilinear_resize(fmap, mid, mid))
+    head = T.conv2d_3x3(T.concat(feats, axis=1), store["dec.head.w"], store["dec.head.b"])
+    return T.sigmoid(T.bilinear_resize(head, cfg.image_size, cfg.image_size))
+
+
+def map_and_grads(fn, tokens, store, cfg, probe):
+    leaves = tokens + list(store.tensors())
+    T.zero_grads(leaves)
+    with T.Tape() as tape:
+        pem = fn(tokens, store, cfg)
+        T.backward(T.sum_(T.mul(pem, probe)), tape)
+    return pem.data, [leaf.grad for leaf in leaves]
+
+
+# the default grid (x4 then x2), patch 16 (x4 then x4), and patch 4,
+# whose first stage is the whole patch, so mid is the image size
+@pytest.mark.parametrize("patch", [8, 16, 4])
+@pytest.mark.parametrize("bsz", [1, 8])
+def test_decode_matches_the_unfolded_head(patch, bsz):
+    cfg = ModelConfig(patch_size=patch)
+    if patch == 4:
+        assert cfg.grid * upsample_stages(patch) == cfg.image_size
+    store = make_decoder_store(cfg)
+    rng = np.random.default_rng(patch + bsz)
+    tokens = [
+        T.Tensor(rng.normal(size=(bsz, cfg.num_patches, cfg.embed_dim)), requires_grad=True)
+        for _ in cfg.selected_layers
+    ]
+    # a positive probe: the head bias gradient sums it over every pixel,
+    # and a sign-mixed one would cancel to below float32's rounding of
+    # the terms
+    probe = T.constant(rng.uniform(0.5, 1.5, size=(bsz, 1, cfg.image_size, cfg.image_size)))
+    got_map, got_grads = map_and_grads(decode, tokens, store, cfg, probe)
+    ref_map, ref_grads = map_and_grads(reference_decode, tokens, store, cfg, probe)
+    assert got_map.dtype == np.float32
+    assert np.abs(got_map - ref_map).max() <= 1e-6
+    for got, ref in zip(got_grads, ref_grads):
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_decode_builds_nothing_at_the_mid_resolution():
+    cfg = ModelConfig()
+    mid = cfg.grid * upsample_stages(cfg.patch_size)
+    store = make_decoder_store(cfg)
+    tokens = [T.Tensor(t.data, requires_grad=True) for t in random_tokens(cfg)]
+    with T.Tape() as tape:
+        decode(tokens, store, cfg)
+    assert [n for n in tape.nodes if n.out.shape[-2:] == (mid, mid)] == []
+    # 4 layers of transpose, reshape, conv and GELU, 3 running sums, then
+    # concat, the folded head and the sigmoid
+    assert len(tape.nodes) == 22
+
+
 def test_init_head_bias_prior():
     cfg = tiny_config()
     store = make_decoder_store(cfg)

@@ -180,6 +180,33 @@ def test_bilinear_resize_known_values():
     assert np.allclose(same, x.data)
 
 
+@pytest.mark.parametrize("shape,mid,out", [((2, 3, 4, 5), 9, 7), ((1, 2, 8, 8), 32, 64), ((2, 1, 6, 6), 6, 6)])
+def test_resized_conv2d_3x3_is_resize_conv_resize(shape, mid, out):
+    rng = np.random.default_rng(0)
+    x, w, b = (T.constant(rng.normal(size=s), dtype=np.float64) for s in (shape, (2, shape[1], 3, 3), (2,)))
+    expect = T.bilinear_resize(T.conv2d_3x3(T.bilinear_resize(x, mid, mid), w, b), out, out).data
+    got = T.resized_conv2d_3x3(x, w, b, mid, out).data
+    assert got.shape == (shape[0], 2, out, out)
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
+
+
+def test_resized_conv2d_3x3_rejects_bad_shapes():
+    def make(*shape):
+        return T.constant(np.zeros(shape))
+
+    x, w, b = make(2, 3, 4, 4), make(1, 3, 3, 3), make(1)
+    for args in [
+        (make(3, 4, 4), w, b),  # no batch axis
+        (x, make(1, 3, 2, 2), b),  # not a 3x3 kernel
+        (x, make(1, 2, 3, 3), b),  # channel count differs
+        (x, w, make(2)),  # one bias per output channel
+    ]:
+        with pytest.raises(DimensionError):
+            T.resized_conv2d_3x3(*args, 8, 8)
+    with pytest.raises(ArgumentError, match="positive"):
+        T.resized_conv2d_3x3(x, w, b, 0, 8)
+
+
 def test_global_average_pool_regions():
     x = np.zeros((1, 1, 4, 4))
     x[0, 0, :2, :2] = 1.0

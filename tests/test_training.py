@@ -38,7 +38,6 @@ from tempqt.training import (
     evaluate_manifest,
     load_checkpoint,
     lr_at,
-    paper_train_config,
     pretrain_pem,
     save_checkpoint,
     store_from_checkpoint,
@@ -94,7 +93,7 @@ def test_train_config_rejects(kwargs):
 
 
 def test_lr_schedule_steps():
-    cfg = paper_train_config()
+    cfg = TrainConfig(alpha=2e-5)
     assert lr_at(0, cfg, cfg.alpha) == pytest.approx(2e-5, rel=1e-12)
     assert lr_at(4, cfg, cfg.alpha) == pytest.approx(2e-5, rel=1e-12)
     assert lr_at(5, cfg, cfg.alpha) == pytest.approx(1.8e-5, rel=1e-12)
