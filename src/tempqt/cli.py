@@ -99,11 +99,20 @@ def _load_run(args) -> RunConfig:
 # --- commands ---------------------------------------------------------------
 
 
+def _severity_list(text: str) -> tuple:
+    """--severities as ints; an entry that is no integer is an ArgumentError naming it."""
+    levels = []
+    for entry in text.split(","):
+        try:
+            levels.append(int(entry))
+        except ValueError:
+            raise ArgumentError(f"--severities entry {entry!r} is not an integer") from None
+    return tuple(levels)
+
+
 def cmd_synth(args) -> int:
     kinds = tuple(args.kinds.split(",")) if args.kinds else DISTORTION_KINDS
-    severities = (
-        tuple(int(s) for s in args.severities.split(",")) if args.severities else (1, 2, 3, 4, 5)
-    )
+    severities = _severity_list(args.severities) if args.severities else (1, 2, 3, 4, 5)
     names = sorted(
         n for n in os.listdir(args.bases) if n.lower().endswith((".pgm", ".ppm", ".pnm"))
     )

@@ -8,11 +8,12 @@ sigmoid bounds the map to (0, 1). The first stage adapts to the patch
 size and the second supplies the rest of the patch-size factor (8 -> 4x
 then 2x, 16 -> 4x then 4x).
 
-Everything from the GELUs to the sigmoid is linear, so
-``tensor.resized_conv2d_3x3`` runs upsample, head conv and final resize
-as one op on the patch grid, and the intermediate resolution is never
-built. Every step carries the batch: (B, N, d) tokens of
-cfg.num_patches patches give (B, 1, image_size, image_size) maps.
+All five convs are ``tensor.conv2d_3x3``. Everything from the GELUs to
+the sigmoid is linear, so the head conv takes both resize sizes and runs
+upsample, conv and final resize as one op on the patch grid; the
+intermediate resolution is never built. Every step carries the batch:
+(B, N, d) tokens of cfg.num_patches patches give (B, 1, image_size,
+image_size) maps.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ def upsample_stages(patch: int) -> int:
     """Factor of the first of two bilinear upsampling stages; the second is patch // first.
 
     The head conv acts between the stages, at grid * first pixels a
-    side. ``decode`` folds both stages and the conv into one op on the
-    patch grid, so the factor sets where the conv's taps fall, not the
-    size of any array.
+    side. ``decode`` passes that size to ``conv2d_3x3`` as ``mid``, which
+    folds both stages into the conv on the patch grid, so the factor sets
+    where the conv's taps fall, not the size of any array.
     """
     if patch % 4 == 0:
         return 4
@@ -108,5 +109,5 @@ def decode(layer_tokens: list, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
         fmap = T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"])
         feats.append(T.gelu(fmap))
     merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
-    head = T.resized_conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"], mid, cfg.image_size)
+    head = T.conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"], mid, cfg.image_size)
     return T.sigmoid(head)

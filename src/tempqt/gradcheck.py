@@ -242,7 +242,7 @@ def _case_resized_conv2d(rng):
     w = _leaf(rng, 2, 3, 3, 3, scale=0.5)
     b = _leaf(rng, 2)
     proj = _projector(rng, (2, 2, 7, 7))
-    return [x, w, b], lambda: proj(T.resized_conv2d_3x3(x, w, b, 9, 7))
+    return [x, w, b], lambda: proj(T.conv2d_3x3(x, w, b, 9, 7))
 
 
 def _case_gap(rng):
@@ -387,7 +387,7 @@ CASES = {
     "attention": _case_attention,
     "conv2d_3x3": _case_conv2d,
     "bilinear_resize": _case_bilinear,
-    "resized_conv2d_3x3": _case_resized_conv2d,
+    "conv2d_3x3_resized": _case_resized_conv2d,
     "global_average_pool": _case_gap,
     "encoder_block": _case_encoder_block,
     "decoder": _case_decoder,

@@ -22,9 +22,14 @@ Model tensors are batch-first: tokens are (B, N, d), feature maps
 on the trailing axes and carry any leading axes through: ``matmul``
 multiplies the last axis by a shared (k, m) weight, ``transpose`` swaps
 the last two axes, ``slice_rows`` and ``slice_cols`` cut axis -2 and -1,
-``softmax_rows`` and ``layer_norm`` normalize the last axis,
-``attention`` runs multi-head attention over (B, N, d), and the spatial
-ops take (B, C, H, W).
+``softmax_rows`` and ``layer_norm`` normalize the last axis, and
+``attention`` runs multi-head attention over (B, N, d).
+
+The spatial ops take (B, C, H, W). ``conv2d_3x3`` is the one 3x3 conv.
+It may resize bilinearly before and after the conv, and it runs as nine
+channel mixes between fixed per-axis matrices that hold the resizes and
+the tap shifts, so no resized map is built. ``bilinear_resize`` resizes
+on its own, and ``global_average_pool`` pools to a small grid.
 
 Broadcasting is deliberately limited. ``add`` and ``sub`` take two
 tensors of equal shape; ``mul`` also takes a plain number, which is how
@@ -576,70 +581,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
 # spatial ops
 
 
-def _conv_shapes(x: Tensor, w: Tensor, b: Tensor, name: str) -> tuple:
-    """(B, C_in, H, W, C_out) of a 3x3 conv, after checking that the operands agree."""
-    if x.data.ndim != 4:
-        raise DimensionError(f"{name} input must be (B, C, H, W), got {x.shape}")
-    if w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
-        raise DimensionError(f"{name} weight must be (C_out, C_in, 3, 3), got {w.shape}")
-    bsz, c_in, h, wid = x.data.shape
-    c_out = w.data.shape[0]
-    if w.data.shape[1] != c_in:
-        raise DimensionError(f"conv weight expects {w.data.shape[1]} input channels, got {c_in}")
-    if b.data.shape != (c_out,):
-        raise DimensionError(f"conv bias must have shape ({c_out},), got {b.shape}")
-    return bsz, c_in, h, wid, c_out
-
-
-def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 cross-correlation, stride 1, zero padding 1, built from matmuls.
-
-    x is (B, C_in, H, W), w is (C_out, C_in, 3, 3), b is (C_out,). The
-    forward multiplies all nine kernel taps at once against the padded
-    input, W9 (9*C_out, C_in) @ Xpad (C_in, B*(H+2)*(W+2)), and sums the
-    nine tap planes at their shifts. The input gradient is the flipped,
-    channel-swapped kernel times the im2col of the padded output gradient
-    (C_out*9 rows); the weight gradient places the output gradient at
-    the nine tap offsets of a zero canvas and multiplies it by Xpad^T.
-    No (C_in*9, H*W) im2col of the input is built or kept.
-    """
-    bsz, c_in, h, wid, c_out = _conv_shapes(x, w, b, "conv2d_3x3")
-    hp, wp = h + 2, wid + 2
-    shifts = [divmod(tap, 3) for tap in range(9)]  # tap = 3 * di + dj
-
-    # channels lead, so one matmul covers the whole batch
-    xp = np.zeros((c_in, bsz, hp, wp), dtype=x.data.dtype)
-    xp[:, :, 1:-1, 1:-1] = x.data.transpose(1, 0, 2, 3)
-    x_mat = xp.reshape(c_in, bsz * hp * wp)
-    w9 = w.data.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)
-    taps = (w9 @ x_mat).reshape(9, c_out, bsz, hp, wp)
-    out = taps[0, :, :, :h, :wid] + b.data[:, None, None, None]
-    for tap, (di, dj) in enumerate(shifts[1:], 1):
-        out += taps[tap, :, :, di : di + h, dj : dj + wid]
-
-    def bwd(g):
-        gt = g.transpose(1, 0, 2, 3)  # (C_out, B, H, W)
-        gb = gt.sum(axis=(1, 2, 3)) if b.needs_grad else None
-        gw = gx = None
-        if w.needs_grad:
-            canvas = np.zeros((9, c_out, bsz, hp, wp), dtype=g.dtype)
-            for tap, (di, dj) in enumerate(shifts):
-                canvas[tap, :, :, di : di + h, dj : dj + wid] = gt
-            gw9 = canvas.reshape(9 * c_out, bsz * hp * wp) @ x_mat.T
-            gw = gw9.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1)
-        if x.needs_grad:
-            gp = np.zeros((c_out, bsz, hp, wp), dtype=g.dtype)
-            gp[:, :, 1:-1, 1:-1] = gt
-            windows = np.lib.stride_tricks.sliding_window_view(gp, (3, 3), axis=(2, 3))
-            # (C_out, B, H, W, 3, 3) -> (C_out*9, B*H*W)
-            cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c_out * 9, bsz * h * wid)
-            flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * 9)
-            gx = (flipped @ cols).reshape(c_in, bsz, h, wid).transpose(1, 0, 2, 3)
-        return (gx, gw, gb)
-
-    return _emit(np.ascontiguousarray(out.transpose(1, 0, 2, 3)), (x, w, b), bwd)
-
-
 _resize_rows_cache: dict = {}
 
 
@@ -706,24 +647,45 @@ def _fold_matrix(n_in: int, n_mid: int, n_out: int) -> np.ndarray:
     return fold
 
 
-def resized_conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mid: int, out: int) -> Tensor:
-    """Resize (B, C_in, H, W) to mid x mid, 3x3 conv, resize to out x out; all at H x W.
+def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mid: int | None = None, out: int | None = None) -> Tensor:
+    """3x3 cross-correlation, stride 1, zero padding 1, optionally between two bilinear resizes.
 
-    Equals ``bilinear_resize(conv2d_3x3(bilinear_resize(x, mid, mid),
-    w, b), out, out)``. Both resizes and each zero-padded tap shift are
-    fixed matrices per axis, so the chain is the sum over taps (di, dj)
-    of A_di (W_tap x) A_dj^T plus b, where A_d is an (out, H) matrix
-    (``_fold_matrix``) and W_tap mixes the channels. Resize rows sum to
-    1, so the bias passes through unchanged. The forward stacks the nine
-    channel mixes as the (3H, 3W) blocks of one plane per sample and
-    output channel, and multiplies it by [A_0 | A_1 | A_2] on each side.
-    Nothing is built at mid x mid.
+    x is (B, C_in, H, W), w is (C_out, C_in, 3, 3), b is (C_out,). With
+    ``mid`` and ``out`` the op equals ``bilinear_resize(conv(
+    bilinear_resize(x, mid, mid)), out, out)``. A ``None`` leaves that
+    side unresized, per axis, so ``conv2d_3x3(x, w, b)`` is the plain
+    conv at H x W and keeps a non-square shape.
+
+    Both resizes and each zero-padded tap shift are fixed matrices per
+    axis, so the op is the sum over taps (di, dj) of A_di (W_tap x) A_dj^T
+    plus b, where A_d is an (out, H) matrix (``_fold_matrix``) and W_tap
+    mixes the channels; with no resize, A_d is the 0/1 shift itself.
+    Resize rows sum to 1, so the bias passes through unchanged. The
+    forward stacks the nine channel mixes as the (3H, 3W) blocks of one
+    plane per sample and output channel, and multiplies it by
+    [A_0 | A_1 | A_2] on each side. Nothing is built at mid x mid. The
+    fold matrices are dense, so the shifts cost O(H + W) per output pixel
+    where a sliding window costs O(1); every model caller runs at the
+    patch grid (at most 14 a side at paper scale), where that is small.
     """
-    bsz, c_in, h, wid, c_out = _conv_shapes(x, w, b, "resized_conv2d_3x3")
-    if mid < 1 or out < 1:
+    if x.data.ndim != 4:
+        raise DimensionError(f"conv2d_3x3 input must be (B, C, H, W), got {x.shape}")
+    if w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
+        raise DimensionError(f"conv2d_3x3 weight must be (C_out, C_in, 3, 3), got {w.shape}")
+    bsz, c_in, h, wid = x.data.shape
+    c_out = w.data.shape[0]
+    if w.data.shape[1] != c_in:
+        raise DimensionError(f"conv weight expects {w.data.shape[1]} input channels, got {c_in}")
+    if b.data.shape != (c_out,):
+        raise DimensionError(f"conv bias must have shape ({c_out},), got {b.shape}")
+    if (mid is not None and mid < 1) or (out is not None and out < 1):
         raise ArgumentError(f"resize sizes must be positive, got {mid} and {out}")
-    ay = _fold_matrix(h, mid, out).astype(x.data.dtype)
-    ax = _fold_matrix(wid, mid, out).astype(x.data.dtype)
+
+    def fold(n: int) -> np.ndarray:
+        n_mid = n if mid is None else mid
+        return _fold_matrix(n, n_mid, n_mid if out is None else out).astype(x.data.dtype)
+
+    ay, ax = fold(h), fold(wid)
 
     # channels lead, so one matmul mixes every tap over the whole batch;
     # rows of w9 run over (C_out, di, dj)

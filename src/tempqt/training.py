@@ -470,6 +470,8 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
     """Adam over shuffled batches of ``epoch_items(epoch)``, one step per batch.
 
     A step's TrainingError ends the log with an ``error=`` line and propagates.
+    Steps run with numpy's overflow, invalid and divide warnings off, so a
+    diverging run reports only that error.
     """
     if stage == 1:
         epochs, base_lr = train_cfg.epochs_stage1, train_cfg.alpha
@@ -484,14 +486,15 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
 
         epoch_losses = []
         for batch, start in enumerate(range(0, len(items), train_cfg.batch_size)):
-            with Tape() as tape:
-                loss = batch_loss(items[start : start + train_cfg.batch_size])
-            try:
-                backward(loss, tape)
-                adam_step(state, lr, train_cfg.weight_decay)
-            except TrainingError as exc:
-                log.line(f"stage={stage} epoch={epoch} batch={batch} error={exc}")
-                raise
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with Tape() as tape:
+                    loss = batch_loss(items[start : start + train_cfg.batch_size])
+                try:
+                    backward(loss, tape)
+                    adam_step(state, lr, train_cfg.weight_decay)
+                except TrainingError as exc:
+                    log.line(f"stage={stage} epoch={epoch} batch={batch} error={exc}")
+                    raise
             zero_grads(store.tensors())
             value = loss.item()
             if not logged_first:

@@ -3,8 +3,8 @@
 ``bench/tracer.py`` refuses to run when a name in its ``TARGETS`` is
 missing, so a rename or deletion in ``src/`` would break the benchmark
 without failing a test here. These tests read the tracer and fail first:
-one checks the list, one that a tape node's backward closure still
-names the op the tracer files its time under.
+one checks the list, the others that a tape node's backward closure
+still names the op the tracer files its time under.
 """
 
 import importlib
@@ -14,6 +14,10 @@ import os
 import numpy as np
 
 from tempqt import tensor as T
+from tempqt.decoder import decode, decoder_params
+from tempqt.encoder import ModelConfig
+from tempqt.params import ParamStore, fill
+from tempqt.rng import CounterRng
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
 
@@ -47,3 +51,24 @@ def test_tracer_files_gelu_backward_under_gelu():
             T.gelu(a)
         (node,) = tape.nodes
         assert tracer.closure_op_class(node.backward.__qualname__) == "gelu"
+
+
+def test_tracer_files_every_decoder_conv_under_conv2d_3x3():
+    # the four layer convs and the head, whose resizes fold into its conv
+    tracer = load_tracer()
+    cfg = ModelConfig()
+    store = ParamStore()
+    fill(store, decoder_params(cfg), CounterRng(0))
+    rng = np.random.default_rng(0)
+    tokens = [
+        T.Tensor(rng.normal(size=(2, cfg.num_patches, cfg.embed_dim)), requires_grad=True)
+        for _ in cfg.selected_layers
+    ]
+    with T.Tape() as tape:
+        decode(tokens, store, cfg)
+    weights = {id(t) for name, t in store.items() if name.endswith(".w")}
+    convs = [node for node in tape.nodes if any(id(t) in weights for t in node.inputs)]
+    assert len(convs) == 5
+    assert [tracer.closure_op_class(node.backward.__qualname__) for node in convs] == ["conv2d_3x3"] * 5
+    classes = [tracer.closure_op_class(node.backward.__qualname__) for node in tape.nodes]
+    assert classes.count("conv2d_3x3") == 5

@@ -195,13 +195,12 @@ def test_diverging_pretrain_exit_1_without_checkpoint(pipeline, tmp_path, capsys
         encoding="utf-8",
     )
     out = tmp_path / "run"
-    # the run overflows on purpose; unsilenced, the test's warnings-as-errors
-    # filter would raise numpy's overflow warning in place of the loss check
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main([
-            "pretrain", "--config", str(cfg),
-            "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
-        ])
+    # the run overflows on purpose; under the warnings-as-errors filter a
+    # numpy warning would surface in place of the loss check
+    rc = cli.main([
+        "pretrain", "--config", str(cfg),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ])
     assert rc == 1
     assert "non-finite loss" in capsys.readouterr().err
     assert not (out / "pem.ckpt").exists()
@@ -242,6 +241,18 @@ def test_synth_comma_in_base_name_exit_1(tmp_path, capsys):
     assert "dist_path 'dist/a,b_pristine.pgm' holds a comma" in capsys.readouterr().err
     assert not (out / "manifest.csv").exists()
     assert list(out.rglob("*.pgm")) == []  # validated before any image is written
+
+
+@pytest.mark.parametrize("severities,bad", [("1,,2", "''"), ("x", "'x'")])
+def test_synth_bad_severity_exit_1(tmp_path, capsys, severities, bad):
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    for seed in (1, 2):
+        save_image(make_texture(32, 32, seed=seed), bases / f"b{seed}.pgm")
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--bases", str(bases), "--out", str(out), "--severities", severities]) == 1
+    assert f"error: --severities entry {bad} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):

@@ -15,7 +15,7 @@ DIFFERENTIABLE_OPS = [
     "gelu", "prelu", "sigmoid", "matmul", "transpose", "reshape",
     "concat", "slice_rows", "slice_cols", "add_row_bias", "linear",
     "softmax_rows", "layer_norm", "attention", "conv2d_3x3", "bilinear_resize",
-    "resized_conv2d_3x3", "global_average_pool",
+    "global_average_pool",
 ]
 
 

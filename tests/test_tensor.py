@@ -180,17 +180,52 @@ def test_bilinear_resize_known_values():
     assert np.allclose(same, x.data)
 
 
-@pytest.mark.parametrize("shape,mid,out", [((2, 3, 4, 5), 9, 7), ((1, 2, 8, 8), 32, 64), ((2, 1, 6, 6), 6, 6)])
-def test_resized_conv2d_3x3_is_resize_conv_resize(shape, mid, out):
+def conv_reference(x, w, b):
+    """Plain numpy 3x3 conv, zero padding 1: the sum of nine shifted channel mixes."""
+    h, wid = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = sum(
+        np.einsum("oc,bchw->bohw", w[:, :, di, dj], xp[:, :, di : di + h, dj : dj + wid])
+        for di in range(3)
+        for dj in range(3)
+    )
+    return out + b[:, None, None]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 6, 5), (8, 64, 8, 8)])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_conv2d_3x3_matches_numpy_reference(shape, dtype, tol):
+    rng = np.random.default_rng(1)
+    x, w, b = (rng.normal(size=s).astype(dtype) for s in (shape, (16, shape[1], 3, 3), (16,)))
+    got = T.conv2d_3x3(*(T.constant(a, dtype=dtype) for a in (x, w, b))).data
+    expect = conv_reference(*(a.astype(np.float64) for a in (x, w, b)))
+    assert got.dtype == dtype and got.shape == expect.shape
+    # float64 to an absolute 1e-12; float32 to 1e-6 of the largest entry
+    atol = tol if dtype == np.float64 else tol * np.abs(expect).max()
+    assert np.allclose(got, expect, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "shape,mid,out",
+    [
+        ((2, 3, 4, 5), 9, 7), ((1, 2, 8, 8), 32, 64), ((2, 1, 6, 6), 6, 6),
+        ((2, 3, 4, 5), None, 7), ((2, 3, 4, 5), 9, None),
+    ],
+)
+def test_conv2d_3x3_resized_is_resize_conv_resize(shape, mid, out):
+    # a None skips that resize, so the plain conv keeps a non-square map
     rng = np.random.default_rng(0)
-    x, w, b = (T.constant(rng.normal(size=s), dtype=np.float64) for s in (shape, (2, shape[1], 3, 3), (2,)))
-    expect = T.bilinear_resize(T.conv2d_3x3(T.bilinear_resize(x, mid, mid), w, b), out, out).data
-    got = T.resized_conv2d_3x3(x, w, b, mid, out).data
-    assert got.shape == (shape[0], 2, out, out)
+    x, w, b = (rng.normal(size=s) for s in (shape, (2, shape[1], 3, 3), (2,)))
+    inner = x if mid is None else T.bilinear_resize(T.constant(x, dtype=np.float64), mid, mid).data
+    expect = conv_reference(inner, w, b)
+    if out is not None:
+        expect = T.bilinear_resize(T.constant(expect, dtype=np.float64), out, out).data
+    got = T.conv2d_3x3(*(T.constant(a, dtype=np.float64) for a in (x, w, b)), mid, out).data
+    assert got.shape == expect.shape
     assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
 
 
-def test_resized_conv2d_3x3_rejects_bad_shapes():
+def test_conv2d_3x3_rejects_bad_shapes():
     def make(*shape):
         return T.constant(np.zeros(shape))
 
@@ -201,10 +236,12 @@ def test_resized_conv2d_3x3_rejects_bad_shapes():
         (x, make(1, 2, 3, 3), b),  # channel count differs
         (x, w, make(2)),  # one bias per output channel
     ]:
-        with pytest.raises(DimensionError):
-            T.resized_conv2d_3x3(*args, 8, 8)
-    with pytest.raises(ArgumentError, match="positive"):
-        T.resized_conv2d_3x3(x, w, b, 0, 8)
+        for sizes in [(), (8, 8)]:
+            with pytest.raises(DimensionError):
+                T.conv2d_3x3(*args, *sizes)
+    for sizes in [(0, 8), (8, 0), (0, None)]:
+        with pytest.raises(ArgumentError, match="positive"):
+            T.conv2d_3x3(x, w, b, *sizes)
 
 
 def test_global_average_pool_regions():
