@@ -8,7 +8,7 @@ band-limited oriented sinusoid mixtures, deterministic in the seed.
 import argparse
 import os
 
-from tempqt import make_texture, save_image
+from tempqt.imaging import make_texture, save_image
 from tempqt.rng import derive_seed
 
 

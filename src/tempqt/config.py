@@ -11,6 +11,7 @@ line, so equal configurations produce identical text.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -74,7 +75,10 @@ def _parse_value(key: str, text: str, kind: type):
         if kind is int:
             return int(text)
         if kind is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError("expected a finite number")
+            return value
         if kind is tuple:
             if not text:
                 return ()

@@ -158,6 +158,13 @@ def _parse_pnm(data: bytes) -> tuple[str, int, int, int, np.ndarray]:
         dtype = ">u2" if maxval == 65535 else np.uint8
         samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     else:
+        # each sample needs a digit and a separator; check before allocating
+        raster = len(data) - reader.pos - 1
+        if raster < 2 * count - 1:
+            raise ParseError(
+                f"truncated raster: {count} samples need at least {2 * count - 1} bytes, file has {max(raster, 0)}",
+                len(data),
+            )
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
             v, off = reader.integer("sample value")

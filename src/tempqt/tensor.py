@@ -42,6 +42,9 @@ broadcast.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from scipy.special import erf, expit
 
@@ -401,7 +404,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     src_shape = a.data.shape
     return _emit(a.data.reshape(shape), (a,), lambda g: (g.reshape(src_shape),))
@@ -488,19 +491,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # normalization and attention kernels
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-shifted for stability."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of y = softmax(logits), given g at y."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-shifted for stability."""
     if x.data.ndim < 1 or x.data.shape[-1] < 1:
         raise DimensionError(f"softmax_rows needs a non-empty last axis, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _emit(y, (x,), bwd)
+    y = _softmax(x.data)
+    return _emit(y, (x,), lambda g: (_softmax_vjp(y, g),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -561,14 +568,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
         return a.transpose(0, 2, 1, 3).reshape(b, n, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    logits = (qh @ np.swapaxes(kh, -1, -2)) * scale_
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
+    att = _softmax((qh @ np.swapaxes(kh, -1, -2)) * scale_)
 
     def bwd(g):
         gh = split(g)
         gatt = gh @ np.swapaxes(vh, -1, -2)
-        glog = att * (gatt - (gatt * att).sum(axis=-1, keepdims=True)) * scale_
+        glog = _softmax_vjp(att, gatt) * scale_
         gq = merge(glog @ kh) if q.needs_grad else None
         gk = merge(np.swapaxes(glog, -1, -2) @ qh) if k.needs_grad else None
         gv = merge(np.swapaxes(att, -1, -2) @ gh) if v.needs_grad else None
@@ -581,15 +586,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
 # spatial ops
 
 
-_resize_rows_cache: dict = {}
-
-
+@functools.cache
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic interpolation matrix for one axis, half-pixel centers."""
-    key = (n_in, n_out)
-    cached = _resize_rows_cache.get(key)
-    if cached is not None:
-        return cached
     r = np.zeros((n_out, n_in), dtype=np.float64)
     ratio = n_in / n_out
     for o in range(n_out):
@@ -600,7 +599,6 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
         frac = s - i0
         r[o, i0] += 1.0 - frac
         r[o, i1] += frac
-    _resize_rows_cache[key] = r
     return r
 
 
@@ -626,25 +624,17 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _emit(_rows_cols(x.data, ry, rx), (x,), bwd)
 
 
-_fold_cache: dict = {}
-
-
+@functools.cache
 def _fold_matrix(n_in: int, n_mid: int, n_out: int) -> np.ndarray:
     """[A_0 | A_1 | A_2], (n_out, 3 * n_in), with A_d = R(n_mid -> n_out) S_d R(n_in -> n_mid).
 
     R is ``_resize_matrix``. S_d takes row i + d - 1 of what it meets,
     and zero past either edge: tap d of a zero-padded 3x3 conv at n_mid.
     """
-    key = (n_in, n_mid, n_out)
-    cached = _fold_cache.get(key)
-    if cached is not None:
-        return cached
     padded = np.zeros((n_mid + 2, n_in), dtype=np.float64)
     padded[1:-1] = _resize_matrix(n_in, n_mid)
     down = _resize_matrix(n_mid, n_out)
-    fold = np.concatenate([down @ padded[d : d + n_mid] for d in range(3)], axis=1)
-    _fold_cache[key] = fold
-    return fold
+    return np.concatenate([down @ padded[d : d + n_mid] for d in range(3)], axis=1)
 
 
 def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mid: int | None = None, out: int | None = None) -> Tensor:

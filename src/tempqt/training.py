@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -403,8 +404,7 @@ def load_checkpoint(path) -> Checkpoint:
         ndim = cur.unpack("<B", "ndim")
         shape = tuple(cur.unpack("<I", "dimension") for _ in range(ndim))
         nbytes = cur.unpack("<Q", "data length")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if nbytes != 4 * count:
+        if nbytes != 4 * math.prod(shape):
             raise CheckpointError(f"{path}: parameter {name!r} length mismatch")
         arr = np.frombuffer(cur.take(nbytes, f"data for {name!r}"), dtype="<f4")
         if not np.isfinite(arr).all():

@@ -3,15 +3,19 @@
 ``bench/tracer.py`` refuses to run when a name in its ``TARGETS`` is
 missing, so a rename or deletion in ``src/`` would break the benchmark
 without failing a test here. These tests read the tracer and fail first:
-one checks the list, the others that a tape node's backward closure
-still names the op the tracer files its time under.
+one checks the list, two that the benchmark's entry modules load every
+listed module, the others that a tape node's backward closure still
+names the op the tracer files its time under.
 """
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from tempqt import tensor as T
 from tempqt.decoder import decode, decoder_params
@@ -19,7 +23,8 @@ from tempqt.encoder import ModelConfig
 from tempqt.params import ParamStore, fill
 from tempqt.rng import CounterRng
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "bench", "tracer.py")
 
 
 def load_tracer():
@@ -38,6 +43,20 @@ def test_every_benchmark_target_exists():
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("entry", ["tempqt.cli", "tempqt.training"])
+def test_benchmark_entry_module_loads_every_target_module(entry):
+    # the tracer only wraps modules already in sys.modules, and the package
+    # imports none of its modules itself; the benchmark's workloads import
+    # tempqt.cli and its tests tempqt.training, so each is probed alone in
+    # a fresh interpreter
+    modules = sorted({module for module, _function, _span in load_tracer().TARGETS})
+    probe = f"import sys, {entry}; print(' '.join(m for m in {modules!r} if m not in sys.modules))"
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []
 
 
 def test_tracer_files_gelu_backward_under_gelu():

@@ -207,6 +207,28 @@ def test_diverging_pretrain_exit_1_without_checkpoint(pipeline, tmp_path, capsys
     assert "error=" in (out / "pretrain.log").read_text().splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (("alpha = 0.001", "alpha = nan"), "alpha"),
+        (("embed_dim = 16", "embed_dim = 16\nmlp_ratio = nan"), "mlp_ratio"),
+        (("beta = 0.001", "beta = inf"), "beta"),
+    ],
+)
+def test_non_finite_config_value_exit_1(pipeline, tmp_path, capsys, edit, key):
+    # nan passes every range check, so the parser rejects it by name
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_RUN_CONFIG.replace(*edit), encoding="utf-8")
+    out = tmp_path / "run"
+    rc = cli.main([
+        "pretrain", "--config", str(cfg),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert f"error: bad value for {key}:" in capsys.readouterr().err
+    assert not (out / "pem.ckpt").exists()
+
+
 def test_non_finite_checkpoint_exit_1(pipeline, tmp_path, capsys):
     ckpt = load_checkpoint(pipeline["run"] / "pem.ckpt")
     ckpt.params["pem.block1.mlp.w1"][0, 0] = np.nan

@@ -75,6 +75,18 @@ def test_malformed_files_raise(tmp_path, data):
         load_image(write(tmp_path, "bad.pgm", data))
 
 
+def test_ascii_header_larger_than_file_raises_before_allocating(tmp_path):
+    # 10^18 samples would take exbibytes; a 33-byte file cannot hold them
+    data = b"P2\n1000000000 1000000000\n255\n0 1\n"
+    with pytest.raises(ParseError, match="truncated raster"):
+        load_image(write(tmp_path, "huge.pgm", data))
+
+
+def test_ascii_raster_of_exactly_one_byte_per_sample_and_separator(tmp_path):
+    img = load_image(write(tmp_path, "a.pgm", b"P2\n3 1\n255\n1 2 3"))
+    assert np.allclose(img.pixels, [[1 / 255.0, 2 / 255.0, 3 / 255.0]], atol=1e-7)
+
+
 def test_save_golden_and_round_trip(tmp_path):
     img = GrayImage(1, 2, np.array([[0.0, 1.0]], dtype=np.float32))
     path = tmp_path / "out.pgm"

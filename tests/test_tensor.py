@@ -107,6 +107,8 @@ def test_matmul_transpose_reshape_concat_slice():
     assert np.allclose(T.matmul(a, b).data, [[17.0], [39.0]])
     assert np.allclose(T.transpose(a).data, [[1, 3], [2, 4]])
     assert T.reshape(a, (4,)).shape == (4,)
+    with pytest.raises(DimensionError):  # 65536^4 = 2^64 wraps to 0 in int64
+        T.reshape(T.constant(np.zeros(0)), (65536,) * 4)
     c = T.concat([a, a], axis=0)
     assert c.shape == (4, 2)
     assert np.allclose(T.slice_rows(c, 2, 4).data, a.data)

@@ -341,6 +341,19 @@ def test_checkpoint_truncation(micro_pem_ckpt, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_size_that_overflows_int64_names_the_parameter(micro_pem_ckpt, tmp_path):
+    # 65536^4 = 2^64 wraps to 0 in int64, so it would match a data length of 0
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(micro_pem_ckpt, path)
+    blob = path.read_bytes()
+    (text_len,) = struct.unpack_from("<I", blob, 8)  # after the magic and version byte
+    name = next(iter(micro_pem_ckpt.params)).encode("utf-8")
+    param = struct.pack("<IH", 1, len(name)) + name + struct.pack("<B4IQ", 4, *(65536,) * 4, 0)
+    path.write_bytes(blob[: 12 + text_len] + param)
+    with pytest.raises(CheckpointError, match=f"parameter '{name.decode()}' length mismatch"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bad_version(micro_pem_ckpt, tmp_path):
     path = tmp_path / "v.ckpt"
     save_checkpoint(micro_pem_ckpt, path)
