@@ -7,6 +7,10 @@ attention maps), gradcheck (finite-difference audit of every case in
 fully resolved configuration beside its outputs, so a run directory is
 self-describing.
 
+eval reports SROCC and PLCC per split, and ``n/a`` for a metric that is
+undefined on a split: fewer than two samples, or constant scores or
+constant predictions.
+
 maps draws the maps of each image's center crop of the checkpoint's
 image_size: the crop of size s at ((H - s) // 2, (W - s) // 2). An
 image of exactly s is its own crop, and one smaller than s on either
@@ -179,16 +183,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _metric_text(metric, targets, preds) -> str:
+    """The metric to six places, or n/a where it is undefined on the split:
+    fewer than two samples, or constant targets or predictions."""
+    try:
+        return f"{metric(targets, preds):.6f}"
+    except MetricError:
+        return "n/a"
+
+
 def cmd_eval(args) -> int:
     run = _load_run(args)
     manifest = load_manifest(run.manifest)
     ckpt = load_checkpoint(args.ckpt)
     check_model_compat(ckpt.model_cfg, run.model)
-    # scores everything first, so a bad checkpoint or image leaves no output
+    # scores and reports everything first, so a bad checkpoint or image
+    # leaves no output
     results = evaluate_manifest(manifest, ckpt)
-    out = _ensure_out(run.out_dir)
-    _resolved_run(run, out, "eval")
-
     report_lines = []
     csv_lines = ["dist_path,y,pred"]
     for split, (paths, targets, preds) in results.items():
@@ -196,14 +207,14 @@ def cmd_eval(args) -> int:
             continue
         for path, y, p in zip(paths, targets, preds):
             csv_lines.append(f"{path},{y!r},{p!r}")
-        if len(paths) >= 2:
-            line = (
-                f"split={split} n={len(paths)} "
-                f"srocc={srocc(targets, preds):.6f} plcc={plcc(targets, preds):.6f}"
-            )
-        else:
-            line = f"split={split} n={len(paths)} srocc=n/a plcc=n/a"
-        report_lines.append(line)
+        report_lines.append(
+            f"split={split} n={len(paths)} srocc={_metric_text(srocc, targets, preds)} "
+            f"plcc={_metric_text(plcc, targets, preds)}"
+        )
+
+    out = _ensure_out(run.out_dir)
+    _resolved_run(run, out, "eval")
+    for line in report_lines:
         print(line)
     _write(os.path.join(out, "report.txt"), "\n".join(report_lines) + "\n")
     _write(os.path.join(out, "predictions.csv"), "\n".join(csv_lines) + "\n")

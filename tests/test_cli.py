@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline at tiny scale, plus error and exit-code paths."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from tempqt import cli
 from tempqt import gradcheck
 from tempqt import tensor as T
-from tempqt.data import load_manifest
+from tempqt.data import load_manifest, save_manifest
 from tempqt.encoder import ModelConfig
 from tempqt.errors import CheckpointError
 from tempqt.imaging import GrayImage, load_image, make_texture, save_image
@@ -154,6 +155,41 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def test_eval_reports_undefined_correlations_as_na(pipeline, tmp_path, capsys):
+    # constant test scores, then a fusion head whose output ignores its input
+    ds = pipeline["ds"]
+    manifest = load_manifest(str(ds / "manifest.csv"))
+    flat = tmp_path / "flat.csv"
+    save_manifest(dataclasses.replace(manifest, samples=[
+        dataclasses.replace(
+            s, dist_path=str(ds / s.dist_path), ref_path=str(ds / s.ref_path),
+            score=0.5 if s.split == "test" else s.score,
+        )
+        for s in manifest.samples
+    ]), flat)
+    ckpt = load_checkpoint(pipeline["run"] / "quality.ckpt")
+    ckpt.params["fuse.mlp2.w2"][:] = 0.0
+    const = tmp_path / "const.ckpt"
+    save_checkpoint(ckpt, const)
+    cases = [
+        (flat, pipeline["run"] / "quality.ckpt", ("train",), ("test",)),
+        (ds / "manifest.csv", const, (), ("train", "test")),
+    ]
+    for i, (manifest_path, ckpt_path, defined, undefined) in enumerate(cases):
+        out = tmp_path / f"e{i}"
+        assert cli.main([
+            "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt_path),
+            "--manifest", str(manifest_path), "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        report = dict(line.split(" ", 1) for line in (out / "report.txt").read_text().splitlines())
+        for split in defined:
+            assert "n/a" not in report[f"split={split}"]
+        for split in undefined:
+            assert report[f"split={split}"].endswith(" srocc=n/a plcc=n/a")
+        assert len((out / "predictions.csv").read_text().splitlines()) == 1 + 3 * 7
 
 
 def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):

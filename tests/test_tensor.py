@@ -1,6 +1,11 @@
 """Tensor op semantics and the taped backward pass."""
 
 import inspect
+import os
+import platform
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -364,3 +369,85 @@ def test_softmax_gradient_matches_closed_form():
     s /= s.sum()
     expect = s * (np.array([1.0, 0.0, 0.0]) - s[0])
     assert np.allclose(x.grad, expect.reshape(1, 3), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+# default-config stage-1 steps on one fixed batch of 8; prints the minor
+# page faults per step over the steps after the warm-up
+STAGE1_FAULTS = """
+import resource
+import numpy as np
+from tempqt import tensor as T
+from tempqt.encoder import ModelConfig
+from tempqt.imaging import ImageBatch
+from tempqt.supervision import PemLossConfig, compute_oem, pem_loss
+from tempqt.training import AdamState, adam_step, build_store, forward_pem, param_table, stage1
+
+cfg = ModelConfig()
+store = build_store(stage1(param_table(cfg)), 0)
+state = AdamState(store)
+rng = np.random.default_rng(0)
+ref = ImageBatch(rng.random((8, 64, 64)))
+dist = ImageBatch(np.clip(ref.pixels + 0.1 * rng.standard_normal((8, 64, 64)), 0.0, 1.0))
+oem = compute_oem(dist, ref)
+
+def step():
+    with T.Tape() as tape:
+        loss = pem_loss(forward_pem(dist, store, cfg), oem, dist, ref, PemLossConfig())
+    T.backward(loss, tape)
+    adam_step(state, 1e-4, 0.0)
+    T.zero_grads(store.tensors())
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the malloc policy is set through glibc's mallopt",
+)
+def test_stage1_step_reuses_freed_memory_without_page_faults():
+    # glibc's defaults give each freed activation back to the kernel, and
+    # a step then faults 2,900 or more pages back in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", STAGE1_FAULTS], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(result.stdout) < 100
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+def _sample_ops():
+    x = T.constant(np.linspace(-2.0, 2.0, 24).reshape(2, 3, 4))
+    w = T.constant(np.linspace(0.5, -0.5, 20).reshape(4, 5))
+    return T.softmax_rows(T.gelu(T.matmul(x, w))).data
+
+
+def test_malloc_policy_is_a_no_op_without_mallopt(monkeypatch):
+    before = _sample_ops()
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: SimpleNamespace())
+    T._set_malloc_policy()
+    monkeypatch.setattr(T.ctypes, "CDLL", _no_libc)
+    T._set_malloc_policy()
+    assert np.array_equal(_sample_ops(), before)
+
+
+def test_malloc_policy_sets_both_thresholds(monkeypatch):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: libc)
+    T._set_malloc_policy()
+    # mmap first, then trim; either alone leaves the faults in
+    assert calls == [(-3, T.MALLOC_MMAP_THRESHOLD), (-1, T.MALLOC_TRIM_THRESHOLD)]
