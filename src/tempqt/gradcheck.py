@@ -221,6 +221,14 @@ def _case_attention(rng):
     return [q, k, v], lambda: proj(T.attention(q, k, v, 2)[0])
 
 
+def _case_attention_fewer_queries(rng):
+    # one query row per sample against five keys, as the token-only block runs it
+    q = _leaf(rng, 2, 1, 6)
+    k, v = (_leaf(rng, 2, 5, 6) for _ in range(2))
+    proj = _projector(rng, (2, 1, 6))
+    return [q, k, v], lambda: proj(T.attention(q, k, v, 2)[0])
+
+
 def _case_conv2d(rng):
     # a batch of two, fewer output than input channels
     x = _leaf(rng, 2, 3, 6, 5)
@@ -385,6 +393,7 @@ CASES = {
     "softmax_rows": _case_softmax,
     "layer_norm": _case_layer_norm,
     "attention": _case_attention,
+    "attention_fewer_queries": _case_attention_fewer_queries,
     "conv2d_3x3": _case_conv2d,
     "bilinear_resize": _case_bilinear,
     "conv2d_3x3_resized": _case_resized_conv2d,

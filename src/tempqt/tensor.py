@@ -23,7 +23,8 @@ on the trailing axes and carry any leading axes through: ``matmul``
 multiplies the last axis by a shared (k, m) weight, ``transpose`` swaps
 the last two axes, ``slice_rows`` and ``slice_cols`` cut axis -2 and -1,
 ``softmax_rows`` and ``layer_norm`` normalize the last axis, and
-``attention`` runs multi-head attention over (B, N, d).
+``attention`` runs multi-head attention of (B, M, d) queries over
+(B, N, d) keys and values.
 
 The spatial ops take (B, C, H, W). ``conv2d_3x3`` is the one 3x3 conv.
 It may resize bilinearly before and after the conv, and it runs as nine
@@ -585,27 +586,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
-    """Multi-head scaled dot-product attention over (B, N, d) projections.
+    """Multi-head scaled dot-product attention of (B, M, d) queries over (B, N, d) keys and values.
 
     The last axis splits into ``heads`` slices of width dh = d / heads;
     each head computes softmax(q k^T / sqrt(dh)) v over its slice, and
-    the head outputs are merged back in order to (B, N, d). Returns the
-    output tensor and the detached (B, heads, N, N) attention weights.
+    the head outputs are merged back in order to (B, M, d). Returns the
+    output tensor and the detached (B, heads, M, N) attention weights.
+    M = N is self-attention; fewer queries than keys let a caller update
+    only some rows while they still attend to every row.
     """
-    shape = q.data.shape
-    if q.data.ndim != 3 or k.data.shape != shape or v.data.shape != shape:
-        raise DimensionError(f"attention needs equal (B, N, d) inputs, got {q.shape}, {k.shape}, {v.shape}")
-    b, n, d = shape
+    qs, ks = q.data.shape, k.data.shape
+    if len(qs) != 3 or len(ks) != 3 or v.data.shape != ks or (ks[0], ks[2]) != (qs[0], qs[2]):
+        raise DimensionError(
+            f"attention needs (B, M, d) queries and equal (B, N, d) keys and values, "
+            f"got {q.shape}, {k.shape}, {v.shape}"
+        )
+    b, _m, d = qs
     if heads < 1 or d % heads != 0:
         raise ArgumentError(f"width {d} does not split into {heads} heads")
     dh = d // heads
     scale_ = 1.0 / float(np.sqrt(dh))
 
-    def split(a):  # (B, N, d) -> (B, heads, N, dh)
-        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    def split(a):  # (B, rows, d) -> (B, heads, rows, dh)
+        return a.reshape(b, a.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):  # (B, heads, N, dh) -> (B, N, d)
-        return a.transpose(0, 2, 1, 3).reshape(b, n, d)
+    def merge(a):  # (B, heads, rows, dh) -> (B, rows, d)
+        return a.transpose(0, 2, 1, 3).reshape(b, a.shape[2], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     att = _softmax((qh @ np.swapaxes(kh, -1, -2)) * scale_)

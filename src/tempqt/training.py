@@ -25,7 +25,7 @@ frozen_drawn=<drawn>``.
 ``param_table`` declares the model's parameters once, by init family;
 both stages build their stores from it through ``build_store``.
 
-Checkpoints are a small binary format (magic ``TQTCKPT``, version 2):
+Checkpoints are a small binary format (magic ``TQTCKPT``, version 3):
 embedded configuration text followed by named float32 parameter blocks
 in store order, and nothing after the last block. Optimizer state and
 epoch counters are not stored; nothing resumes from them. Little-endian
@@ -65,7 +65,7 @@ from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, backward, zero_grads
 
 CHECKPOINT_MAGIC = b"TQTCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 STAGE1_FAMILIES = ("pem", "dec")
 

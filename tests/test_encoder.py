@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from tempqt import tensor as T
+from tempqt import training
 from tempqt.encoder import (
+    PATCH_GAIN,
     ModelConfig,
     encode,
+    encoder_block,
     encoder_params,
     extract_patches,
     paper_scale_config,
@@ -14,8 +17,9 @@ from tempqt.encoder import (
     tiny_config,
 )
 from tempqt.errors import ArgumentError, DimensionError
-from tempqt.imaging import GrayImage
+from tempqt.imaging import GrayImage, ImageBatch
 from tempqt.params import ParamStore, fill
+from tempqt.quality import quality_loss
 from tempqt.rng import CounterRng, derive_seed
 
 
@@ -91,7 +95,9 @@ def test_patchify_embed_matches_manual():
     w = store["pem.embed.w"].data.astype(np.float64)
     b = store["pem.embed.b"].data.astype(np.float64)
     pos = store["pem.pos"].data.astype(np.float64)
-    expect = extract_patches(img.pixels, cfg.patch_size).astype(np.float64) @ w + b + pos
+    patches = extract_patches(img.pixels, cfg.patch_size).astype(np.float64)
+    centered = (patches - patches.mean(axis=1, keepdims=True)) * PATCH_GAIN
+    expect = centered @ w + b + pos
     assert tokens.shape == (1, cfg.num_patches, cfg.embed_dim)
     assert np.allclose(tokens.data[0], expect, atol=1e-5)
 
@@ -223,3 +229,68 @@ def test_forward_under_tape_is_differentiable():
         T.backward(loss, tape)
     assert store["pqt.token"].grad is not None
     assert np.any(store["pqt.token"].grad != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the last quality block computes only the token's row
+
+
+def reference_pqt(images, store, cfg):
+    """The quality branch with its last block run over every row, then row 0 kept."""
+    x = patchify_embed(images, store, cfg, "pqt")
+    bsz, d = x.shape[0], cfg.embed_dim
+    token = T.add_row_bias(T.constant(np.zeros((bsz, 1, d))), store["pqt.token"])
+    x = T.concat([token, x], axis=1)
+    attention = []
+    for layer in range(1, cfg.layers + 1):
+        x, vec = encoder_block(x, store, cfg, "pqt", layer, capture=True)
+        attention.append(vec)
+    return T.reshape(T.slice_rows(x, 0, 1), (bsz, d)), attention
+
+
+def token_and_grads(fn, store, probe):
+    T.zero_grads(store.tensors())
+    with T.Tape() as tape:
+        token, attention = fn()
+        T.backward(T.sum_(T.mul(token, probe)), tape)
+    return token.data, attention, {n: t.grad for n, t in store.items() if t.grad is not None}
+
+
+@pytest.mark.parametrize("make_cfg", [ModelConfig, tiny_config])
+@pytest.mark.parametrize("bsz", [1, 5, 8])
+def test_token_only_last_block_matches_the_full_block(make_cfg, bsz):
+    cfg = make_cfg()
+    store = make_store(cfg, with_token=True)
+    images = ImageBatch.stack(rand_image(cfg, seed=s) for s in range(bsz))
+    rng = CounterRng(derive_seed(bsz, "probe"))
+    probe = T.constant(rng.normal(bsz * cfg.embed_dim).reshape(bsz, cfg.embed_dim))
+
+    def readout():
+        out = encode(images, store, cfg, branch="pqt", capture=True)
+        return out.token, out.attention
+
+    got_token, got_att, got_grads = token_and_grads(readout, store, probe)
+    ref_token, ref_att, ref_grads = token_and_grads(lambda: reference_pqt(images, store, cfg), store, probe)
+    assert got_token.shape == (bsz, cfg.embed_dim)
+    assert np.abs(got_token - ref_token).max() <= 1e-6
+    assert len(got_att) == len(ref_att) == cfg.layers
+    for got, ref in zip(got_att, ref_att):
+        assert np.abs(got - ref).max() <= 1e-6
+    assert got_grads.keys() == ref_grads.keys()
+    assert all(name.startswith("pqt.") for name in got_grads)
+    for name, ref in ref_grads.items():
+        assert np.abs(got_grads[name] - ref).max() <= 1e-5 * np.abs(ref).max(), name
+
+
+def test_stage2_step_runs_the_last_mlp_on_one_row():
+    cfg = ModelConfig()
+    table = training.param_table(cfg)
+    pem = training.build_store(training.stage1(table), seed=0).arrays()
+    store = training.build_store(table, seed=0, frozen=pem)
+    patches = ImageBatch.stack(rand_image(cfg, seed=s) for s in range(8))
+    with T.Tape() as tape:
+        features = training.frozen_features(patches, store, cfg)
+        preds = training.score_crops(patches, features, store, cfg, "both", False)
+        quality_loss(preds, np.linspace(0.1, 0.9, 8, dtype=np.float32))
+    gelu_rows = [n.out.shape[1] for n in tape.nodes if n.backward.__qualname__.startswith("gelu.")]
+    assert sorted(gelu_rows) == [1] + [cfg.num_patches + 1] * (cfg.layers - 1)

@@ -326,6 +326,22 @@ def test_abs_gradient_at_zero_is_zero():
     assert np.allclose(x.grad, [0.0])
 
 
+def test_attention_takes_fewer_queries_than_keys():
+    x = CounterRng(7).normal(2 * 5 * 4).reshape(2, 5, 4)
+    k, v = T.constant(x), T.constant(x[:, ::-1])
+    full, full_w = T.attention(T.constant(x), k, v, 2)
+    one, one_w = T.attention(T.constant(x[:, :1]), k, v, 2)
+    assert one.shape == (2, 1, 4) and one_w.shape == (2, 2, 1, 5)
+    assert np.allclose(one.data, full.data[:, :1], atol=1e-6)
+    assert np.allclose(one_w, full_w[:, :, :1], atol=1e-6)
+    for shape in [(1, 5, 4), (2, 5, 6), (5, 4)]:  # batch, width, rank
+        bad = T.constant(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            T.attention(T.constant(x[:, :1]), bad, bad, 2)
+    with pytest.raises(DimensionError):  # keys and values differ in length
+        T.attention(T.constant(x[:, :1]), k, T.constant(x[:, :3]), 2)
+
+
 def test_item_requires_single_element():
     with pytest.raises(DimensionError):
         T.constant([1.0, 2.0]).item()
