@@ -40,16 +40,22 @@ INIT_STD = 0.02
 # earlier runs. The patch std is not divided out: blur shows as lost
 # contrast.
 PATCH_GAIN = 16.0
+# MLP width per embedding dimension: the standard ViT's 4·d hidden layer
+MLP_RATIO = 4
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Shape of both branches and the fusion head's pooling grid.
+
+    Every block's MLP is ``MLP_RATIO`` times ``embed_dim`` wide.
+    """
+
     image_size: int = 64
     patch_size: int = 8
     embed_dim: int = 64
     layers: int = 4
     heads: int = 4
-    mlp_ratio: float = 4.0
     selected_layers: tuple = (0, 1, 2, 4)
     gap_grid: int = 1
 
@@ -64,8 +70,6 @@ class ModelConfig:
             raise ArgumentError("embed_dim, layers, and heads must be positive")
         if self.embed_dim % self.heads != 0:
             raise ArgumentError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.mlp_ratio <= 0:
-            raise ArgumentError("mlp_ratio must be positive")
         sel = tuple(int(x) for x in self.selected_layers)
         if not sel:
             raise ArgumentError("selected_layers must not be empty")
@@ -87,24 +91,12 @@ class ModelConfig:
 
     @property
     def mlp_hidden(self) -> int:
-        return int(round(self.mlp_ratio * self.embed_dim))
+        return MLP_RATIO * self.embed_dim
 
     @property
     def pem_depth(self) -> int:
         """Blocks the error-map branch has: none past its deepest selected layer."""
         return self.selected_layers[-1]
-
-
-def paper_scale_config() -> ModelConfig:
-    """Full-scale preset; expressible but far beyond desk budgets."""
-    return ModelConfig(
-        image_size=224,
-        patch_size=16,
-        embed_dim=768,
-        layers=12,
-        heads=16,
-        selected_layers=(0, 2, 6, 11),
-    )
 
 
 def tiny_config() -> ModelConfig:

@@ -25,14 +25,15 @@ frozen_drawn=<drawn>``.
 ``param_table`` declares the model's parameters once, by init family;
 both stages build their stores from it through ``build_store``.
 
-Checkpoints are a small binary format (magic ``TQTCKPT``, version 3):
+Checkpoints are a small binary format (magic ``TQTCKPT``, version 4):
 embedded configuration text followed by named float32 parameter blocks
 in store order, and nothing after the last block. Optimizer state and
 epoch counters are not stored; nothing resumes from them. Little-endian
 throughout; a save/load/save round trip is byte-identical, and a save
-replaces the file atomically. A load validates the parameter names and
-shapes against the table of the file's own configuration: the whole
-model if the file has a fusion head, else the error-map branch.
+replaces the file atomically. A load rejects a parameter name that is
+not UTF-8 or appears twice, and validates the names and shapes against
+the table of the file's own configuration: the whole model if the file
+has a fusion head, else the error-map branch.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, backward, zero_grads
 
 CHECKPOINT_MAGIC = b"TQTCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 STAGE1_FAMILIES = ("pem", "dec")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# L2 coefficient coupled into every stage's gradient
+ADAM_WEIGHT_DECAY = 1e-5
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,11 @@ class TrainConfig:
 
     alpha is the stage-1 learning rate, beta the stage-2 rate. The
     desk-scale defaults are tuned for training the small configuration
-    from scratch.
+    from scratch. Both stages couple ``ADAM_WEIGHT_DECAY`` into Adam.
     """
 
     alpha: float = 1e-3
     beta: float = 1e-3
-    weight_decay: float = 1e-5
     batch_size: int = 8
     epochs_stage1: int = 3
     epochs_stage2: int = 10
@@ -98,8 +100,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ArgumentError("learning rates must be positive")
-        if self.weight_decay < 0:
-            raise ArgumentError("weight_decay must be nonnegative")
         if self.batch_size < 1:
             raise ArgumentError("batch_size must be positive")
         if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
@@ -398,9 +398,14 @@ def load_checkpoint(path) -> Checkpoint:
 
     n_params = cur.unpack("<I", "parameter count")
     params: dict = {}
-    for _ in range(n_params):
+    for index in range(n_params):
         name_len = cur.unpack("<H", "name length")
-        name = cur.take(name_len, "parameter name").decode("utf-8")
+        try:
+            name = cur.take(name_len, "parameter name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter {index + 1}'s name is not UTF-8") from exc
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
         ndim = cur.unpack("<B", "ndim")
         shape = tuple(cur.unpack("<I", "dimension") for _ in range(ndim))
         nbytes = cur.unpack("<Q", "data length")
@@ -491,7 +496,7 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
                     loss = batch_loss(items[start : start + train_cfg.batch_size])
                 try:
                     backward(loss, tape)
-                    adam_step(state, lr, train_cfg.weight_decay)
+                    adam_step(state, lr, ADAM_WEIGHT_DECAY)
                 except TrainingError as exc:
                     log.line(f"stage={stage} epoch={epoch} batch={batch} error={exc}")
                     raise
@@ -509,8 +514,9 @@ def pretrain_pem(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     loss_cfg: PemLossConfig | None = None,
-    patch_count: int = 4,
-    augment: bool = True,
+    *,
+    patch_count: int,
+    augment: bool,
     log_path=None,
 ) -> Checkpoint:
     """Stage 1: train encoder+decoder against objective error maps."""
@@ -541,8 +547,9 @@ def train_quality(
     manifest: DatasetManifest,
     pem_ckpt: Checkpoint,
     train_cfg: TrainConfig,
-    patch_count: int = 4,
-    augment: bool = True,
+    *,
+    patch_count: int,
+    augment: bool,
     log_path=None,
 ) -> Checkpoint:
     """Stage 2 on ``pem_ckpt``'s model: freeze its error-map branch, train token branch + head."""

@@ -1,13 +1,16 @@
-"""The benchmark's traced pass wraps tempqt functions by name; each must exist.
+"""What the benchmark needs of tempqt by name; each must exist.
 
 ``bench/tracer.py`` refuses to run when a name in its ``TARGETS`` is
 missing, so a rename or deletion in ``src/`` would break the benchmark
 without failing a test here. These tests read the tracer and fail first:
 one checks the list, two that the benchmark's entry modules load every
 listed module, the others that a tape node's backward closure still
-names the op the tracer files its time under.
+names the op the tracer files its time under. The last two read
+``bench/workloads.py``: every run config it writes must parse, and the
+config and checkpoint fields it reads must exist.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -18,13 +21,16 @@ import numpy as np
 import pytest
 
 from tempqt import tensor as T
+from tempqt.config import parse_run_text
 from tempqt.decoder import decode, decoder_params
 from tempqt.encoder import ModelConfig
 from tempqt.params import ParamStore, fill
 from tempqt.rng import CounterRng
+from tempqt.training import Checkpoint, TrainConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "bench", "tracer.py")
+WORKLOADS = os.path.join(ROOT, "bench", "workloads.py")
 
 
 def load_tracer():
@@ -32,6 +38,15 @@ def load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_every_benchmark_target_exists():
@@ -91,3 +106,26 @@ def test_tracer_files_every_decoder_conv_under_conv2d_3x3():
     assert [tracer.closure_op_class(node.backward.__qualname__) for node in convs] == ["conv2d_3x3"] * 5
     classes = [tracer.closure_op_class(node.backward.__qualname__) for node in tape.nodes]
     assert classes.count("conv2d_3x3") == 5
+
+
+def test_every_benchmark_run_config_parses(monkeypatch):
+    # the benchmark writes each recipe's config as a run.config (and, with
+    # other epoch counts, a quality.config) for the CLI; fit_tiny's holds
+    # TINY_MODEL and TINY_RECIPE
+    workloads = load_workloads(monkeypatch)
+    for name in workloads.WORKLOADS:
+        config = workloads.recipe(name, 20).config
+        run = parse_run_text(workloads._config_text(config))
+        assert run.train.epochs_stage1 == config["epochs_stage1"]
+    tiny = parse_run_text(workloads._config_text({**workloads.TINY_MODEL, **workloads.TINY_RECIPE}))
+    assert tiny.model.embed_dim == workloads.TINY_MODEL["embed_dim"]
+    assert (tiny.patch_count, tiny.augment) == (1, False)
+
+
+def test_config_and_checkpoint_fields_the_benchmark_reads_exist():
+    run = parse_run_text("")
+    assert isinstance(run.patch_count, int)
+    assert isinstance(run.train, TrainConfig)
+    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert {"epochs_stage1", "epochs_stage2", "ablation_mode", "share_backbone"} <= train_fields
+    assert {"model_cfg", "train_cfg"} <= {f.name for f in dataclasses.fields(Checkpoint)}

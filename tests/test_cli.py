@@ -247,7 +247,7 @@ def test_diverging_pretrain_exit_1_without_checkpoint(pipeline, tmp_path, capsys
     "edit,key",
     [
         (("alpha = 0.001", "alpha = nan"), "alpha"),
-        (("embed_dim = 16", "embed_dim = 16\nmlp_ratio = nan"), "mlp_ratio"),
+        (("embed_dim = 16", "embed_dim = 16\noem_lambda = nan"), "oem_lambda"),
         (("beta = 0.001", "beta = inf"), "beta"),
     ],
 )

@@ -44,10 +44,10 @@ def test_serialization_is_canonical():
 
 
 def test_float_values_survive_exactly():
-    train = TrainConfig(alpha=2e-05, weight_decay=1e-05)
+    train = TrainConfig(alpha=2e-05, lr_decay=0.85)
     _, t2, _ = parse_settings(serialize_settings(ModelConfig(), train, PemLossConfig()))
     assert t2.alpha == 2e-05
-    assert t2.weight_decay == 1e-05
+    assert t2.lr_decay == 0.85
 
 
 def test_comments_and_blank_lines_ignored():
@@ -80,9 +80,12 @@ def test_unknown_key_rejected():
 
 
 def test_removed_use_pqt_key_rejected():
-    # ablation_mode alone decides which branches exist
-    with pytest.raises(ArgumentError, match="unknown configuration key 'use_pqt'"):
-        parse_run_text("use_pqt = true")
+    # ablation_mode alone decides which branches exist; the MLP width and
+    # Adam's weight decay are constants (encoder.MLP_RATIO,
+    # training.ADAM_WEIGHT_DECAY)
+    for key, value in (("use_pqt", "true"), ("mlp_ratio", "4.0"), ("weight_decay", "1e-05")):
+        with pytest.raises(ArgumentError, match=f"unknown configuration key '{key}'"):
+            parse_run_text(f"{key} = {value}")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from tempqt.encoder import (
     encoder_block,
     encoder_params,
     extract_patches,
-    paper_scale_config,
     patchify_embed,
     tiny_config,
 )
@@ -47,7 +46,7 @@ def rand_image(cfg, seed=0):
         (dict(image_size=60, patch_size=8), "not a multiple"),
         (dict(embed_dim=30, heads=4), "not divisible"),
         (dict(image_size=0), "positive"),
-        (dict(mlp_ratio=0.0), "mlp_ratio"),
+        (dict(layers=0), "positive"),
         (dict(selected_layers=()), "not be empty"),
         (dict(selected_layers=(2, 1)), "ascending"),
         (dict(selected_layers=(1, 1)), "ascending"),
@@ -69,7 +68,6 @@ def test_config_derived_quantities():
 
 def test_presets_construct():
     assert tiny_config().num_patches == 16
-    assert paper_scale_config().num_patches == 196
 
 
 # ---------------------------------------------------------------------------

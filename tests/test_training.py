@@ -85,7 +85,7 @@ def micro_quality_ckpt(micro_manifest, micro_pem_ckpt):
     [
         dict(alpha=0.0),
         dict(beta=-1e-3),
-        dict(weight_decay=-1e-6),
+        dict(epochs_stage2=-1),
         dict(batch_size=0),
         dict(epochs_stage1=-1),
         dict(lr_decay=0.0),
@@ -334,14 +334,16 @@ def test_checkpoint_v1_rejected(micro_pem_ckpt, tmp_path):
 
 
 def test_checkpoint_v2_rejected(micro_pem_ckpt, tmp_path):
-    # v2 embedded raw pixels and had a key bias: its weights mean something else now
-    path = tmp_path / "v2.ckpt"
+    # v2 embedded raw pixels and had a key bias: its weights mean something
+    # else now; v3 embedded two configuration keys that are now constants
+    path = tmp_path / "old.ckpt"
     save_checkpoint(micro_pem_ckpt, path)
     blob = bytearray(path.read_bytes())
-    blob[7] = 2
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
-        load_checkpoint(path)
+    for version in (2, 3):
+        blob[7] = version
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -371,6 +373,37 @@ def test_checkpoint_size_that_overflows_int64_names_the_parameter(micro_pem_ckpt
     path.write_bytes(blob[: 12 + text_len] + param)
     with pytest.raises(CheckpointError, match=f"parameter '{name.decode()}' length mismatch"):
         load_checkpoint(path)
+
+
+def test_checkpoint_parameter_name_that_is_not_utf8_names_the_file(micro_pem_ckpt, tmp_path):
+    path = tmp_path / "name.ckpt"
+    save_checkpoint(micro_pem_ckpt, path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"pem.embed.w")
+    blob[at] = 0xFF  # never valid in UTF-8
+    path.write_bytes(bytes(blob))
+    index = list(micro_pem_ckpt.params).index("pem.embed.w") + 1
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: parameter {index}'s name is not UTF-8"
+
+
+def test_checkpoint_parameter_named_twice_rejected(micro_pem_ckpt, tmp_path):
+    # append a second copy of one parameter's block and count it
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(micro_pem_ckpt, path)
+    blob = path.read_bytes()
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    (count,) = struct.unpack_from("<I", blob, 12 + text_len)
+    name = b"pem.embed.b"
+    arr = micro_pem_ckpt.params[name.decode()]
+    start = blob.index(struct.pack("<H", len(name)) + name)
+    block = blob[start : start + 2 + len(name) + 1 + 4 * arr.ndim + 8 + 4 * arr.size]
+    head = blob[: 12 + text_len] + struct.pack("<I", count + 1)
+    path.write_bytes(head + blob[len(head) :] + block)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: parameter 'pem.embed.b' appears twice"
 
 
 def test_checkpoint_bad_version(micro_pem_ckpt, tmp_path):
@@ -465,7 +498,7 @@ def test_stage2_rejects_incomplete_pem_branch(micro_manifest, micro_pem_ckpt):
         micro_pem_ckpt.model_cfg, micro_pem_ckpt.train_cfg, micro_pem_ckpt.loss_cfg, partial
     )
     with pytest.raises(CompatibilityError, match="complete error-map branch") as err:
-        train_quality(micro_manifest, broken, TrainConfig(**MICRO))
+        train_quality(micro_manifest, broken, TrainConfig(**MICRO), patch_count=1, augment=False)
     assert err.value.fields and all(f.startswith("missing dec.") for f in err.value.fields)
 
 
@@ -477,7 +510,7 @@ def test_stage2_names_pem_parameter_with_wrong_shape(micro_manifest, micro_pem_c
         micro_pem_ckpt.model_cfg, micro_pem_ckpt.train_cfg, micro_pem_ckpt.loss_cfg, params
     )
     with pytest.raises(CompatibilityError, match="complete error-map branch") as err:
-        train_quality(micro_manifest, broken, TrainConfig(**MICRO))
+        train_quality(micro_manifest, broken, TrainConfig(**MICRO), patch_count=1, augment=False)
     assert err.value.fields == (f"dec.head.w is (1, 2, 3, 3), expected {shape}",)
 
 
@@ -572,7 +605,7 @@ def test_stage2_encodes_each_distinct_patch_once(
     # flipped random 32 px crops of 64 px images: no patch repeats at this seed
     rows.clear()
     tc = TrainConfig(**{**MICRO, "epochs_stage2": 2})
-    train_quality(default_manifest, micro_pem_ckpt, tc, patch_count=4)
+    train_quality(default_manifest, micro_pem_ckpt, tc, patch_count=4, augment=True)
     assert sum(rows) == 2 * 4 * len(default_manifest.split_samples("train"))
 
     # the quality token alone never reads the frozen branch
@@ -732,8 +765,8 @@ def test_default_steps_record_one_taped_forward_per_batch(default_manifest, monk
     cfg = ModelConfig()
     tc = TrainConfig(epochs_stage1=1, epochs_stage2=1, batch_size=8)
     tapes = _record_tapes(monkeypatch)
-    pem = pretrain_pem(default_manifest, cfg, tc, patch_count=4)
-    train_quality(default_manifest, pem, tc, patch_count=4)
+    pem = pretrain_pem(default_manifest, cfg, tc, patch_count=4, augment=True)
+    train_quality(default_manifest, pem, tc, patch_count=4, augment=True)
     (_loss1, step1), (_loss2, step2) = tapes
     # one patch at a time with a per-head loop took 1,920 and 1,748 nodes
     assert 0 < len(step1.nodes) <= 384
