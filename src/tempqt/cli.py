@@ -33,7 +33,13 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_run_config, serialize_run_config, serialize_settings
-from .data import load_manifest, generate_synthetic_dataset, save_manifest, split_by_reference
+from .data import (
+    check_train_fraction,
+    generate_synthetic_dataset,
+    load_manifest,
+    save_manifest,
+    split_by_reference,
+)
 from .errors import (
     ArgumentError,
     CheckpointError,
@@ -117,6 +123,8 @@ def _severity_list(text: str) -> tuple:
 def cmd_synth(args) -> int:
     kinds = tuple(args.kinds.split(",")) if args.kinds else DISTORTION_KINDS
     severities = _severity_list(args.severities) if args.severities else (1, 2, 3, 4, 5)
+    # the split runs after the images are written, so its fraction is checked first
+    check_train_fraction(args.train_fraction)
     names = sorted(
         n for n in os.listdir(args.bases) if n.lower().endswith((".pgm", ".ppm", ".pnm"))
     )

@@ -186,10 +186,15 @@ def generate_synthetic_dataset(
     return manifest
 
 
-def split_by_reference(manifest: DatasetManifest, train_fraction: float, seed: int) -> DatasetManifest:
-    """Assign whole reference groups to train/test, ceil on the train side."""
+def check_train_fraction(train_fraction: float) -> None:
+    """ArgumentError unless 0 < train_fraction < 1."""
     if not 0.0 < train_fraction < 1.0:
         raise ArgumentError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
+def split_by_reference(manifest: DatasetManifest, train_fraction: float, seed: int) -> DatasetManifest:
+    """Assign whole reference groups to train/test, ceil on the train side."""
+    check_train_fraction(train_fraction)
     groups = sorted({s.ref_group for s in manifest.samples})
     if len(groups) < 2:
         raise DataError("need at least two reference groups to split")

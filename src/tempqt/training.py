@@ -453,13 +453,20 @@ class _Log:
                 fh.write(text + "\n")
 
 
-def _load_pairs(manifest: DatasetManifest, need_ref: bool) -> list:
+def _check_crop_fits(img: GrayImage, crop: int, path: str) -> None:
+    """DataError naming ``path`` if the model's crop does not fit the image."""
+    if img.height < crop or img.width < crop:
+        raise DataError(f"{path}: image is {img.height}x{img.width}, smaller than the model's {crop}x{crop} crop")
+
+
+def _load_pairs(manifest: DatasetManifest, need_ref: bool, crop: int) -> list:
     samples = manifest.split_samples("train")
     if not samples:
         raise DataError("manifest has no train samples")
     out = []
     for s in samples:
         dist = load_image(manifest.resolve(s.dist_path))
+        _check_crop_fits(dist, crop, s.dist_path)
         ref = None
         if need_ref:
             if not s.ref_path:
@@ -521,9 +528,9 @@ def pretrain_pem(
 ) -> Checkpoint:
     """Stage 1: train encoder+decoder against objective error maps."""
     loss_cfg = loss_cfg if loss_cfg is not None else PemLossConfig()
-    pairs = _load_pairs(manifest, need_ref=True)
-    store = build_store(stage1(param_table(model_cfg)), train_cfg.seed)
     crop = model_cfg.image_size
+    pairs = _load_pairs(manifest, need_ref=True, crop=crop)
+    store = build_store(stage1(param_table(model_cfg)), train_cfg.seed)
 
     def epoch_items(epoch: int) -> list:
         items = []
@@ -561,8 +568,8 @@ def train_quality(
     table = param_table(model_cfg, mode, train_cfg.share_backbone)
     check_params(pem_arrays, stage1(table), "checkpoint does not hold a complete error-map branch")
     store = build_store(table, train_cfg.seed, frozen=pem_arrays)
-    samples = _load_pairs(manifest, need_ref=False)
     crop = model_cfg.image_size
+    samples = _load_pairs(manifest, need_ref=False, crop=crop)
 
     def epoch_items(epoch: int) -> list:
         items = []
@@ -615,6 +622,7 @@ def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint) -> dict:
         paths, targets, preds = [], [], []
         for s in manifest.split_samples(split):
             img = load_image(manifest.resolve(s.dist_path))
+            _check_crop_fits(img, cfg.image_size, s.dist_path)
             paths.append(s.dist_path)
             targets.append(s.score)
             preds.append(predict_score(img, store, cfg, mode, share))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -301,6 +302,20 @@ def test_synth_comma_in_base_name_exit_1(tmp_path, capsys):
     assert list(out.rglob("*.pgm")) == []  # validated before any image is written
 
 
+def test_synth_bad_train_fraction_exit_1_without_images(tmp_path, capsys):
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    for seed in (1, 2):
+        save_image(make_texture(32, 32, seed=seed), bases / f"b{seed}.pgm")
+    out = tmp_path / "ds"
+    assert cli.main([
+        "synth", "--bases", str(bases), "--out", str(out), "--severities", "1", "--train-fraction", "1.0",
+    ]) == 1
+    assert "error: train_fraction must be in (0, 1), got 1.0" in capsys.readouterr().err
+    assert list(out.rglob("*.pgm")) == []  # checked before any image is written
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("severities,bad", [("1,,2", "''"), ("x", "'x'")])
 def test_synth_bad_severity_exit_1(tmp_path, capsys, severities, bad):
     bases = tmp_path / "bases"
@@ -324,6 +339,27 @@ def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(small) in err and "smaller than the checkpoint's 32x32 crop" in err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train", "eval"])
+def test_image_smaller_than_the_crop_exit_1_naming_the_file(pipeline, tmp_path, capsys, command):
+    ds = tmp_path / "ds"
+    shutil.copytree(pipeline["ds"], ds)
+    sample = load_manifest(ds / "manifest.csv").split_samples("train")[0]
+    save_image(make_texture(16, 16, seed=1), ds / sample.dist_path)
+    ckpt = {
+        "pretrain": [],
+        "train": ["--pem-ckpt", str(pipeline["run"] / "pem.ckpt")],
+        "eval": ["--ckpt", str(pipeline["run"] / "quality.ckpt")],
+    }[command]
+    out = tmp_path / "run"
+    assert cli.main([
+        command, "--config", str(pipeline["cfg"]), *ckpt,
+        "--manifest", str(ds / "manifest.csv"), "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sample.dist_path}: image is 16x16, smaller than the model's 32x32 crop")
+    assert not any(out.glob("*.ckpt")) and not (out / "predictions.csv").exists()
 
 
 def test_maps_rejects_images_that_share_a_file_stem(pipeline, tmp_path, capsys):
