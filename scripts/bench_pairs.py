@@ -18,6 +18,14 @@ marks a metric where the change won at least nine tenths of the pairs
 and the medians differ, in the change's favour, by more than the
 distance between the parent's quartiles. ``worse`` marks a median that
 is worse than the parent's by more than the metric's bound.
+``unresolved`` marks a metric whose parent runs spread, quartile to
+quartile, wider than its bound, unless every change run beats every
+parent run: there the pairs cannot show that the metric held.
+
+Keep PARENT and CHANGE in the same directory (say, two siblings). Some
+metrics move with where the checkout lives, not with its code: fit_tiny's
+``setup_s`` has read 21.6 % apart for identical set-up code. The script
+warns on stderr when the two sit in different directories.
 """
 
 import argparse
@@ -75,6 +83,10 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    if os.path.dirname(parent) != os.path.dirname(change):
+        print("warning: PARENT and CHANGE are in different directories; metrics that move "
+              "with the checkout's location, such as setup_s, may differ for that alone",
+              file=sys.stderr)
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
 
@@ -105,6 +117,10 @@ def main() -> int:
             verdict = "gain"
         elif -sign * delta > metric["bound"]:
             verdict = "worse"
+        elif pm and (p3 - p1) / abs(pm) > metric["bound"] and not all(
+            sign * (cv - pv) > 0 for cv in c for pv in p
+        ):
+            verdict = "unresolved"
         print(f"{name:24s} {spread(p1, pm, p3):>30s} {spread(c1, cm, c3):>30s} {delta:+8.1%} "
               f"{f'{wins}/{args.pairs}':>6s}  {verdict}")
     return 0

@@ -95,9 +95,9 @@ def _resolved_run(run: RunConfig, out_dir: str, command: str) -> None:
 
 def _load_run(args) -> RunConfig:
     run = load_run_config(args.config)
-    if getattr(args, "manifest", None):
+    if args.manifest:
         run = dataclasses.replace(run, manifest=os.path.abspath(args.manifest))
-    if getattr(args, "out", None):
+    if args.out:
         run = dataclasses.replace(run, out_dir=os.path.abspath(args.out))
     if run.manifest is None:
         raise ArgumentError("no manifest given (config key `manifest` or --manifest)")
@@ -298,6 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quality assessment from predicted error maps and a quality token.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # what pretrain, train and eval share: the run config and its two overrides
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--config", required=True)
+    run_args.add_argument("--manifest", default=None, help="override config manifest path")
+    run_args.add_argument("--out", default=None, help="override config out_dir")
 
     p = sub.add_parser("synth", help="generate a distorted dataset from base images")
     p.add_argument("--bases", required=True, help="directory of base images (.pgm/.ppm)")
@@ -308,24 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("pretrain", help="stage 1: train the error-map branch")
-    p.add_argument("--config", required=True)
-    p.add_argument("--manifest", default=None, help="override config manifest path")
-    p.add_argument("--out", default=None, help="override config out_dir")
+    p = sub.add_parser("pretrain", parents=[run_args], help="stage 1: train the error-map branch")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("train", help="stage 2: train quality token and fusion head")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("train", parents=[run_args], help="stage 2: train quality token and fusion head")
     p.add_argument("--pem-ckpt", required=True, dest="pem_ckpt")
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a manifest with a quality checkpoint")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("eval", parents=[run_args], help="score a manifest with a quality checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("maps", help="export predicted error maps and attention maps")

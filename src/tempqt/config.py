@@ -174,7 +174,11 @@ def parse_run_text(text: str) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     """Parse a config file; relative paths resolve against its directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        run = parse_run_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ArgumentError(f"{path}: config file is not UTF-8") from exc
+    run = parse_run_text(text)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):

@@ -92,7 +92,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        try:
+            lines = [ln.rstrip("\n") for ln in fh]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: manifest is not UTF-8") from exc
     if not lines:
         raise DataError(f"{path}: empty manifest")
     meta = _META_RE.match(lines[0])

@@ -78,8 +78,11 @@ class ModelConfig:
         if sel[0] < 0 or sel[-1] > self.layers:
             raise ArgumentError(f"selected_layers must lie in 0..{self.layers}, got {sel}")
         object.__setattr__(self, "selected_layers", sel)
-        if self.gap_grid < 1:
-            raise ArgumentError("gap_grid must be at least 1")
+        # the fusion head pools the image_size x image_size error map to this grid
+        if not 1 <= self.gap_grid <= self.image_size:
+            raise ArgumentError(
+                f"gap_grid must lie in 1..image_size ({self.image_size}), got {self.gap_grid}"
+            )
 
     @property
     def grid(self) -> int:

@@ -3,10 +3,18 @@
 Each registered case builds leaf tensors and a forward closure that
 reduces to a scalar, then compares taped gradients against central
 differences (step 1e-3) computed in float64. Cases cover every
-differentiable op exactly once plus composite graphs up to a full tiny
-two-branch model. Shaped ops run on a batch of two, so the gradients
-they sum over broadcast and batch axes are checked too. Inputs for abs/prelu are nudged away from the kink
-at zero, where the subgradient and the secant legitimately disagree.
+differentiable op at least once (``conv2d_3x3`` and ``attention`` twice,
+with and without a resize and with one query row or all of them) plus
+composite graphs up to a full tiny two-branch model. Shaped ops run on
+a batch of two, so the gradients they sum over broadcast and batch axes
+are checked too. Inputs for abs/prelu are nudged away from the kink at
+zero, where the subgradient and the secant legitimately disagree.
+
+A case that applies one op to scaled normal leaves is one row of
+``CASES``, built by ``_single_op`` from the op's name, its leaves'
+shapes and its fixed arguments; a new op of that kind needs only a row.
+Cases whose leaves are drawn otherwise, or that chain ops, keep their
+own builder.
 
 The error metric is scale-guarded: |analytic - numeric| divided by
 max(1, |analytic|, |numeric|), so tiny gradients are judged by
@@ -84,58 +92,34 @@ def _projector(rng: CounterRng, shape):
 # the leaves' current data, so it can be replayed for finite differences
 
 
-def _case_add(rng):
-    a, b = _leaf(rng, 3, 4), _leaf(rng, 3, 4)
-    proj = _projector(rng, (3, 4))
-    return [a, b], lambda: proj(T.add(a, b))
+def _single_op(op: str, *leaves, kink: bool = False, **fixed):
+    """Case that applies ``tensor.<op>`` once to freshly drawn leaves.
 
+    Each entry of ``leaves`` is a shape, or a ``(shape, scale)`` pair for
+    a scaled normal; ``fixed`` holds the op's non-tensor arguments. With
+    ``kink`` every leaf is moved off the kink at zero. The leaves are drawn
+    in order, then the op runs once untaped for its output shape, and only
+    then is the probe drawn. The op is looked up on the tensor module when
+    the case runs, so a patched ``tensor.<op>`` is the one checked.
+    """
 
-def _case_sub(rng):
-    a, b = _leaf(rng, 3, 4), _leaf(rng, 3, 4)
-    proj = _projector(rng, (3, 4))
-    return [a, b], lambda: proj(T.sub(a, b))
+    def case(rng):
+        fn = getattr(T, op)
+        args = []
+        for spec in leaves:
+            shape, scale = spec if isinstance(spec[0], tuple) else (spec, 1.0)
+            leaf = _leaf(rng, *shape, scale=scale)
+            args.append(_away_from_kink(leaf) if kink else leaf)
 
+        def apply():
+            out = fn(*args, **fixed)
+            # attention also returns its weights
+            return out[0] if isinstance(out, tuple) else out
 
-def _case_mul(rng):
-    a, b = _leaf(rng, 3, 4), _leaf(rng, 3, 4)
-    proj = _projector(rng, (3, 4))
-    return [a, b], lambda: proj(T.mul(a, b))
+        proj = _projector(rng, apply().shape)
+        return args, lambda: proj(apply())
 
-
-def _case_scale(rng):
-    a = _leaf(rng, 3, 4)
-    proj = _projector(rng, (3, 4))
-    return [a], lambda: proj(T.scale(a, -1.7))
-
-
-def _case_abs(rng):
-    a = _away_from_kink(_leaf(rng, 5, 5))
-    proj = _projector(rng, (5, 5))
-    return [a], lambda: proj(T.abs_(a))
-
-
-def _case_square(rng):
-    a = _leaf(rng, 4, 3)
-    proj = _projector(rng, (4, 3))
-    return [a], lambda: proj(T.square(a))
-
-
-def _case_mean(rng):
-    a = _leaf(rng, 6, 2)
-    proj = _projector(rng, ())
-    return [a], lambda: proj(T.mean(a))
-
-
-def _case_sum(rng):
-    a = _leaf(rng, 2, 7)
-    proj = _projector(rng, ())
-    return [a], lambda: proj(T.sum_(a))
-
-
-def _case_gelu(rng):
-    a = _leaf(rng, 4, 4, scale=1.5)
-    proj = _projector(rng, (4, 4))
-    return [a], lambda: proj(T.gelu(a))
+    return case
 
 
 def _case_prelu(rng):
@@ -145,12 +129,6 @@ def _case_prelu(rng):
     return [a, slope], lambda: proj(T.prelu(a, slope))
 
 
-def _case_sigmoid(rng):
-    a = _leaf(rng, 3, 5, scale=2.0)
-    proj = _projector(rng, (3, 5))
-    return [a], lambda: proj(T.sigmoid(a))
-
-
 def _case_matmul(rng):
     # a batch times a shared weight, then times a second shared weight
     a, b, c = _leaf(rng, 2, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 3, 5)
@@ -158,34 +136,10 @@ def _case_matmul(rng):
     return [a, b, c], lambda: proj(T.matmul(T.matmul(a, b), c))
 
 
-def _case_transpose(rng):
-    a = _leaf(rng, 2, 3, 5)
-    proj = _projector(rng, (2, 5, 3))
-    return [a], lambda: proj(T.transpose(a))
-
-
-def _case_reshape(rng):
-    a = _leaf(rng, 4, 6)
-    proj = _projector(rng, (2, 12))
-    return [a], lambda: proj(T.reshape(a, (2, 12)))
-
-
 def _case_concat(rng):
     a, b, c = _leaf(rng, 2, 2, 5), _leaf(rng, 2, 3, 5), _leaf(rng, 2, 1, 5)
     proj = _projector(rng, (2, 6, 5))
     return [a, b, c], lambda: proj(T.concat([a, b, c], axis=1))
-
-
-def _case_slice_rows(rng):
-    a = _leaf(rng, 2, 6, 4)
-    proj = _projector(rng, (2, 3, 4))
-    return [a], lambda: proj(T.slice_rows(a, 1, 4))
-
-
-def _case_slice_cols(rng):
-    a = _leaf(rng, 2, 4, 8)
-    proj = _projector(rng, (2, 4, 5))
-    return [a], lambda: proj(T.slice_cols(a, 2, 7))
 
 
 def _case_add_row_bias(rng):
@@ -195,68 +149,12 @@ def _case_add_row_bias(rng):
     return [a, b, pos], lambda: proj(T.add_row_bias(T.add_row_bias(a, b), pos))
 
 
-def _case_linear(rng):
-    x, w, b = _leaf(rng, 2, 4, 6), _leaf(rng, 6, 3), _leaf(rng, 3)
-    proj = _projector(rng, (2, 4, 3))
-    return [x, w, b], lambda: proj(T.linear(x, w, b))
-
-
-def _case_softmax(rng):
-    a = _leaf(rng, 2, 4, 7, scale=2.0)
-    proj = _projector(rng, (2, 4, 7))
-    return [a], lambda: proj(T.softmax_rows(a))
-
-
 def _case_layer_norm(rng):
     x = _leaf(rng, 2, 5, 8)
     gamma = Tensor(1.0 + 0.1 * rng.normal(8), requires_grad=True, dtype=np.float64)
     beta = _leaf(rng, 8, scale=0.1)
     proj = _projector(rng, (2, 5, 8))
     return [x, gamma, beta], lambda: proj(T.layer_norm(x, gamma, beta))
-
-
-def _case_attention(rng):
-    q, k, v = (_leaf(rng, 2, 5, 6) for _ in range(3))
-    proj = _projector(rng, (2, 5, 6))
-    return [q, k, v], lambda: proj(T.attention(q, k, v, 2)[0])
-
-
-def _case_attention_fewer_queries(rng):
-    # one query row per sample against five keys, as the token-only block runs it
-    q = _leaf(rng, 2, 1, 6)
-    k, v = (_leaf(rng, 2, 5, 6) for _ in range(2))
-    proj = _projector(rng, (2, 1, 6))
-    return [q, k, v], lambda: proj(T.attention(q, k, v, 2)[0])
-
-
-def _case_conv2d(rng):
-    # a batch of two, fewer output than input channels
-    x = _leaf(rng, 2, 3, 6, 5)
-    w = _leaf(rng, 2, 3, 3, 3, scale=0.5)
-    b = _leaf(rng, 2)
-    proj = _projector(rng, (2, 2, 6, 5))
-    return [x, w, b], lambda: proj(T.conv2d_3x3(x, w, b))
-
-
-def _case_bilinear(rng):
-    x = _leaf(rng, 2, 2, 4, 4)
-    proj = _projector(rng, (2, 2, 7, 9))
-    return [x], lambda: proj(T.bilinear_resize(x, 7, 9))
-
-
-def _case_resized_conv2d(rng):
-    # non-square input, upsampled by a non-integer factor, then down again
-    x = _leaf(rng, 2, 3, 4, 5)
-    w = _leaf(rng, 2, 3, 3, 3, scale=0.5)
-    b = _leaf(rng, 2)
-    proj = _projector(rng, (2, 2, 7, 7))
-    return [x, w, b], lambda: proj(T.conv2d_3x3(x, w, b, 9, 7))
-
-
-def _case_gap(rng):
-    x = _leaf(rng, 2, 3, 5, 5)
-    proj = _projector(rng, (2, 12))
-    return [x], lambda: proj(T.global_average_pool(x, 2))
 
 
 # --- composites -------------------------------------------------------------
@@ -371,33 +269,38 @@ def _case_tiny_model(rng):
 
 
 CASES = {
-    "add": _case_add,
-    "sub": _case_sub,
-    "mul": _case_mul,
-    "scale": _case_scale,
-    "abs": _case_abs,
-    "square": _case_square,
-    "mean": _case_mean,
-    "sum": _case_sum,
-    "gelu": _case_gelu,
+    "add": _single_op("add", (3, 4), (3, 4)),
+    "sub": _single_op("sub", (3, 4), (3, 4)),
+    "mul": _single_op("mul", (3, 4), (3, 4)),
+    "scale": _single_op("scale", (3, 4), s=-1.7),
+    "abs": _single_op("abs_", (5, 5), kink=True),
+    "square": _single_op("square", (4, 3)),
+    "mean": _single_op("mean", (6, 2)),
+    "sum": _single_op("sum_", (2, 7)),
+    "gelu": _single_op("gelu", ((4, 4), 1.5)),
     "prelu": _case_prelu,
-    "sigmoid": _case_sigmoid,
+    "sigmoid": _single_op("sigmoid", ((3, 5), 2.0)),
     "matmul": _case_matmul,
-    "transpose": _case_transpose,
-    "reshape": _case_reshape,
+    "transpose": _single_op("transpose", (2, 3, 5)),
+    "reshape": _single_op("reshape", (4, 6), shape=(2, 12)),
     "concat": _case_concat,
-    "slice_rows": _case_slice_rows,
-    "slice_cols": _case_slice_cols,
+    "slice_rows": _single_op("slice_rows", (2, 6, 4), start=1, stop=4),
+    "slice_cols": _single_op("slice_cols", (2, 4, 8), start=2, stop=7),
     "add_row_bias": _case_add_row_bias,
-    "linear": _case_linear,
-    "softmax_rows": _case_softmax,
+    "linear": _single_op("linear", (2, 4, 6), (6, 3), (3,)),
+    "softmax_rows": _single_op("softmax_rows", ((2, 4, 7), 2.0)),
     "layer_norm": _case_layer_norm,
-    "attention": _case_attention,
-    "attention_fewer_queries": _case_attention_fewer_queries,
-    "conv2d_3x3": _case_conv2d,
-    "bilinear_resize": _case_bilinear,
-    "conv2d_3x3_resized": _case_resized_conv2d,
-    "global_average_pool": _case_gap,
+    "attention": _single_op("attention", (2, 5, 6), (2, 5, 6), (2, 5, 6), heads=2),
+    # one query row per sample against five keys, as the token-only block runs it
+    "attention_fewer_queries": _single_op("attention", (2, 1, 6), (2, 5, 6), (2, 5, 6), heads=2),
+    # a batch of two, fewer output than input channels
+    "conv2d_3x3": _single_op("conv2d_3x3", (2, 3, 6, 5), ((2, 3, 3, 3), 0.5), (2,)),
+    "bilinear_resize": _single_op("bilinear_resize", (2, 2, 4, 4), out_h=7, out_w=9),
+    # non-square input, upsampled by a non-integer factor, then down again
+    "conv2d_3x3_resized": _single_op(
+        "conv2d_3x3", (2, 3, 4, 5), ((2, 3, 3, 3), 0.5), (2,), mid=9, out=7
+    ),
+    "global_average_pool": _single_op("global_average_pool", (2, 3, 5, 5), grid=2),
     "encoder_block": _case_encoder_block,
     "decoder": _case_decoder,
     "fusion_head": _case_fusion,

@@ -43,6 +43,12 @@ channel mixes between fixed per-axis matrices that hold the resizes and
 the tap shifts, so no resized map is built. ``bilinear_resize`` resizes
 on its own, and ``global_average_pool`` pools to a small grid.
 
+Three ops have no model caller: ``softmax_rows``, ``slice_cols`` and
+``bilinear_resize`` on a tape (``quality.extract_attention_map`` calls it
+untaped). They stay only because ``bench/tracer.py`` names them and
+``tests/test_bench_targets.py`` checks that every tracer target exists.
+ROADMAP item 8 removes them with the tracer's entries.
+
 Broadcasting is deliberately limited. ``add`` and ``sub`` take two
 tensors of equal shape; ``mul`` also takes a plain number, which is how
 ``scale`` works. ``matmul``'s 2-D weight meets every leading index of

@@ -266,6 +266,34 @@ def test_non_finite_config_value_exit_1(pipeline, tmp_path, capsys, edit, key):
     assert not (out / "pem.ckpt").exists()
 
 
+def test_non_utf8_config_exit_1(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY_RUN_CONFIG.encode("utf-8") + b"# caf\xe9 \xff\n")
+    out = tmp_path / "run"
+    rc = cli.main([
+        "pretrain", "--config", str(cfg),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}: config file is not UTF-8\n"
+    assert not out.exists()
+
+
+def test_non_utf8_manifest_row_exit_1(pipeline, tmp_path, capsys):
+    # the metadata line and the column header stay intact; the first row does not
+    meta, header, first, *rest = (pipeline["ds"] / "manifest.csv").read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "manifest.csv"
+    bad.write_bytes(meta + header + first.replace(b".pgm,", b"\xff.pgm,", 1) + b"".join(rest))
+    out = tmp_path / "eval"
+    rc = cli.main([
+        "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["run"] / "quality.ckpt"),
+        "--manifest", str(bad), "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: manifest is not UTF-8\n"
+    assert not out.exists()
+
+
 def test_non_finite_checkpoint_exit_1(pipeline, tmp_path, capsys):
     ckpt = load_checkpoint(pipeline["run"] / "pem.ckpt")
     ckpt.params["pem.block1.mlp.w1"][0, 0] = np.nan

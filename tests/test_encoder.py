@@ -52,6 +52,7 @@ def rand_image(cfg, seed=0):
         (dict(selected_layers=(1, 1)), "ascending"),
         (dict(selected_layers=(0, 9)), "must lie in"),
         (dict(gap_grid=0), "gap_grid"),
+        (dict(image_size=32, gap_grid=64), "gap_grid must lie in 1..image_size"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):

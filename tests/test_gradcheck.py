@@ -1,5 +1,7 @@
 """The gradcheck registry itself: coverage, determinism, failure detection."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,21 @@ DIFFERENTIABLE_OPS = [
     "softmax_rows", "layer_norm", "attention", "conv2d_3x3", "bilinear_resize",
     "global_average_pool",
 ]
+
+COMPOSITES = ("encoder_block", "decoder", "fusion_head", "pem_loss", "quality_loss", "tiny_model")
+
+# every other case checks one op: the op its name gives, except where the
+# name drops the op's trailing underscore or adds a variant suffix
+SINGLE_OP_CASES = [name for name in CASES if name not in COMPOSITES]
+_OP_OF_CASE = {
+    "abs": "abs_",
+    "sum": "sum_",
+    "attention_fewer_queries": "attention",
+    "conv2d_3x3_resized": "conv2d_3x3",
+}
+
+# the originals, taken before any test patches the module
+_ADD, _MUL, _CONSTANT = T.add, T.mul, T.constant
 
 
 def test_every_differentiable_op_has_a_case():
@@ -81,3 +98,39 @@ def test_leaf_without_gradient_is_an_error():
 
     with pytest.raises(ArgumentError, match="no gradient"):
         run_case("orphan", case=orphan_case)
+
+
+def _zero_gradient(fn):
+    """``fn`` with the same forward value but no gradient reaching its inputs."""
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        first = out[0] if isinstance(out, tuple) else out
+        cut = _ADD(_MUL(first, 0.0), _CONSTANT(first.data, dtype=first.data.dtype))
+        return (cut,) + out[1:] if isinstance(out, tuple) else cut
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name", SINGLE_OP_CASES)
+def test_each_single_op_case_checks_its_op(name, monkeypatch):
+    # a case that builds its graph from the wrong op passes with this op broken
+    op = _OP_OF_CASE.get(name, name)
+    monkeypatch.setattr(T, op, _zero_gradient(getattr(T, op)))
+    result = run_case(name, seed=0)
+    assert not result.ok, f"{name}: a zeroed {op} gradient went unnoticed"
+
+
+def test_every_op_that_records_a_node_has_a_case():
+    # derived from the tensor module, so a new op cannot land without a case
+    ops = [
+        name
+        for name, fn in vars(T).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == T.__name__
+        and not name.startswith("_")
+        and "_emit" in fn.__code__.co_names
+    ]
+    assert {"add", "attention", "conv2d_3x3", "global_average_pool"} <= set(ops)
+    missing = [op for op in ops if op.rstrip("_") not in CASES]
+    assert not missing, f"no gradcheck case for {missing}"
