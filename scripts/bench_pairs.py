@@ -9,17 +9,19 @@ neither side always runs first. Runs go one at a time, never two at
 once. The run length and each metric's direction and bound are read
 from CHANGE's BENCHMARK.json, so both sides run for the same time.
 
-Each run's last standard-output line is its JSON result. If any run
-exits non-zero, prints no result or reads ``correct: false``, the
-script stops and reports nothing. Otherwise it prints, per end-to-end
-metric, each side's median and quartiles, the change of the medians,
-and how many pairs the change won (ties count for neither). ``gain``
-marks a metric where the change won at least nine tenths of the pairs
-and the medians differ, in the change's favour, by more than the
-distance between the parent's quartiles. ``worse`` marks a median that
-is worse than the parent's by more than the metric's bound.
-``unresolved`` marks a metric whose parent runs spread, quartile to
-quartile, wider than its bound, unless every change run beats every
+Each run's last standard-output line is its JSON result, and its
+``# inputs_sha256`` line is the digest of the data it set up. If any run
+exits non-zero, prints no result or reads ``correct: false``, or if the
+two runs of a pair set up different inputs (the sides did not do the
+same work), the script stops and reports nothing. Otherwise it prints,
+per end-to-end metric, each side's median and quartiles, the change of
+the medians, and how many pairs the change won (ties count for
+neither). ``gain`` marks a metric where the change won at least nine
+tenths of the pairs and the medians differ, in the change's favour, by
+more than the distance between the parent's quartiles. ``worse`` marks
+a median that is worse than the parent's by more than the metric's
+bound. ``unresolved`` marks a metric whose parent runs spread, quartile
+to quartile, wider than its bound, unless every change run beats every
 parent run: there the pairs cannot show that the metric held.
 
 Keep PARENT and CHANGE in the same directory (say, two siblings). Some
@@ -39,8 +41,8 @@ import numpy as np
 WIN_SHARE = 0.9
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in ``checkout``; its JSON result."""
+def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple:
+    """One untraced benchmark run in ``checkout``; its metrics and its inputs' digest."""
     cmd = [
         sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -60,7 +62,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
             f"error: run in {checkout} (seed {seed}) reads correct: false "
             f"({result.get('failed')}/{result.get('attempted')} failed); nothing reported"
         )
-    return result["metrics"]
+    inputs = next((ln.split()[2] for ln in lines if ln.startswith("# inputs_sha256 ")), None)
+    return result["metrics"], inputs
 
 
 def quartiles(values: list) -> tuple:
@@ -94,9 +97,16 @@ def main() -> int:
     for i in range(args.pairs):
         seed = args.seed_base + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        inputs = {}
         for side in order:
-            runs[side].append(run_once(parent if side == "parent" else change, args.workload, seed,
-                                       spec["run_seconds"]))
+            metrics, inputs[side] = run_once(parent if side == "parent" else change, args.workload, seed,
+                                             spec["run_seconds"])
+            runs[side].append(metrics)
+        if inputs["parent"] != inputs["change"]:
+            raise SystemExit(
+                f"error: at seed {seed} the parent's inputs_sha256 is {inputs['parent']} and the "
+                f"change's {inputs['change']}: the two did not do the same work; nothing reported"
+            )
         print(f"# pair {i + 1}/{args.pairs} seed {seed}, {order[0]} first", file=sys.stderr, flush=True)
 
     print(f"# workload {args.workload}, {args.pairs} pairs, seeds {args.seed_base}.."

@@ -19,6 +19,8 @@ images that share a stem are an error, raised before anything is
 mapped or written.
 
 Exit codes: 0 success, 1 runtime or validation failure, 2 usage error.
+Exit 1 reports a ``TempqtError`` (every error in ``errors.py``) or an
+``OSError``; a command that fails on its inputs creates no ``--out``.
 A training step with a non-finite loss exits 1 with no checkpoint, and
 its stage's log ends with an ``error=`` line.
 """
@@ -40,18 +42,9 @@ from .data import (
     save_manifest,
     split_by_reference,
 )
-from .errors import (
-    ArgumentError,
-    CheckpointError,
-    CompatibilityError,
-    DataError,
-    DimensionError,
-    MetricError,
-    ParseError,
-    TrainingError,
-)
+from .errors import ArgumentError, DataError, DimensionError, MetricError, TempqtError
 from .gradcheck import CASES, TOLERANCE, run_case
-from .imaging import DISTORTION_KINDS, GrayImage, ImageBatch, load_image, save_image
+from .imaging import DISTORTION_KINDS, SEVERITIES, GrayImage, ImageBatch, load_image, save_image
 from .metrics import plcc, srocc
 from .quality import extract_attention_map
 from .training import (
@@ -66,17 +59,7 @@ from .training import (
     train_quality,
 )
 
-_ERRORS = (
-    ArgumentError,
-    CheckpointError,
-    CompatibilityError,
-    DataError,
-    DimensionError,
-    MetricError,
-    ParseError,
-    TrainingError,
-    OSError,
-)
+_ERRORS = (TempqtError, OSError)
 
 
 def _write(path: str, text: str) -> None:
@@ -122,7 +105,7 @@ def _severity_list(text: str) -> tuple:
 
 def cmd_synth(args) -> int:
     kinds = tuple(args.kinds.split(",")) if args.kinds else DISTORTION_KINDS
-    severities = _severity_list(args.severities) if args.severities else (1, 2, 3, 4, 5)
+    severities = _severity_list(args.severities) if args.severities else SEVERITIES
     # the split runs after the images are written, so its fraction is checked first
     check_train_fraction(args.train_fraction)
     names = sorted(
@@ -131,7 +114,8 @@ def cmd_synth(args) -> int:
     if not names:
         raise DataError(f"no .pgm/.ppm/.pnm images under {args.bases}")
     paths = [os.path.join(args.bases, n) for n in names]
-    out = _ensure_out(args.out)
+    # the generator checks everything before it creates the output directory
+    out = args.out
     manifest = generate_synthetic_dataset(paths, kinds, severities, args.seed, out)
     manifest = split_by_reference(manifest, args.train_fraction, args.seed)
     save_manifest(manifest, os.path.join(out, "manifest.csv"))
@@ -152,8 +136,8 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     run = _load_run(args)
-    out = _ensure_out(run.out_dir)
     manifest = load_manifest(run.manifest)
+    out = _ensure_out(run.out_dir)
     _resolved_run(run, out, "pretrain")
     ckpt = pretrain_pem(
         manifest,
@@ -172,10 +156,10 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     run = _load_run(args)
-    out = _ensure_out(run.out_dir)
     manifest = load_manifest(run.manifest)
     pem_ckpt = load_checkpoint(args.pem_ckpt)
     check_model_compat(pem_ckpt.model_cfg, run.model)
+    out = _ensure_out(run.out_dir)
     _resolved_run(run, out, "train")
     ckpt = train_quality(
         manifest,
@@ -309,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kinds", default=None, help=f"comma list from {','.join(DISTORTION_KINDS)}")
-    p.add_argument("--severities", default=None, help="comma list from 1..5 (default all)")
+    p.add_argument(
+        "--severities", default=None, help=f"comma list from {SEVERITIES[0]}..{SEVERITIES[-1]} (default all)"
+    )
     p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
     p.set_defaults(func=cmd_synth)
 

@@ -2,10 +2,13 @@
 
 One namespace covers the model, training, loss, and run settings; the
 field names of the underlying dataclasses are the keys, so they must
-never collide. Comments start with ``#`` (full line or trailing),
-booleans are ``true``/``false``, and integer tuples are comma
-separated. Serialization is canonical: fixed group order, one key per
-line, so equal configurations produce identical text.
+never collide. One table, ``_KEYS``, gives each key its group and type;
+parsing and serialization both read it. A comment starts at a ``#``
+that begins the line or follows whitespace (``out_dir = run#2`` keeps
+its ``#``), booleans are ``true``/``false``, integer tuples are comma
+separated, and ``manifest`` and ``out_dir`` may not be empty.
+Serialization is canonical: fixed group order, one key per line, so
+equal configurations produce identical text.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 from dataclasses import dataclass
 
 from .encoder import ModelConfig
@@ -36,22 +40,17 @@ class RunConfig:
     def __post_init__(self):
         if self.patch_count < 1:
             raise ArgumentError("patch_count must be positive")
+        for key in ("manifest", "out_dir"):
+            if getattr(self, key) == "":
+                raise ArgumentError(f"{key} must not be empty")
 
 
-_RUN_TYPES = {"manifest": str, "out_dir": str, "patch_count": int, "augment": bool}
-
-
-def _field_types(cls) -> dict:
-    out = {}
-    for f in dataclasses.fields(cls):
-        default = getattr(cls, f.name, f.default)
-        out[f.name] = type(default)
-    return out
-
-
-_MODEL_TYPES = _field_types(ModelConfig)
-_TRAIN_TYPES = _field_types(TrainConfig)
-_LOSS_TYPES = _field_types(PemLossConfig)
+# settings dataclass by group; a group is the heading its keys are written under
+_SETTINGS = {"model": ModelConfig, "training": TrainConfig, "loss": PemLossConfig}
+# key -> (group, type), in the text's order
+_KEYS = {f.name: (group, type(f.default)) for group, cls in _SETTINGS.items() for f in dataclasses.fields(cls)}
+_KEYS.update(manifest=("run", str), out_dir=("run", str), patch_count=("run", int), augment=("run", bool))
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _format_value(value) -> str:
@@ -88,34 +87,28 @@ def _parse_value(key: str, text: str, kind: type):
         raise ArgumentError(f"bad value for {key}: {text!r} ({exc})") from exc
 
 
-def _lines_for(obj, types: dict) -> list:
-    return [f"{name} = {_format_value(getattr(obj, name))}" for name in types]
+def _text(sections) -> str:
+    """Per (group, object): a ``# group`` line, then each of the group's
+    keys as ``key = value``; a None value is left out."""
+    lines = []
+    for group, obj in sections:
+        lines.append(f"# {group}")
+        for key, (key_group, _) in _KEYS.items():
+            if key_group == group and getattr(obj, key) is not None:
+                lines.append(f"{key} = {_format_value(getattr(obj, key))}")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_settings(model: ModelConfig, train: TrainConfig, loss: PemLossConfig) -> str:
     """Canonical text for the model/train/loss triple (checkpoint payload)."""
-    lines = ["# model"]
-    lines += _lines_for(model, _MODEL_TYPES)
-    lines.append("# training")
-    lines += _lines_for(train, _TRAIN_TYPES)
-    lines.append("# loss")
-    lines += _lines_for(loss, _LOSS_TYPES)
-    return "\n".join(lines) + "\n"
-
-
-def _strip_line(line: str) -> str:
-    # trailing comments only start at an unquoted '#'; values never contain one
-    hash_at = line.find("#")
-    if hash_at >= 0:
-        line = line[:hash_at]
-    return line.strip()
+    return _text(zip(_SETTINGS, (model, train, loss)))
 
 
 def parse_pairs(text: str) -> dict:
     """Raw key -> value-string mapping, with duplicate keys rejected."""
     pairs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_line(raw)
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -131,44 +124,28 @@ def parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _build(pairs: dict):
-    """Split raw pairs into typed kwargs for each dataclass group."""
-    groups = {"model": {}, "train": {}, "loss": {}, "run": {}}
-    for key, value in pairs.items():
-        if key in _MODEL_TYPES:
-            groups["model"][key] = _parse_value(key, value, _MODEL_TYPES[key])
-        elif key in _TRAIN_TYPES:
-            groups["train"][key] = _parse_value(key, value, _TRAIN_TYPES[key])
-        elif key in _LOSS_TYPES:
-            groups["loss"][key] = _parse_value(key, value, _LOSS_TYPES[key])
-        elif key in _RUN_TYPES:
-            groups["run"][key] = _parse_value(key, value, _RUN_TYPES[key])
-        else:
+def _build(text: str) -> tuple:
+    """The model/train/loss triple and the typed run-level values, from text."""
+    groups = {group: {} for group in (*_SETTINGS, "run")}
+    for key, value in parse_pairs(text).items():
+        if key not in _KEYS:
             raise ArgumentError(f"unknown configuration key {key!r}")
-    return groups
+        group, kind = _KEYS[key]
+        groups[group][key] = _parse_value(key, value, kind)
+    return tuple(cls(**groups[group]) for group, cls in _SETTINGS.items()), groups["run"]
 
 
 def parse_settings(text: str):
     """Model/train/loss triple from text; missing keys keep defaults."""
-    groups = _build(parse_pairs(text))
-    if groups["run"]:
-        extra = ", ".join(sorted(groups["run"]))
-        raise ArgumentError(f"run-level keys not allowed here: {extra}")
-    return (
-        ModelConfig(**groups["model"]),
-        TrainConfig(**groups["train"]),
-        PemLossConfig(**groups["loss"]),
-    )
+    settings, run = _build(text)
+    if run:
+        raise ArgumentError(f"run-level keys not allowed here: {', '.join(sorted(run))}")
+    return settings
 
 
 def parse_run_text(text: str) -> RunConfig:
-    groups = _build(parse_pairs(text))
-    return RunConfig(
-        model=ModelConfig(**groups["model"]),
-        train=TrainConfig(**groups["train"]),
-        loss=PemLossConfig(**groups["loss"]),
-        **groups["run"],
-    )
+    settings, run = _build(text)
+    return RunConfig(*settings, **run)
 
 
 def load_run_config(path) -> RunConfig:
@@ -191,11 +168,4 @@ def load_run_config(path) -> RunConfig:
 
 def serialize_run_config(run: RunConfig) -> str:
     """Canonical text for a full run, written beside outputs."""
-    text = serialize_settings(run.model, run.train, run.loss)
-    lines = [text.rstrip("\n"), "# run"]
-    for name in _RUN_TYPES:
-        value = getattr(run, name)
-        if value is None:
-            continue
-        lines.append(f"{name} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
+    return serialize_settings(run.model, run.train, run.loss) + _text((("run", run),))

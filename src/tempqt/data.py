@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from .errors import ArgumentError, DataError
 from .imaging import (
     DISTORTION_KINDS,
+    SEVERITIES,
     DistortionSpec,
     GrayImage,
     apply_distortion,
@@ -136,7 +137,7 @@ def load_manifest(path) -> DatasetManifest:
 def generate_synthetic_dataset(
     base_images: list,
     kinds: tuple = DISTORTION_KINDS,
-    severities: tuple = (1, 2, 3, 4, 5),
+    severities: tuple = SEVERITIES,
     seed: int = 0,
     out_dir: str = ".",
 ) -> DatasetManifest:
@@ -149,14 +150,9 @@ def generate_synthetic_dataset(
     """
     if len(base_images) < 2:
         raise ArgumentError("need at least two base images")
-    for kind in kinds:
-        if kind not in DISTORTION_KINDS:
-            raise ArgumentError(f"unknown distortion kind {kind!r}")
-    for sev in severities:
-        if not 1 <= int(sev) <= 5:
-            raise ArgumentError(f"severity {sev} outside 1..5")
-    # the manifest is built and validated before anything is written, so
-    # a rejected dataset leaves no images behind
+    # the specs and the manifest are built and validated before anything
+    # is written, so a rejected kind, severity or dataset leaves no
+    # directory or image behind
     samples = []
     writes = []  # per base: (base path, ref path, pristine path, [(path, spec)])
     item_index = 0
@@ -169,7 +165,7 @@ def generate_synthetic_dataset(
         distortions = []
         for kind in kinds:
             for sev in severities:
-                spec = DistortionSpec(kind, int(sev), seed=base_seed ^ item_index)
+                spec = DistortionSpec(kind, sev, seed=base_seed ^ item_index)
                 item_index += 1
                 rel = f"dist/{stem}_{kind}_s{sev}.pgm"
                 distortions.append((rel, spec))

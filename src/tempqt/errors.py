@@ -1,15 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each a ``TempqtError`` as
+well as a ``ValueError`` or ``RuntimeError``; the CLI catches the base."""
 
 
-class DimensionError(ValueError):
+class TempqtError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class DimensionError(TempqtError, ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-class ArgumentError(ValueError):
+class ArgumentError(TempqtError, ValueError):
     """An argument value is outside an operation's domain."""
 
 
-class ParseError(ValueError):
+class ParseError(TempqtError, ValueError):
     """Malformed image file. Carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):
@@ -17,19 +22,19 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class MetricError(ValueError):
+class MetricError(TempqtError, ValueError):
     """A metric is undefined for the given inputs (degenerate data)."""
 
 
-class DataError(ValueError):
+class DataError(TempqtError, ValueError):
     """A dataset manifest or sample violates a structural invariant."""
 
 
-class TrainingError(RuntimeError):
+class TrainingError(TempqtError, RuntimeError):
     """The training loop hit an inconsistent state (e.g. missing grads)."""
 
 
-class CompatibilityError(ValueError):
+class CompatibilityError(TempqtError, ValueError):
     """A checkpoint does not match the requested configuration."""
 
     def __init__(self, message: str, fields: tuple = ()):
@@ -39,5 +44,5 @@ class CompatibilityError(ValueError):
         self.fields = tuple(fields)
 
 
-class CheckpointError(ValueError):
+class CheckpointError(TempqtError, ValueError):
     """A checkpoint file is malformed, truncated, or unsupported."""

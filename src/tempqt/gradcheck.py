@@ -275,7 +275,9 @@ CASES = {
     "scale": _single_op("scale", (3, 4), s=-1.7),
     "abs": _single_op("abs_", (5, 5), kink=True),
     "square": _single_op("square", (4, 3)),
-    "mean": _single_op("mean", (6, 2)),
+    # each gradient entry is probe / size, judged by absolute error: four
+    # entries keep a backward 10 % off above the tolerance at seeds 0 and 1
+    "mean": _single_op("mean", (2, 2)),
     "sum": _single_op("sum_", (2, 7)),
     "gelu": _single_op("gelu", ((4, 4), 1.5)),
     "prelu": _case_prelu,

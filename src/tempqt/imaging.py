@@ -4,10 +4,11 @@ File support is deliberately narrow: binary and ASCII PGM/PPM (P2, P3,
 P5, P6) with maxval 255 or 65535. Color input is reduced to luma with
 the Rec.601 weights. Values are held as float32 in [0, 1].
 
-The distortion bank is three parametric families with severity 1..5
-(severity 0 is accepted as an identity passthrough). The noise family
-draws from the counter-based generator in :mod:`tempqt.rng`, so a given
-(image, spec) pair produces bit-identical output on every run.
+The distortion bank is one table, ``_FAMILIES``, of three parametric
+families with severity 1..5; ``DISTORTION_KINDS`` is its keys, and
+``DistortionSpec`` is the one check of a kind and a severity. The noise
+family draws from the counter-based generator in :mod:`tempqt.rng`, so
+a given (image, spec) pair produces bit-identical output on every run.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 
 from .errors import ArgumentError, ParseError
 from .rng import CounterRng, derive_seed
-
-DISTORTION_KINDS = ("gaussian_blur", "white_noise", "block_quantize")
 
 _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -209,30 +208,8 @@ def quantize_to_8bit(img: GrayImage) -> GrayImage:
 # distortions
 
 
-@dataclass(frozen=True)
-class DistortionSpec:
-    """One distortion to apply: a family, a severity, and a noise seed."""
-
-    kind: str
-    severity: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in DISTORTION_KINDS:
-            raise ArgumentError(f"unknown distortion kind {self.kind!r}")
-        if not isinstance(self.severity, (int, np.integer)) or not 0 <= self.severity <= 5:
-            raise ArgumentError(f"severity must be an integer in 0..5, got {self.severity!r}")
-
-
-def pseudo_mos(spec: DistortionSpec) -> float:
-    """Synthetic subjective score: 1 at severity 0, falling 0.18 per step."""
-    return 1.0 - 0.18 * spec.severity
-
-
-def _gaussian_blur(img: GrayImage, severity: int) -> np.ndarray:
+def _gaussian_blur(img: GrayImage, severity: int, seed: int) -> np.ndarray:
     sigma = 0.5 * severity
-    if sigma == 0.0:
-        return img.pixels.copy()
     radius = max(1, int(np.ceil(3.0 * sigma)))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -252,16 +229,12 @@ def _gaussian_blur(img: GrayImage, severity: int) -> np.ndarray:
 
 def _white_noise(img: GrayImage, severity: int, seed: int) -> np.ndarray:
     std = 0.04 * severity
-    if std == 0.0:
-        return img.pixels.copy()
     rng = CounterRng(seed)
     noise = rng.normal(img.height * img.width).reshape(img.height, img.width) * std
     return np.clip(img.pixels.astype(np.float64) + noise, 0.0, 1.0).astype(np.float32)
 
 
-def _block_quantize(img: GrayImage, severity: int) -> np.ndarray:
-    if severity == 0:
-        return img.pixels.copy()
+def _block_quantize(img: GrayImage, severity: int, seed: int) -> np.ndarray:
     levels = 2 ** (7 - severity)
     step = 1.0 / levels
     p = img.pixels.astype(np.float64)
@@ -276,15 +249,41 @@ def _block_quantize(img: GrayImage, severity: int) -> np.ndarray:
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
+# kind -> (image, severity, seed) -> pixels; only the noise family reads the seed
+_FAMILIES = {
+    "gaussian_blur": _gaussian_blur,
+    "white_noise": _white_noise,
+    "block_quantize": _block_quantize,
+}
+DISTORTION_KINDS = tuple(_FAMILIES)
+SEVERITIES = (1, 2, 3, 4, 5)
+
+
+@dataclass(frozen=True)
+class DistortionSpec:
+    """One distortion to apply: a family, a severity, and a noise seed."""
+
+    kind: str
+    severity: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in _FAMILIES:
+            raise ArgumentError(f"unknown distortion kind {self.kind!r}")
+        if not isinstance(self.severity, (int, np.integer)) or self.severity not in SEVERITIES:
+            raise ArgumentError(
+                f"severity must be an integer in {SEVERITIES[0]}..{SEVERITIES[-1]}, got {self.severity!r}"
+            )
+
+
+def pseudo_mos(spec: DistortionSpec) -> float:
+    """Synthetic subjective score: 0.82 at severity 1, falling 0.18 per step."""
+    return float(1.0 - 0.18 * spec.severity)
+
+
 def apply_distortion(img: GrayImage, spec: DistortionSpec) -> GrayImage:
-    """Apply one distortion; severity 0 returns an identical copy."""
-    if spec.kind == "gaussian_blur":
-        out = _gaussian_blur(img, spec.severity)
-    elif spec.kind == "white_noise":
-        out = _white_noise(img, spec.severity, spec.seed)
-    else:
-        out = _block_quantize(img, spec.severity)
-    return GrayImage(img.height, img.width, out)
+    """Apply one distortion from the family table."""
+    return GrayImage(img.height, img.width, _FAMILIES[spec.kind](img, spec.severity, spec.seed))
 
 
 # ---------------------------------------------------------------------------

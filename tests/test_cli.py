@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from tempqt import cli
+from tempqt import cli, errors
 from tempqt import gradcheck
 from tempqt import tensor as T
 from tempqt.data import load_manifest, save_manifest
@@ -193,6 +193,16 @@ def test_eval_reports_undefined_correlations_as_na(pipeline, tmp_path, capsys):
         assert len((out / "predictions.csv").read_text().splitlines()) == 1 + 3 * 7
 
 
+def test_every_error_class_is_reported():
+    # the CLI catches the one base, so a new error class needs no entry there
+    assert cli._ERRORS == (errors.TempqtError, OSError)
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert {errors.ArgumentError, errors.CheckpointError, errors.TrainingError} < set(classes)
+    for cls in classes:
+        assert issubclass(cls, errors.TempqtError), cls.__name__
+        assert cls is errors.TempqtError or issubclass(cls, (ValueError, RuntimeError)), cls.__name__
+
+
 def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):
     # missing manifest file
     cfg = tmp_path / "bad.cfg"
@@ -222,7 +232,18 @@ def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):
         "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
     ]) == 1
     assert "checkpoint model configuration differs" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_pretrain_bad_manifest_exit_1_without_output(pipeline, tmp_path, capsys):
+    bad = tmp_path / "manifest.csv"
+    bad.write_text("not a manifest\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main([
+        "pretrain", "--config", str(pipeline["cfg"]), "--manifest", str(bad), "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: bad metadata line 'not a manifest'\n"
+    assert not out.exists()
 
 
 def test_diverging_pretrain_exit_1_without_checkpoint(pipeline, tmp_path, capsys):
@@ -307,7 +328,7 @@ def test_non_finite_checkpoint_exit_1(pipeline, tmp_path, capsys):
         "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
     ]) == 1
     assert f"{bad}: parameter 'pem.block1.mlp.w1' holds a non-finite value" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_synth_empty_bases_exit_1(tmp_path, capsys):
@@ -353,6 +374,25 @@ def test_synth_bad_severity_exit_1(tmp_path, capsys, severities, bad):
     out = tmp_path / "ds"
     assert cli.main(["synth", "--bases", str(bases), "--out", str(out), "--severities", severities]) == 1
     assert f"error: --severities entry {bad} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--severities", "9", "severity must be an integer in 1..5, got 9"),
+        ("--kinds", "sharpen", "unknown distortion kind 'sharpen'"),
+    ],
+    ids=["severity", "kind"],
+)
+def test_synth_bad_distortion_exit_1_without_output(tmp_path, capsys, flag, value, message):
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    for seed in (1, 2):
+        save_image(make_texture(32, 32, seed=seed), bases / f"b{seed}.pgm")
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--bases", str(bases), "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

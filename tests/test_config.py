@@ -16,7 +16,33 @@ from tempqt.config import (
 from tempqt.encoder import ModelConfig
 from tempqt.errors import ArgumentError
 from tempqt.supervision import PemLossConfig
-from tempqt.training import TrainConfig
+from tempqt.training import CHECKPOINT_VERSION, TrainConfig
+
+# the checkpoint header holds this text; a change to it needs a
+# CHECKPOINT_VERSION bump and a new golden here
+DEFAULT_SETTINGS_TEXT = """\
+# model
+image_size = 64
+patch_size = 8
+embed_dim = 64
+layers = 4
+heads = 4
+selected_layers = 0,1,2,4
+gap_grid = 1
+# training
+alpha = 0.001
+beta = 0.001
+batch_size = 8
+epochs_stage1 = 3
+epochs_stage2 = 10
+lr_decay = 0.9
+lr_period = 5
+seed = 0
+share_backbone = false
+ablation_mode = both
+# loss
+oem_lambda = 0.1
+"""
 
 
 def test_settings_round_trip_defaults():
@@ -43,6 +69,18 @@ def test_serialization_is_canonical():
     assert all(" = " in ln for ln in lines)
 
 
+def test_default_settings_text_is_golden():
+    assert CHECKPOINT_VERSION == 4
+    assert serialize_settings(ModelConfig(), TrainConfig(), PemLossConfig()) == DEFAULT_SETTINGS_TEXT
+
+
+def test_run_text_appends_the_run_keys_and_leaves_out_unset_paths():
+    run = RunConfig(ModelConfig(), TrainConfig(), PemLossConfig(), out_dir="/o", patch_count=2)
+    assert serialize_run_config(run) == (
+        DEFAULT_SETTINGS_TEXT + "# run\nout_dir = /o\npatch_count = 2\naugment = true\n"
+    )
+
+
 def test_float_values_survive_exactly():
     train = TrainConfig(alpha=2e-05, lr_decay=0.85)
     _, t2, _ = parse_settings(serialize_settings(ModelConfig(), train, PemLossConfig()))
@@ -53,6 +91,22 @@ def test_float_values_survive_exactly():
 def test_comments_and_blank_lines_ignored():
     pairs = parse_pairs("# full line\n\nalpha = 0.5  # trailing\n  \nbeta = 0.25\n")
     assert pairs == {"alpha": "0.5", "beta": "0.25"}
+
+
+def test_hash_inside_a_value_is_kept(tmp_path):
+    # a comment starts only at a '#' that begins the line or follows whitespace
+    assert parse_pairs("  # indented comment\nout_dir = run#2 # trailing\n") == {"out_dir": "run#2"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out_dir = run#2\n", encoding="utf-8")
+    assert load_run_config(cfg).out_dir == str(tmp_path / "run#2")
+
+
+@pytest.mark.parametrize("key", ["manifest", "out_dir"])
+def test_empty_path_rejected(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = \n", encoding="utf-8")
+    with pytest.raises(ArgumentError, match=f"^{key} must not be empty$"):
+        load_run_config(cfg)
 
 
 @pytest.mark.parametrize(

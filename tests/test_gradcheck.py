@@ -100,13 +100,13 @@ def test_leaf_without_gradient_is_an_error():
         run_case("orphan", case=orphan_case)
 
 
-def _zero_gradient(fn):
-    """``fn`` with the same forward value but no gradient reaching its inputs."""
+def _scaled_gradient(fn, factor):
+    """``fn`` with the same forward value but only ``factor`` of its gradient reaching its inputs."""
 
     def wrapper(*args, **kwargs):
         out = fn(*args, **kwargs)
         first = out[0] if isinstance(out, tuple) else out
-        cut = _ADD(_MUL(first, 0.0), _CONSTANT(first.data, dtype=first.data.dtype))
+        cut = _ADD(_MUL(first, factor), _CONSTANT(first.data * (1.0 - factor), dtype=first.data.dtype))
         return (cut,) + out[1:] if isinstance(out, tuple) else cut
 
     return wrapper
@@ -116,9 +116,20 @@ def _zero_gradient(fn):
 def test_each_single_op_case_checks_its_op(name, monkeypatch):
     # a case that builds its graph from the wrong op passes with this op broken
     op = _OP_OF_CASE.get(name, name)
-    monkeypatch.setattr(T, op, _zero_gradient(getattr(T, op)))
+    monkeypatch.setattr(T, op, _scaled_gradient(getattr(T, op), 0.0))
     result = run_case(name, seed=0)
     assert not result.ok, f"{name}: a zeroed {op} gradient went unnoticed"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", SINGLE_OP_CASES)
+def test_each_single_op_case_sees_a_gradient_10_percent_off(name, seed, monkeypatch):
+    # a case whose gradients are all tiny judges them by absolute error
+    # and lets a backward that is slightly off pass
+    op = _OP_OF_CASE.get(name, name)
+    monkeypatch.setattr(T, op, _scaled_gradient(getattr(T, op), 0.9))
+    result = run_case(name, seed=seed)
+    assert not result.ok, f"{name}: a {op} gradient scaled by 0.9 went unnoticed at seed {seed}"
 
 
 def test_every_op_that_records_a_node_has_a_case():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from tempqt import imaging
 from tempqt.errors import ArgumentError, ParseError
 from tempqt.imaging import (
     DISTORTION_KINDS,
+    SEVERITIES,
     DistortionSpec,
     GrayImage,
     apply_distortion,
@@ -132,15 +134,20 @@ def test_spec_validation():
 
 
 def test_pseudo_mos_ladder():
-    vals = [pseudo_mos(DistortionSpec("gaussian_blur", s)) for s in range(6)]
-    assert vals == pytest.approx([1.0, 0.82, 0.64, 0.46, 0.28, 0.10])
+    vals = [pseudo_mos(DistortionSpec("gaussian_blur", s)) for s in SEVERITIES]
+    assert vals == pytest.approx([0.82, 0.64, 0.46, 0.28, 0.10])
 
 
 @pytest.mark.parametrize("kind", DISTORTION_KINDS)
-def test_severity_zero_is_identity(kind):
-    img = ramp_image()
-    out = apply_distortion(img, DistortionSpec(kind, 0, seed=3))
-    assert np.array_equal(out.pixels, img.pixels)
+def test_spec_rejects_severity_zero(kind):
+    # a base's undistorted image is its pristine sample, so there is no severity 0
+    with pytest.raises(ArgumentError, match=r"severity must be an integer in 1\.\.5, got 0"):
+        DistortionSpec(kind, 0, seed=3)
+
+
+def test_distortion_kinds_are_the_family_table():
+    assert DISTORTION_KINDS == tuple(imaging._FAMILIES) == ("gaussian_blur", "white_noise", "block_quantize")
+    assert SEVERITIES == (1, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("kind", DISTORTION_KINDS)
@@ -162,23 +169,24 @@ def test_noise_seed_changes_output():
 def test_blur_reduces_variance_monotonically():
     rng = np.random.default_rng(5)
     img = GrayImage.from_array(rng.random((32, 32)).astype(np.float32))
-    variances = [
+    variances = [float(img.pixels.var())] + [
         float(apply_distortion(img, DistortionSpec("gaussian_blur", s)).pixels.var())
-        for s in range(6)
+        for s in SEVERITIES
     ]
     assert all(variances[i + 1] < variances[i] for i in range(5))
 
 
 def test_noise_error_grows_with_severity():
     img = ramp_image()
-    errs = [
+    # the clean image's error, 0, is the baseline
+    errs = [0.0] + [
         float(
             np.abs(
                 apply_distortion(img, DistortionSpec("white_noise", s, seed=4)).pixels
                 - img.pixels
             ).mean()
         )
-        for s in range(6)
+        for s in SEVERITIES
     ]
     assert all(errs[i + 1] > errs[i] for i in range(5))
 
