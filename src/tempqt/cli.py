@@ -36,13 +36,15 @@ import numpy as np
 
 from .config import RunConfig, load_run_config, serialize_run_config, serialize_settings
 from .data import (
+    check_crop_fits,
     check_train_fraction,
     generate_synthetic_dataset,
     load_manifest,
     save_manifest,
     split_by_reference,
 )
-from .errors import ArgumentError, DataError, DimensionError, MetricError, TempqtError
+from .encoder import encode
+from .errors import ArgumentError, DataError, MetricError, TempqtError
 from .gradcheck import CASES, TOLERANCE, run_case
 from .imaging import DISTORTION_KINDS, SEVERITIES, GrayImage, ImageBatch, load_image, save_image
 from .metrics import plcc, srocc
@@ -51,7 +53,6 @@ from .training import (
     check_model_compat,
     evaluate_manifest,
     forward_pem,
-    forward_pqt,
     load_checkpoint,
     pretrain_pem,
     save_checkpoint,
@@ -225,11 +226,7 @@ def cmd_maps(args) -> int:
     images = []
     for path in args.images:
         img = load_image(path)
-        if img.height < size or img.width < size:
-            raise DimensionError(
-                f"{path}: image is {img.height}x{img.width}, smaller than the "
-                f"checkpoint's {size}x{size} crop"
-            )
+        check_crop_fits(img, size, path)
         top, left = (img.height - size) // 2, (img.width - size) // 2
         images.append(GrayImage(size, size, img.pixels[top : top + size, left : left + size]))
     # every image in one batch, mapped before anything is written
@@ -237,7 +234,7 @@ def cmd_maps(args) -> int:
     pems = np.clip(forward_pem(batch, store, cfg).data[:, 0], 0.0, 1.0)
     attention = None
     if store.has_prefix("pqt."):
-        attention = forward_pqt(batch, store, cfg, ckpt.train_cfg.share_backbone, capture=True).attention
+        attention = encode(batch, store, cfg, "pqt", ckpt.train_cfg.share_backbone, capture=True).attention
 
     out = _ensure_out(args.out)
     _write(

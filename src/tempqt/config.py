@@ -40,6 +40,12 @@ class RunConfig:
     def __post_init__(self):
         if self.patch_count < 1:
             raise ArgumentError("patch_count must be positive")
+        # a shared quality branch runs all `layers` blocks of the error-map branch
+        if self.train.share_backbone and self.model.pem_depth < self.model.layers:
+            raise ArgumentError(
+                f"share_backbone needs selected_layers to reach layers ({self.model.layers}), "
+                f"got {','.join(map(str, self.model.selected_layers))}"
+            )
         for key in ("manifest", "out_dir"):
             if getattr(self, key) == "":
                 raise ArgumentError(f"{key} must not be empty")

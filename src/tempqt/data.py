@@ -5,6 +5,9 @@ then one row per sample. Paths are stored relative to the manifest's
 directory so a dataset folder can be moved wholesale. Splits are by
 reference group: every sample of a pristine source lands on the same
 side, which keeps evaluation reference-disjoint.
+
+``check_crop_fits`` is the one check that an image holds the model's
+crop: training, evaluation and ``tempqt maps`` all call it.
 """
 
 from __future__ import annotations
@@ -146,10 +149,15 @@ def generate_synthetic_dataset(
     Writes 8-bit PGMs under out_dir/ref and out_dir/dist and returns an
     unsplit manifest (every sample marked train). Each base also yields
     one pristine sample with score 1. Noise seeds derive from the run
-    seed xor the item index, so regeneration is bit-identical.
+    seed xor the item index, so regeneration is bit-identical. An empty
+    ``kinds`` or ``severities`` is an ArgumentError.
     """
     if len(base_images) < 2:
         raise ArgumentError("need at least two base images")
+    if not kinds:
+        raise ArgumentError("kinds must not be empty")
+    if not severities:
+        raise ArgumentError("severities must not be empty")
     # the specs and the manifest are built and validated before anything
     # is written, so a rejected kind, severity or dataset leaves no
     # directory or image behind
@@ -189,6 +197,12 @@ def check_train_fraction(train_fraction: float) -> None:
     """ArgumentError unless 0 < train_fraction < 1."""
     if not 0.0 < train_fraction < 1.0:
         raise ArgumentError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
+def check_crop_fits(img: GrayImage, crop: int, path: str) -> None:
+    """DataError naming ``path`` if the model's crop does not fit the image."""
+    if img.height < crop or img.width < crop:
+        raise DataError(f"{path}: image is {img.height}x{img.width}, smaller than the model's {crop}x{crop} crop")
 
 
 def split_by_reference(manifest: DatasetManifest, train_fraction: float, seed: int) -> DatasetManifest:

@@ -10,7 +10,9 @@ token's final state to the fusion head; its attention over the patch
 tokens can be captured per block for diagnostics. Nothing reads the
 other rows of its last block, so that block computes only the token's
 row: the token still attends to every row, but q, the attention
-output, the residual and the MLP run on row 0 alone.
+output, the residual and the MLP run on row 0 alone. With
+``share_backbone`` the quality branch owns only its token and runs on
+the error-map branch's embedding and all ``layers`` of its blocks.
 
 Everything runs on a batch: B images give (B, N, d) tokens, and one
 image is a batch of one. Blocks are pre-norm:
@@ -132,15 +134,18 @@ class EncoderOutput:
     attention: list | None = None
 
 
-def encoder_params(cfg: ModelConfig, branch: str) -> list:
+def encoder_params(cfg: ModelConfig, branch: str, share_backbone: bool = False) -> list:
     """The branch's parameters as (name, shape, init) entries, in draw order.
 
-    The pqt branch leads with its quality token and has every block; the
-    pem branch has no token and stops at cfg.pem_depth.
+    The pqt branch leads with its quality token and has every block, or
+    the token alone with ``share_backbone``; the pem branch has no token
+    and stops at cfg.pem_depth.
     """
     d, hid = cfg.embed_dim, cfg.mlp_hidden
     weight, zeros, ones = ("trunc", INIT_STD), ("const", 0.0), ("const", 1.0)
     entries = [("pqt.token", (d,), ("normal", INIT_STD))] if branch == "pqt" else []
+    if share_backbone:
+        return entries
     entries += [
         (f"{branch}.embed.w", (cfg.patch_size * cfg.patch_size, d), weight),
         (f"{branch}.embed.b", (d,), zeros),
@@ -239,7 +244,7 @@ def encode(
     store: ParamStore,
     cfg: ModelConfig,
     branch: str = "pem",
-    weight_prefix: str | None = None,
+    share_backbone: bool = False,
     capture: bool = False,
 ) -> EncoderOutput:
     """Run the encoder for one branch over a batch of images.
@@ -249,15 +254,14 @@ def encode(
     1..cfg.pem_depth and returns the selected layers' (B, N, d) tokens;
     branch "pqt" prepends the learnable quality token, runs all
     cfg.layers blocks and returns the token's final (B, d) state; its
-    last block computes the token's row alone.
-    ``weight_prefix`` overrides which parameter family the blocks read,
-    which is how a shared backbone is expressed; the quality token itself
-    always lives under "pqt.token". ``capture`` records the quality
+    last block computes the token's row alone. With ``share_backbone``
+    the pqt branch reads the embedding and blocks under "pem.*"; its
+    token is "pqt.token" either way. ``capture`` records the quality
     token's attention per block (pqt branch only).
     """
     if branch not in ("pem", "pqt"):
         raise ArgumentError(f"unknown branch {branch!r}")
-    prefix = weight_prefix if weight_prefix is not None else branch
+    prefix = "pem" if share_backbone else branch
     x = patchify_embed(images, store, cfg, prefix)
 
     if branch == "pem":

@@ -29,14 +29,14 @@ import numpy as np
 
 from . import tensor as T
 from .decoder import decode
-from .encoder import ModelConfig, encoder_block, tiny_config
+from .encoder import ModelConfig, encode, encoder_block, tiny_config
 from .errors import ArgumentError
 from .imaging import ImageBatch, make_texture
 from .quality import fuse_and_predict, quality_loss
 from .rng import CounterRng, derive_seed
 from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, Tensor, backward
-from .training import build_store, forward_pem, forward_pqt, param_table
+from .training import build_store, forward_pem, frozen_features, param_table
 
 STEP = 1e-3
 TOLERANCE = 1e-3
@@ -249,9 +249,8 @@ def _case_tiny_model(rng):
 
     # Place the head's PReLU preactivations a safe distance from the
     # kink at the operating point, so the fd step cannot straddle it.
-    pooled = T.global_average_pool(forward_pem(dist, store, model), model.gap_grid)
-    v_pem = T.linear(pooled, store["fuse.mlp1.w"], store["fuse.mlp1.b"])
-    fused = T.add(v_pem, forward_pqt(dist, store, model).token)
+    v_pem = T.linear(frozen_features(dist, store, model), store["fuse.mlp1.w"], store["fuse.mlp1.b"])
+    fused = T.add(v_pem, encode(dist, store, model, "pqt").token)
     pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
     signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
     store["fuse.mlp2.b1"].data += 0.05 * signs - pre
@@ -259,7 +258,7 @@ def _case_tiny_model(rng):
     def forward():
         pem = forward_pem(dist, store, model)
         l_em = pem_loss(pem, oem, dist, ref, loss_cfg)
-        token = forward_pqt(dist, store, model).token
+        token = encode(dist, store, model, "pqt").token
         features = T.global_average_pool(pem, model.gap_grid)
         score = fuse_and_predict(features, token, store, model)
         l_q = quality_loss(score, [0.7])
@@ -272,7 +271,7 @@ CASES = {
     "add": _single_op("add", (3, 4), (3, 4)),
     "sub": _single_op("sub", (3, 4), (3, 4)),
     "mul": _single_op("mul", (3, 4), (3, 4)),
-    "scale": _single_op("scale", (3, 4), s=-1.7),
+    "scale": _single_op("mul", (3, 4), b=-1.7),
     "abs": _single_op("abs_", (5, 5), kink=True),
     "square": _single_op("square", (4, 3)),
     # each gradient entry is probe / size, judged by absolute error: four

@@ -78,9 +78,7 @@ def fuse_and_predict(
 
 def quality_loss(preds: T.Tensor, targets) -> T.Tensor:
     """Mean absolute error between predicted and target scores, over the batch."""
-    t = targets if isinstance(targets, T.Tensor) else T.constant(
-        np.asarray(targets, dtype=preds.data.dtype), dtype=preds.data.dtype
-    )
+    t = T.constant(targets, dtype=preds.data.dtype)
     if t.shape != preds.shape:
         raise DimensionError(f"prediction shape {preds.shape} vs target shape {t.shape}")
     if preds.size < 1:

@@ -65,4 +65,4 @@ def pem_loss(pem: T.Tensor, oem, dist, ref, cfg: PemLossConfig) -> T.Tensor:
     ref_t = _flat_const(ref, shape, dtype)
     ref_prime = T.sub(dist_t, pem)
     recon = T.mean(T.square(T.sub(ref_prime, ref_t)))
-    return T.add(fit, T.scale(recon, cfg.oem_lambda))
+    return T.add(fit, T.mul(recon, cfg.oem_lambda))

@@ -50,12 +50,11 @@ untaped). They stay only because ``bench/tracer.py`` names them and
 ROADMAP item 8 removes them with the tracer's entries.
 
 Broadcasting is deliberately limited. ``add`` and ``sub`` take two
-tensors of equal shape; ``mul`` also takes a plain number, which is how
-``scale`` works. ``matmul``'s 2-D weight meets every leading index of
-its left operand, and ``add_row_bias`` adds a bias shaped like x's
-trailing axes to every leading index. Every other pairing needs equal
-shapes. Each of these ops sums its gradient back over the axes it
-broadcast.
+tensors of equal shape; ``mul`` also takes a plain number. ``matmul``'s
+2-D weight meets every leading index of its left operand, and
+``add_row_bias`` adds a bias shaped like x's trailing axes to every
+leading index. Every other pairing needs equal shapes. Each of these
+ops sums its gradient back over the axes it broadcast.
 
 Importing this module sets the C allocator's policy once: with glibc,
 arrays up to ``MALLOC_MMAP_THRESHOLD`` bytes come from the heap, and
@@ -306,13 +305,6 @@ def mul(a: Tensor, b) -> Tensor:
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    value = _as_scalar(s)
-    if value is None:
-        raise ArgumentError("scale factor must be a plain number")
-    return mul(a, value)
 
 
 def abs_(a: Tensor) -> Tensor:

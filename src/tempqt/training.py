@@ -11,8 +11,8 @@ runs as one forward over its stacked patches. From the first step on,
 a stage's trainable parameters live in one flat buffer, each ``p.data``
 a view of it, and Adam updates that buffer in place (``AdamState``).
 Stage 2 and inference score crops through one function,
-``score_crops``; inference stacks one image's evaluation crops into
-one batch.
+``score_crops``, which runs the quality branch through ``encode``;
+inference stacks one image's evaluation crops into one batch.
 
 The fusion head reads the frozen branch only through
 ``frozen_features``: the predicted map pooled to (B, gap_grid²). Since
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import SPLITS, DatasetManifest, eval_crops, sample_patches
+from .data import SPLITS, DatasetManifest, check_crop_fits, eval_crops, sample_patches
 from .decoder import decode, decoder_params
-from .encoder import EncoderOutput, ModelConfig, encode, encoder_params
+from .encoder import ModelConfig, encode, encoder_params
 from .errors import (
     ArgumentError,
     CheckpointError,
@@ -198,14 +198,11 @@ def param_table(cfg: ModelConfig, mode: str = "both", share_backbone: bool = Fal
     """The model's parameters by init family, in checkpoint order.
 
     Each family ("pem", "dec", "pqt", "fuse") is a list of (name, shape,
-    init) entries. A shared backbone keeps only the quality token of
-    its pqt family; pem_only has no pqt family.
+    init) entries; pem_only has no pqt family.
     """
     table = {"pem": encoder_params(cfg, "pem"), "dec": decoder_params(cfg)}
     if mode != "pem_only":
-        pqt = encoder_params(cfg, "pqt")
-        # a shared backbone reads blocks and embedding from pem.*
-        table["pqt"] = [e for e in pqt if e[0] == "pqt.token"] if share_backbone else pqt
+        table["pqt"] = encoder_params(cfg, "pqt", share_backbone)
     table["fuse"] = fusion_params(cfg, mode)
     return table
 
@@ -233,7 +230,7 @@ def build_store(table: dict, seed: int, frozen: dict | None = None, dtype=np.flo
 
 
 def build_pem_store(cfg: ModelConfig, seed: int) -> ParamStore:
-    """A fresh error-map branch (the benchmark's tests build one by this name)."""
+    """A fresh error-map branch, as stage 1 starts it."""
     return build_store(stage1(param_table(cfg)), seed)
 
 
@@ -260,19 +257,7 @@ def forward_pem(images, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
 
     ``images`` is an ImageBatch, or a GrayImage as a batch of one.
     """
-    enc = encode(images, store, cfg, branch="pem", weight_prefix="pem", capture=False)
-    return decode(enc.layer_tokens, store, cfg)
-
-
-def forward_pqt(
-    images,
-    store: ParamStore,
-    cfg: ModelConfig,
-    share_backbone: bool = False,
-    capture: bool = False,
-) -> EncoderOutput:
-    prefix = "pem" if share_backbone else "pqt"
-    return encode(images, store, cfg, branch="pqt", weight_prefix=prefix, capture=capture)
+    return decode(encode(images, store, cfg).layer_tokens, store, cfg)
 
 
 def frozen_features(images, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
@@ -289,7 +274,7 @@ def score_crops(
     share_backbone: bool,
 ) -> T.Tensor:
     """(B,) scores of a crop batch from its frozen features (None in pqt_only)."""
-    token = forward_pqt(crops, store, cfg, share_backbone).token if mode != "pem_only" else None
+    token = encode(crops, store, cfg, "pqt", share_backbone).token if mode != "pem_only" else None
     return fuse_and_predict(pem_features, token, store, cfg)
 
 
@@ -453,12 +438,6 @@ class _Log:
                 fh.write(text + "\n")
 
 
-def _check_crop_fits(img: GrayImage, crop: int, path: str) -> None:
-    """DataError naming ``path`` if the model's crop does not fit the image."""
-    if img.height < crop or img.width < crop:
-        raise DataError(f"{path}: image is {img.height}x{img.width}, smaller than the model's {crop}x{crop} crop")
-
-
 def _load_pairs(manifest: DatasetManifest, need_ref: bool, crop: int) -> list:
     samples = manifest.split_samples("train")
     if not samples:
@@ -466,7 +445,7 @@ def _load_pairs(manifest: DatasetManifest, need_ref: bool, crop: int) -> list:
     out = []
     for s in samples:
         dist = load_image(manifest.resolve(s.dist_path))
-        _check_crop_fits(dist, crop, s.dist_path)
+        check_crop_fits(dist, crop, s.dist_path)
         ref = None
         if need_ref:
             if not s.ref_path:
@@ -530,7 +509,7 @@ def pretrain_pem(
     loss_cfg = loss_cfg if loss_cfg is not None else PemLossConfig()
     crop = model_cfg.image_size
     pairs = _load_pairs(manifest, need_ref=True, crop=crop)
-    store = build_store(stage1(param_table(model_cfg)), train_cfg.seed)
+    store = build_pem_store(model_cfg, train_cfg.seed)
 
     def epoch_items(epoch: int) -> list:
         items = []
@@ -622,7 +601,7 @@ def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint) -> dict:
         paths, targets, preds = [], [], []
         for s in manifest.split_samples(split):
             img = load_image(manifest.resolve(s.dist_path))
-            _check_crop_fits(img, cfg.image_size, s.dist_path)
+            check_crop_fits(img, cfg.image_size, s.dist_path)
             paths.append(s.dist_path)
             targets.append(s.score)
             preds.append(predict_score(img, store, cfg, mode, share))

@@ -287,6 +287,23 @@ def test_non_finite_config_value_exit_1(pipeline, tmp_path, capsys, edit, key):
     assert not (out / "pem.ckpt").exists()
 
 
+def test_shared_backbone_shallower_than_the_quality_branch_exit_1_without_output(pipeline, tmp_path, capsys):
+    # the quality branch runs both blocks, the error-map branch only block 1
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(
+        TINY_RUN_CONFIG.replace("selected_layers = 0,1,2", "selected_layers = 0,1") + "share_backbone = true\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    rc = cli.main([
+        "pretrain", "--config", str(cfg),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: share_backbone needs selected_layers to reach layers (2), got 0,1\n"
+    assert not out.exists()
+
+
 def test_non_utf8_config_exit_1(pipeline, tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(TINY_RUN_CONFIG.encode("utf-8") + b"# caf\xe9 \xff\n")
@@ -405,7 +422,7 @@ def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
         "--images", str(small), "--out", str(tmp_path / "m"),
     ]) == 1
     err = capsys.readouterr().err
-    assert str(small) in err and "smaller than the checkpoint's 32x32 crop" in err
+    assert str(small) in err and "smaller than the model's 32x32 crop" in err
     assert not (tmp_path / "m").exists()
 
 
@@ -539,7 +556,7 @@ def test_gradcheck_detects_broken_backward(monkeypatch, capsys):
     def broken(a):
         # same forward value, half the tracked gradient
         good = orig(a)
-        return T.add(T.scale(good, 0.5), T.constant(good.data * 0.5))
+        return T.add(T.mul(good, 0.5), T.constant(good.data * 0.5))
 
     monkeypatch.setattr(T, "gelu", broken)
     assert cli.main(["gradcheck"]) == 1

@@ -204,6 +204,15 @@ def test_generation_validates_arguments(base_paths, tmp_path):
         generate_synthetic_dataset(base_paths, severities=(0,), seed=0, out_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("empty", ["kinds", "severities"])
+def test_generation_rejects_an_empty_kinds_or_severities(base_paths, tmp_path, empty):
+    # an empty product would write a pristine-only dataset
+    out = tmp_path / "ds"
+    with pytest.raises(ArgumentError, match=f"^{empty} must not be empty$"):
+        generate_synthetic_dataset(base_paths, seed=0, out_dir=str(out), **{empty: ()})
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # splitting
 

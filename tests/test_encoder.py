@@ -182,7 +182,7 @@ def test_shared_backbone_reads_pem_weights():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
     img = rand_image(cfg)
-    shared = encode(img, store, cfg, branch="pqt", weight_prefix="pem").token
+    shared = encode(img, store, cfg, branch="pqt", share_backbone=True).token
     separate = encode(img, store, cfg, branch="pqt").token
     # the separately initialized pqt family gives another token
     assert not np.allclose(shared.data, separate.data)

@@ -13,7 +13,7 @@ from tempqt.rng import CounterRng
 # public differentiable ops exposed by the tensor module; names map to
 # registry keys with trailing underscores stripped
 DIFFERENTIABLE_OPS = [
-    "add", "sub", "mul", "scale", "abs_", "square", "mean", "sum_",
+    "add", "sub", "mul", "abs_", "square", "mean", "sum_",
     "gelu", "prelu", "sigmoid", "matmul", "transpose", "reshape",
     "concat", "slice_rows", "slice_cols", "add_row_bias", "linear",
     "softmax_rows", "layer_norm", "attention", "conv2d_3x3", "bilinear_resize",
@@ -23,9 +23,11 @@ DIFFERENTIABLE_OPS = [
 COMPOSITES = ("encoder_block", "decoder", "fusion_head", "pem_loss", "quality_loss", "tiny_model")
 
 # every other case checks one op: the op its name gives, except where the
-# name drops the op's trailing underscore or adds a variant suffix
+# name drops the op's trailing underscore, adds a variant suffix, or names
+# a use of the op ("scale" is mul by a plain number)
 SINGLE_OP_CASES = [name for name in CASES if name not in COMPOSITES]
 _OP_OF_CASE = {
+    "scale": "mul",
     "abs": "abs_",
     "sum": "sum_",
     "attention_fewer_queries": "attention",
@@ -80,8 +82,8 @@ def test_detects_wrong_backward():
         a = T.Tensor(rng.normal(12).reshape(3, 4), requires_grad=True, dtype=np.float64)
 
         def forward():
-            good = T.scale(a, 1.0)
-            return T.sum_(T.add(T.scale(good, 0.5), T.constant(good.data * 0.5)))
+            good = T.mul(a, 1.0)
+            return T.sum_(T.add(T.mul(good, 0.5), T.constant(good.data * 0.5)))
 
         return [a], forward
 
