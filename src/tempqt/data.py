@@ -150,7 +150,8 @@ def generate_synthetic_dataset(
     unsplit manifest (every sample marked train). Each base also yields
     one pristine sample with score 1. Noise seeds derive from the run
     seed xor the item index, so regeneration is bit-identical. An empty
-    ``kinds`` or ``severities`` is an ArgumentError.
+    ``kinds`` or ``severities``, or one that lists a value twice, is an
+    ArgumentError.
     """
     if len(base_images) < 2:
         raise ArgumentError("need at least two base images")
@@ -158,6 +159,10 @@ def generate_synthetic_dataset(
         raise ArgumentError("kinds must not be empty")
     if not severities:
         raise ArgumentError("severities must not be empty")
+    for name, values in (("kinds", tuple(kinds)), ("severities", tuple(severities))):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ArgumentError(f"{name} lists {value!r} more than once")
     # the specs and the manifest are built and validated before anything
     # is written, so a rejected kind, severity or dataset leaves no
     # directory or image behind

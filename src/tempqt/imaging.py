@@ -235,17 +235,32 @@ def _white_noise(img: GrayImage, severity: int, seed: int) -> np.ndarray:
 
 
 def _block_quantize(img: GrayImage, severity: int, seed: int) -> np.ndarray:
-    levels = 2 ** (7 - severity)
-    step = 1.0 / levels
+    """Round each 8x8 block's deviations from its mean to a 2**(severity - 7) step.
+
+    The block grid is anchored at the top-left pixel. Where a side is not
+    a multiple of 8, the right and bottom edge blocks are smaller, and
+    each is quantized about its own mean. The work is done in float64,
+    and the output bytes match those of the per-block loop kept as the
+    reference in tests/test_imaging.py.
+    """
+    step = 1.0 / 2 ** (7 - severity)
     p = img.pixels.astype(np.float64)
     out = np.empty_like(p)
-    # Quantize deviations from each 8x8 block's mean so a fully flattened
-    # block settles exactly at its original average.
-    for top in range(0, img.height, 8):
-        for left in range(0, img.width, 8):
-            block = p[top : top + 8, left : left + 8]
-            m = block.mean()
-            out[top : top + 8, left : left + 8] = m + np.rint((block - m) / step) * step
+    h8, w8 = img.height - img.height % 8, img.width - img.width % 8
+    # the aligned blocks, the right strip, the bottom strip and the
+    # corner, each as one (block rows, bh, block cols, bw) view
+    for rows in (slice(0, h8), slice(h8, None)):
+        for cols in (slice(0, w8), slice(w8, None)):
+            region = p[rows, cols]
+            if region.size == 0:
+                continue
+            rh, rw = region.shape
+            bh, bw = min(rh, 8), min(rw, 8)
+            blocks = region.reshape(rh // bh, bh, rw // bw, bw)
+            # Quantize deviations from each block's mean so a fully
+            # flattened block settles exactly at its original average.
+            m = blocks.mean(axis=(1, 3), keepdims=True)
+            out[rows, cols] = (m + np.rint((blocks - m) / step) * step).reshape(rh, rw)
     return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 

@@ -399,8 +399,10 @@ def test_synth_bad_severity_exit_1(tmp_path, capsys, severities, bad):
     [
         ("--severities", "9", "severity must be an integer in 1..5, got 9"),
         ("--kinds", "sharpen", "unknown distortion kind 'sharpen'"),
+        ("--kinds", "block_quantize,block_quantize", "kinds lists 'block_quantize' more than once"),
+        ("--severities", "1,5,1", "severities lists 1 more than once"),
     ],
-    ids=["severity", "kind"],
+    ids=["severity", "kind", "repeated_kind", "repeated_severity"],
 )
 def test_synth_bad_distortion_exit_1_without_output(tmp_path, capsys, flag, value, message):
     bases = tmp_path / "bases"

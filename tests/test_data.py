@@ -202,6 +202,13 @@ def test_generation_validates_arguments(base_paths, tmp_path):
         generate_synthetic_dataset(base_paths, kinds=("sharpen",), seed=0, out_dir=str(tmp_path))
     with pytest.raises(ArgumentError, match="severity"):
         generate_synthetic_dataset(base_paths, severities=(0,), seed=0, out_dir=str(tmp_path))
+    with pytest.raises(ArgumentError, match="^kinds lists 'block_quantize' more than once$"):
+        generate_synthetic_dataset(
+            base_paths, kinds=("block_quantize", "block_quantize"), seed=0, out_dir=str(tmp_path)
+        )
+    with pytest.raises(ArgumentError, match="^severities lists 2 more than once$"):
+        generate_synthetic_dataset(base_paths, severities=(2, 1, 2), seed=0, out_dir=str(tmp_path))
+    assert list(tmp_path.rglob("*.pgm")) == []  # each is rejected before anything is written
 
 
 @pytest.mark.parametrize("empty", ["kinds", "severities"])

@@ -200,6 +200,52 @@ def test_quantize_reduces_level_count():
     assert levels[0] > levels[1] > levels[2]
 
 
+def reference_block_quantize(img: GrayImage, severity: int, seed: int) -> np.ndarray:
+    # the per-block loop that block_quantize once ran; its bytes are the reference
+    levels = 2 ** (7 - severity)
+    step = 1.0 / levels
+    p = img.pixels.astype(np.float64)
+    out = np.empty_like(p)
+    # Quantize deviations from each 8x8 block's mean so a fully flattened
+    # block settles exactly at its original average.
+    for top in range(0, img.height, 8):
+        for left in range(0, img.width, 8):
+            block = p[top : top + 8, left : left + 8]
+            m = block.mean()
+            out[top : top + 8, left : left + 8] = m + np.rint((block - m) / step) * step
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("content", ["random", "texture"])
+@pytest.mark.parametrize("size", [(1, 1), (5, 3), (8, 8), (13, 21), (64, 64), (96, 100)])
+def test_block_quantize_matches_the_per_block_loop(size, content):
+    # exact bytes, so every synthesized dataset keeps its digest
+    h, w = size
+    if content == "random":
+        img = GrayImage.from_array(np.random.default_rng(h * 1000 + w).random((h, w)))
+    else:
+        img = imaging.make_texture(h, w, seed=h * 1000 + w)
+    img = quantize_to_8bit(img)
+    for s in SEVERITIES:
+        got = apply_distortion(img, DistortionSpec("block_quantize", s)).pixels
+        assert np.array_equal(got, reference_block_quantize(img, s, 0)), f"severity {s}"
+
+
+def test_block_quantize_flattens_low_contrast_blocks_to_their_mean():
+    # deviations under half of severity 5's 0.25 step round to zero, so
+    # each block, the ragged edge blocks included, is float32(its mean)
+    rng = np.random.default_rng(2)
+    h, w = 19, 21
+    img = quantize_to_8bit(GrayImage.from_array(0.45 + 0.1 * rng.random((h, w))))
+    out = apply_distortion(img, DistortionSpec("block_quantize", 5)).pixels
+    p = img.pixels.astype(np.float64)
+    for top in range(0, h, 8):
+        for left in range(0, w, 8):
+            block = p[top : top + 8, left : left + 8]
+            assert np.abs(block - block.mean()).max() < 0.125
+            assert np.all(out[top : top + 8, left : left + 8] == np.float32(block.mean()))
+
+
 def test_outputs_stay_in_range():
     img = ramp_image()
     for kind in DISTORTION_KINDS:
