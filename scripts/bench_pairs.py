@@ -35,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,32 @@ def quartiles(values: list) -> tuple:
 
 def spread(q1: float, med: float, q3: float) -> str:
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+class Comparison(NamedTuple):
+    parent: tuple  # (q1, median, q3) of the parent's runs
+    change: tuple  # the same for the change's runs
+    delta: float  # change of the medians, relative to the parent's
+    wins: int  # pairs the change won; ties count for neither side
+    verdict: str  # "gain", "worse", "unresolved" or "-"
+
+
+def compare(parent: list, change: list, better: str, bound: float) -> Comparison:
+    """One metric's paired runs, pair i being (parent[i], change[i]), judged as the module says."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(parent, change))
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    delta = (cm - pm) / pm if pm else float("nan")
+    verdict = "-"
+    if wins >= WIN_SHARE * len(parent) and sign * (cm - pm) > p3 - p1:
+        verdict = "gain"
+    elif -sign * delta > bound:
+        verdict = "worse"
+    elif pm and (p3 - p1) / abs(pm) > bound and not all(
+        sign * (cv - pv) > 0 for cv in change for pv in parent
+    ):
+        verdict = "unresolved"
+    return Comparison((p1, pm, p3), (c1, cm, c3), delta, wins, verdict)
 
 
 def main() -> int:
@@ -118,21 +145,9 @@ def main() -> int:
             continue
         p = [r[name]["value"] for r in runs["parent"]]
         c = [r[name]["value"] for r in runs["change"]]
-        sign = 1.0 if metric["better"] == "higher" else -1.0
-        wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
-        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
-        delta = (cm - pm) / pm if pm else float("nan")
-        verdict = "-"
-        if wins >= WIN_SHARE * args.pairs and sign * (cm - pm) > p3 - p1:
-            verdict = "gain"
-        elif -sign * delta > metric["bound"]:
-            verdict = "worse"
-        elif pm and (p3 - p1) / abs(pm) > metric["bound"] and not all(
-            sign * (cv - pv) > 0 for cv in c for pv in p
-        ):
-            verdict = "unresolved"
-        print(f"{name:24s} {spread(p1, pm, p3):>30s} {spread(c1, cm, c3):>30s} {delta:+8.1%} "
-              f"{f'{wins}/{args.pairs}':>6s}  {verdict}")
+        row = compare(p, c, metric["better"], metric["bound"])
+        print(f"{name:24s} {spread(*row.parent):>30s} {spread(*row.change):>30s} {row.delta:+8.1%} "
+              f"{f'{row.wins}/{args.pairs}':>6s}  {row.verdict}")
     return 0
 
 

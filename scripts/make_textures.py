@@ -19,6 +19,9 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    for flag, value in (("--count", args.count), ("--size", args.size)):
+        if value < 1:
+            parser.error(f"{flag} must be positive, got {value}")
 
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):

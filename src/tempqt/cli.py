@@ -234,7 +234,7 @@ def cmd_maps(args) -> int:
     pems = np.clip(forward_pem(batch, store, cfg).data[:, 0], 0.0, 1.0)
     attention = None
     if store.has_prefix("pqt."):
-        attention = encode(batch, store, cfg, "pqt", ckpt.train_cfg.share_backbone, capture=True).attention
+        attention = encode(batch, store, cfg, "pqt", ckpt.train_cfg.share_backbone).attention
 
     out = _ensure_out(args.out)
     _write(

@@ -163,11 +163,11 @@ def generate_synthetic_dataset(
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ArgumentError(f"{name} lists {value!r} more than once")
-    # the specs and the manifest are built and validated before anything
-    # is written, so a rejected kind, severity or dataset leaves no
-    # directory or image behind
+    # every base is read and the specs and the manifest are built and
+    # validated before anything is written, so a rejected kind, severity,
+    # base image or dataset leaves no directory or image behind
     samples = []
-    writes = []  # per base: (base path, ref path, pristine path, [(path, spec)])
+    writes = []  # per base: (8-bit base, ref path, pristine path, [(path, spec)])
     item_index = 0
     base_seed = derive_seed(seed, "noise")
     for base_path in base_images:
@@ -183,14 +183,13 @@ def generate_synthetic_dataset(
                 rel = f"dist/{stem}_{kind}_s{sev}.pgm"
                 distortions.append((rel, spec))
                 samples.append(Sample(rel, ref_rel, pseudo_mos(spec), stem, "train"))
-        writes.append((base_path, ref_rel, pristine_rel, distortions))
+        writes.append((quantize_to_8bit(load_image(base_path)), ref_rel, pristine_rel, distortions))
     manifest = DatasetManifest(MANIFEST_VERSION, seed, samples, base_dir=out_dir)
     _validate(manifest)
 
     os.makedirs(os.path.join(out_dir, "ref"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "dist"), exist_ok=True)
-    for base_path, ref_rel, pristine_rel, distortions in writes:
-        base = quantize_to_8bit(load_image(base_path))
+    for base, ref_rel, pristine_rel, distortions in writes:
         save_image(base, os.path.join(out_dir, ref_rel))
         save_image(base, os.path.join(out_dir, pristine_rel))
         for rel, spec in distortions:

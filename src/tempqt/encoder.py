@@ -6,13 +6,14 @@ structure, not its brightness. The error-map branch encodes the N
 patch tokens alone, runs only as deep as its deepest selected layer,
 and hands the selected layers' tokens to the decoder. The quality
 branch prepends one learnable token, runs every block, and hands the
-token's final state to the fusion head; its attention over the patch
-tokens can be captured per block for diagnostics. Nothing reads the
-other rows of its last block, so that block computes only the token's
-row: the token still attends to every row, but q, the attention
-output, the residual and the MLP run on row 0 alone. With
-``share_backbone`` the quality branch owns only its token and runs on
-the error-map branch's embedding and all ``layers`` of its blocks.
+token's final state to the fusion head, together with each block's
+attention row for the token (``quality.extract_attention_map`` turns
+those rows into the exported map). Nothing reads the other rows of its
+last block, so that block computes only the token's row: the token
+still attends to every row, but q, the attention output, the residual
+and the MLP run on row 0 alone. With ``share_backbone`` the quality
+branch owns only its token and runs on the error-map branch's
+embedding and all ``layers`` of its blocks.
 
 Everything runs on a batch: B images give (B, N, d) tokens, and one
 image is a batch of one. Blocks are pre-norm:
@@ -124,9 +125,9 @@ class EncoderOutput:
     The pem branch sets layer_tokens: the (B, N, d) patch tokens of each
     selected layer, in cfg.selected_layers order, 0 meaning the embedding
     output. The pqt branch sets token, the quality token's final (B, d)
-    state, and, when capture is on, attention: one detached (B, N) numpy
-    array per block, each row the token's attention over the patch
-    tokens, head-averaged and renormalized to sum to 1.
+    state, and attention: one detached (B, heads, N + 1) numpy array per
+    block, the token's attention row over itself and the N patch tokens,
+    each head's row summing to 1.
     """
 
     layer_tokens: list | None = None
@@ -201,17 +202,15 @@ def encoder_block(
     cfg: ModelConfig,
     prefix: str,
     layer: int,
-    capture: bool = False,
     token_only: bool = False,
 ):
-    """One transformer block over (B, N, d) tokens; optionally captures attention.
+    """One transformer block over (B, N, d) tokens.
 
-    Returns (tokens, attention) where attention is a detached (B, N - 1)
-    numpy array: per sample, row 0 of the attention matrix with the self
-    entry dropped, renormalized per head, then head-averaged; None when
-    capture is off. With ``token_only`` only row 0 is updated and
-    returned, as (B, 1, d): every row is normalized and feeds the keys
-    and values, and the rest of the block runs on row 0 alone.
+    Returns (tokens, weights), the weights being the detached
+    (B, heads, M, N) attention weights of ``tensor.attention``. With
+    ``token_only`` only row 0 is updated and returned, as (B, 1, d), and
+    M is 1: every row is normalized and feeds the keys and values, and
+    the rest of the block runs on row 0 alone.
     """
     base = f"{prefix}.block{layer}"
     xn = T.layer_norm(x, store[f"{base}.ln1.g"], store[f"{base}.ln1.b"])
@@ -229,14 +228,7 @@ def encoder_block(
     m = T.linear(tn, store[f"{base}.mlp.w1"], store[f"{base}.mlp.b1"])
     m = T.gelu(m)
     m = T.linear(m, store[f"{base}.mlp.w2"], store[f"{base}.mlp.b2"])
-    out = T.add(t, m)
-
-    vec = None
-    if capture:
-        rows = weights[:, :, 0, 1:].astype(np.float64)  # (B, heads, N - 1)
-        rows = rows / rows.sum(axis=-1, keepdims=True)
-        vec = rows.mean(axis=1).astype(np.float32)
-    return out, vec
+    return T.add(t, m), weights
 
 
 def encode(
@@ -245,7 +237,6 @@ def encode(
     cfg: ModelConfig,
     branch: str = "pem",
     share_backbone: bool = False,
-    capture: bool = False,
 ) -> EncoderOutput:
     """Run the encoder for one branch over a batch of images.
 
@@ -253,11 +244,11 @@ def encode(
     branch "pem" encodes the N patch tokens through blocks
     1..cfg.pem_depth and returns the selected layers' (B, N, d) tokens;
     branch "pqt" prepends the learnable quality token, runs all
-    cfg.layers blocks and returns the token's final (B, d) state; its
-    last block computes the token's row alone. With ``share_backbone``
-    the pqt branch reads the embedding and blocks under "pem.*"; its
-    token is "pqt.token" either way. ``capture`` records the quality
-    token's attention per block (pqt branch only).
+    cfg.layers blocks and returns the token's final (B, d) state and
+    its attention row per block; its last block computes the token's
+    row alone. With ``share_backbone`` the pqt branch reads the
+    embedding and blocks under "pem.*"; its token is "pqt.token" either
+    way.
     """
     if branch not in ("pem", "pqt"):
         raise ArgumentError(f"unknown branch {branch!r}")
@@ -268,7 +259,7 @@ def encode(
         selected = cfg.selected_layers
         layer_tokens = [x] if selected[0] == 0 else []
         for layer in range(1, cfg.pem_depth + 1):
-            x, _vec = encoder_block(x, store, cfg, prefix, layer)
+            x, _weights = encoder_block(x, store, cfg, prefix, layer)
             if layer in selected:
                 layer_tokens.append(x)
         return EncoderOutput(layer_tokens=layer_tokens)
@@ -278,11 +269,12 @@ def encode(
     # the one learned token, repeated for every sample of the batch
     token = T.add_row_bias(T.constant(np.zeros((bsz, 1, d)), dtype=token_param.dtype), token_param)
     x = T.concat([token, x], axis=1)
-    attention = [] if capture else None
+    attention = []
     for layer in range(1, cfg.layers + 1):
-        last = layer == cfg.layers
-        x, vec = encoder_block(x, store, cfg, prefix, layer, capture=capture, token_only=last)
-        if capture:
-            attention.append(vec)
+        x, weights = encoder_block(x, store, cfg, prefix, layer, token_only=layer == cfg.layers)
+        # copy row 0 alone and drop the full weights before the next block
+        # allocates its own: untaped, nothing else keeps them alive
+        attention.append(weights[:, :, 0].copy())
+        del weights
     final = T.reshape(x, (bsz, d))
     return EncoderOutput(token=final, attention=attention)

@@ -169,7 +169,7 @@ def _case_encoder_block(rng):
     leaves = [x] + [t for name, t in store.items() if name.startswith("pem.block1.")]
 
     def forward():
-        out, _vec = encoder_block(x, store, cfg, "pem", 1, capture=False)
+        out, _weights = encoder_block(x, store, cfg, "pem", 1)
         return proj(out)
 
     return leaves, forward

@@ -9,6 +9,10 @@ The head regresses what it is given: an ablation passes only the
 branch it keeps, and the same head regresses that vector alone. It
 scores a batch: (B, gap_grid²) features and (B, d) token states give
 (B,) scores.
+
+``extract_attention_map`` is the one definition of the exported
+attention map: it reduces the per-block attention rows that the quality
+branch returns for one image to a normalized spatial map.
 """
 
 from __future__ import annotations
@@ -86,26 +90,34 @@ def quality_loss(preds: T.Tensor, targets) -> T.Tensor:
     return T.mean(T.abs_(T.sub(preds, t)))
 
 
-def extract_attention_map(layer_vectors: list, out_h: int, out_w: int) -> GrayImage:
-    """Average per-layer attention vectors into a normalized spatial map.
+def extract_attention_map(block_rows: list, out_h: int, out_w: int) -> GrayImage:
+    """One image's quality-token attention map, min-max normalized to [0, 1].
 
-    Vectors are the captured per-layer quality-token attentions (each
-    sums to 1 over the N patch tokens). The average is reshaped onto the
-    patch grid, bilinearly resized, then min-max normalized; a constant
-    map is defined as all zeros.
+    ``block_rows`` holds one (heads, N + 1) array per block: the token's
+    attention row over itself and the N patch tokens, as ``encode``'s pqt
+    branch returns it for one image. Per block the self entry is
+    dropped, each head renormalized to sum to 1 in float64, the heads
+    averaged and the result cast to float32; the blocks are then
+    averaged, the average laid onto the patch grid, and the grid resized
+    bilinearly (half-pixel centers) to out_h x out_w. A constant map is
+    defined as all zeros.
     """
-    if not layer_vectors:
-        raise ArgumentError("no attention vectors given")
-    n = layer_vectors[0].shape[0]
+    if not block_rows:
+        raise ArgumentError("no attention rows given")
+    shape = np.shape(block_rows[0])
+    n = shape[-1] - 1 if len(shape) == 2 else 0
     grid = int(round(np.sqrt(n)))
-    if grid * grid != n:
-        raise ArgumentError(f"attention length {n} is not a perfect square")
-    for v in layer_vectors:
-        if v.shape != (n,):
-            raise ArgumentError("attention vectors disagree in length")
-    avg = np.mean(np.stack([np.asarray(v, dtype=np.float64) for v in layer_vectors]), axis=0)
-    fmap = T.constant(avg.reshape(1, 1, grid, grid), dtype=np.float64)
-    resized = T.bilinear_resize(fmap, out_h, out_w).data[0, 0]
+    if n < 1 or grid * grid != n:
+        raise ArgumentError(f"attention rows of shape {shape} do not cover a square patch grid plus the token")
+    per_block = []
+    for rows in block_rows:
+        if np.shape(rows) != shape:
+            raise ArgumentError("attention rows disagree in shape")
+        patches = np.asarray(rows)[:, 1:].astype(np.float64)
+        patches = patches / patches.sum(axis=-1, keepdims=True)
+        per_block.append(patches.mean(axis=0).astype(np.float32))
+    avg = np.mean(np.stack(per_block).astype(np.float64), axis=0).reshape(grid, grid)
+    resized = T._resize_matrix(grid, out_h) @ (avg @ T._resize_matrix(grid, out_w).T)
     lo = float(resized.min())
     hi = float(resized.max())
     if hi - lo <= _FLAT_EPS * max(1.0, abs(hi)):

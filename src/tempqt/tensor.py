@@ -43,9 +43,10 @@ channel mixes between fixed per-axis matrices that hold the resizes and
 the tap shifts, so no resized map is built. ``bilinear_resize`` resizes
 on its own, and ``global_average_pool`` pools to a small grid.
 
-Three ops have no model caller: ``softmax_rows``, ``slice_cols`` and
-``bilinear_resize`` on a tape (``quality.extract_attention_map`` calls it
-untaped). They stay only because ``bench/tracer.py`` names them and
+Three ops have no caller in the package outside ``gradcheck.CASES``:
+``softmax_rows``, ``slice_cols`` and ``bilinear_resize``
+(``quality.extract_attention_map`` resizes with ``_resize_matrix``
+directly). They stay only because ``bench/tracer.py`` names them and
 ``tests/test_bench_targets.py`` checks that every tracer target exists.
 ROADMAP item 8 removes them with the tracer's entries.
 
@@ -238,24 +239,17 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 op = node.backward.__qualname__.split(".", 1)[0]
                 raise TrainingError(f"non-finite loss: first non-finite value from {op} (tape node {i})")
         raise TrainingError("non-finite loss")
-    grads = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
+    # Tensor hashes by identity, so each tensor keys its own gradient
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
-        holders.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         if g is None:
             continue
         for inp, gi in zip(node.inputs, node.backward(g)):
             if gi is None or not inp.needs_grad:
                 continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-                holders[key] = inp
-    for key, g in grads.items():
-        leaf = holders[key]
+            grads[inp] = grads[inp] + gi if inp in grads else gi
+    for leaf, g in grads.items():
         if not leaf.requires_grad:
             continue
         if leaf.grad is None:

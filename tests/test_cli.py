@@ -415,6 +415,19 @@ def test_synth_bad_distortion_exit_1_without_output(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+def test_synth_truncated_base_exit_1_without_output(tmp_path, capsys):
+    # the bad base sorts last, so it is read after two good ones
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    for seed in (1, 2):
+        save_image(make_texture(16, 16, seed=seed), bases / f"texture_{seed:03d}.pgm")
+    (bases / "texture_zzz.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(5))
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--bases", str(bases), "--out", str(out)]) == 1
+    assert "truncated raster" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
     # 32 rows fit the 32 px checkpoint, 31 columns do not
     small = tmp_path / "small.pgm"

@@ -1,4 +1,4 @@
-"""Encoder configuration, shapes, and attention-capture properties."""
+"""Encoder configuration, shapes, and the quality token's attention rows."""
 
 import numpy as np
 import pytest
@@ -128,11 +128,13 @@ def test_pem_branch_layer_tokens():
 def test_pqt_branch_tokens_and_attention():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
-    out = encode(rand_image(cfg), store, cfg, branch="pqt", capture=True)
+    out = encode(rand_image(cfg), store, cfg, branch="pqt")
     assert out.token.shape == (1, cfg.embed_dim)
     assert len(out.attention) == cfg.layers
-    for vec in out.attention:
-        assert vec.shape == (1, cfg.num_patches)
+    for rows in out.attention:
+        # the token's row over itself and every patch, per head
+        assert rows.shape == (1, cfg.heads, cfg.num_patches + 1)
+        assert rows.dtype == np.float32 and rows.flags.c_contiguous
     assert out.layer_tokens is None
 
 
@@ -151,20 +153,11 @@ def test_attention_vectors_are_distributions():
     cfg = tiny_config()
     for seed in range(20):
         store = make_store(cfg, with_token=True, seed=seed)
-        out = encode(rand_image(cfg, seed=seed), store, cfg, branch="pqt", capture=True)
-        for vec in out.attention:
-            assert np.all(vec >= 0.0)
-            assert abs(float(vec.sum()) - 1.0) < 1e-5
-
-
-def test_capture_toggle():
-    # attention capture is off unless asked for
-    cfg = tiny_config()
-    store = make_store(cfg, with_token=True)
-    out = encode(rand_image(cfg), store, cfg, branch="pqt")
-    assert out.attention is None
-    out = encode(rand_image(cfg), store, cfg, branch="pqt", capture=True)
-    assert len(out.attention) == cfg.layers
+        out = encode(rand_image(cfg, seed=seed), store, cfg, branch="pqt")
+        for rows in out.attention:
+            # each head's row is a distribution over the token and the patches
+            assert np.all(rows >= 0.0)
+            assert np.abs(rows.sum(axis=-1, dtype=np.float64) - 1.0).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +195,11 @@ def test_forward_deterministic():
     cfg = tiny_config()
     store = make_store(cfg, with_token=True)
     img = rand_image(cfg)
-    a = encode(img, store, cfg, branch="pqt", capture=True)
-    b = encode(img, store, cfg, branch="pqt", capture=True)
+    a = encode(img, store, cfg, branch="pqt")
+    b = encode(img, store, cfg, branch="pqt")
     assert np.array_equal(a.token.data, b.token.data)
-    for va, vb in zip(a.attention, b.attention):
-        assert np.array_equal(va, vb)
+    for ra, rb in zip(a.attention, b.attention):
+        assert np.array_equal(ra, rb)
 
 
 def test_layer_zero_is_embedding_output():
@@ -242,8 +235,8 @@ def reference_pqt(images, store, cfg):
     x = T.concat([token, x], axis=1)
     attention = []
     for layer in range(1, cfg.layers + 1):
-        x, vec = encoder_block(x, store, cfg, "pqt", layer, capture=True)
-        attention.append(vec)
+        x, weights = encoder_block(x, store, cfg, "pqt", layer)
+        attention.append(weights[:, :, 0])
     return T.reshape(T.slice_rows(x, 0, 1), (bsz, d)), attention
 
 
@@ -265,7 +258,7 @@ def test_token_only_last_block_matches_the_full_block(make_cfg, bsz):
     probe = T.constant(rng.normal(bsz * cfg.embed_dim).reshape(bsz, cfg.embed_dim))
 
     def readout():
-        out = encode(images, store, cfg, branch="pqt", capture=True)
+        out = encode(images, store, cfg, branch="pqt")
         return out.token, out.attention
 
     got_token, got_att, got_grads = token_and_grads(readout, store, probe)
@@ -274,6 +267,7 @@ def test_token_only_last_block_matches_the_full_block(make_cfg, bsz):
     assert np.abs(got_token - ref_token).max() <= 1e-6
     assert len(got_att) == len(ref_att) == cfg.layers
     for got, ref in zip(got_att, ref_att):
+        assert got.shape == ref.shape == (bsz, cfg.heads, cfg.num_patches + 1)
         assert np.abs(got - ref).max() <= 1e-6
     assert got_grads.keys() == ref_grads.keys()
     assert all(name.startswith("pqt.") for name in got_grads)

@@ -169,36 +169,81 @@ def test_quality_loss_gradient_is_sign():
 # attention-map export
 
 
+def random_rows(rng, heads=2, n=16):
+    """One block's (heads, n + 1) attention rows, each head a distribution."""
+    raw = rng.uniform(heads * (n + 1)).reshape(heads, n + 1)
+    return (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+def reference_resize(grid, out_h, out_w):
+    """Half-pixel bilinear sampling of a (g, g) grid, one output pixel at a time."""
+    g = grid.shape[0]
+
+    def taps(o, n_out):
+        s = min(max((o + 0.5) * g / n_out - 0.5, 0.0), g - 1.0)
+        i0 = int(np.floor(s))
+        return i0, min(i0 + 1, g - 1), s - i0
+
+    out = np.empty((out_h, out_w))
+    for i in range(out_h):
+        y0, y1, fy = taps(i, out_h)
+        for j in range(out_w):
+            x0, x1, fx = taps(j, out_w)
+            top = (1 - fx) * grid[y0, x0] + fx * grid[y0, x1]
+            bottom = (1 - fx) * grid[y1, x0] + fx * grid[y1, x1]
+            out[i, j] = (1 - fy) * top + fy * bottom
+    return out
+
+
 def test_attention_map_shape_and_range():
     rng = CounterRng(derive_seed(0, "att"))
-    vecs = []
-    for _ in range(3):
-        raw = rng.uniform(16)
-        vecs.append((raw / raw.sum()).astype(np.float32))
-    img = extract_attention_map(vecs, 32, 32)
+    img = extract_attention_map([random_rows(rng) for _ in range(3)], 32, 32)
     assert (img.height, img.width) == (32, 32)
+    assert img.pixels.dtype == np.float32
     assert float(img.pixels.min()) == pytest.approx(0.0)
     assert float(img.pixels.max()) == pytest.approx(1.0)
 
 
+def test_attention_map_matches_the_stepwise_definition():
+    rng = CounterRng(derive_seed(1, "att"))
+    blocks = [random_rows(rng, heads=4) for _ in range(3)]
+    per_block = []
+    for rows in blocks:
+        # drop the token's self entry, renormalize each head, average the heads
+        patches = rows[:, 1:].astype(np.float64)
+        per_block.append((patches / patches.sum(axis=-1, keepdims=True)).mean(axis=0))
+    resized = reference_resize(np.mean(per_block, axis=0).reshape(4, 4), 20, 28)
+    expect = (resized - resized.min()) / (resized.max() - resized.min())
+    img = extract_attention_map(blocks, 20, 28)
+    assert (img.height, img.width) == (20, 28)
+    assert np.abs(img.pixels - expect).max() <= 1e-6
+
+
 def test_attention_map_flat_input_is_zeros():
-    flat = [np.full(16, 1.0 / 16.0, dtype=np.float32)]
-    img = extract_attention_map(flat, 16, 16)
+    # uniform over the patches; the self entry differs and is dropped
+    rows = np.full((2, 17), 0.5 / 16.0, dtype=np.float32)
+    rows[:, 0] = 0.5
+    img = extract_attention_map([rows], 16, 16)
     assert np.all(img.pixels == 0.0)
 
 
 def test_attention_map_peak_location():
-    vec = np.zeros(16, dtype=np.float64)
-    vec[0] = 1.0  # top-left patch
-    img = extract_attention_map([vec], 16, 16)
+    rows = np.zeros((2, 17), dtype=np.float32)
+    rows[:, 0] = 0.6  # the self entry, larger than any patch's, is dropped
+    rows[:, 1] = 0.4  # top-left patch
+    img = extract_attention_map([rows], 16, 16)
     assert img.pixels[0, 0] == pytest.approx(1.0)
     assert img.pixels[-1, -1] == pytest.approx(0.0)
 
 
 def test_attention_map_errors():
-    with pytest.raises(ArgumentError, match="no attention vectors"):
+    with pytest.raises(ArgumentError, match="no attention rows"):
         extract_attention_map([], 8, 8)
-    with pytest.raises(ArgumentError, match="perfect square"):
-        extract_attention_map([np.ones(15) / 15.0], 8, 8)
+    with pytest.raises(ArgumentError, match="square patch grid"):
+        extract_attention_map([np.ones((2, 16)) / 16.0], 8, 8)
+    with pytest.raises(ArgumentError, match="square patch grid"):
+        extract_attention_map([np.ones(17) / 17.0], 8, 8)  # one head's row needs its head axis
     with pytest.raises(ArgumentError, match="disagree"):
-        extract_attention_map([np.ones(16) / 16.0, np.ones(9) / 9.0], 8, 8)
+        extract_attention_map([np.ones((2, 17)) / 17.0, np.ones((2, 10)) / 10.0], 8, 8)
+    with pytest.raises(ArgumentError, match="disagree"):
+        extract_attention_map([np.ones((2, 17)) / 17.0, np.ones((4, 17)) / 17.0], 8, 8)

@@ -434,7 +434,7 @@ def test_encoder_block_captures_the_reference_attention(token_only):
     store = ParamStore()
     fill(store, encoder_params(cfg, "pqt"), CounterRng(3))
     x = CounterRng(4).normal(2 * 65 * 64).reshape(2, 65, 64).astype(np.float32)
-    _out, vec = encoder_block(T.constant(x), store, cfg, "pqt", 1, capture=True, token_only=token_only)
+    _out, weights = encoder_block(T.constant(x), store, cfg, "pqt", 1, token_only=token_only)
 
     p = {name: t.data.astype(np.float64) for name, t in store.items()}
     xd = x.astype(np.float64)
@@ -444,9 +444,10 @@ def test_encoder_block_captures_the_reference_attention(token_only):
     k = xn @ p["pqt.block1.attn.wk"]
     v = xn @ p["pqt.block1.attn.wv"] + p["pqt.block1.attn.bv"]
     _ref_out, w = reference_attention(q, k, v, cfg.heads)
-    rows = w[:, :, 0, 1:] / w[:, :, 0, 1:].sum(axis=-1, keepdims=True)
-    assert vec.shape == (2, 64)
-    assert np.abs(vec - rows.mean(axis=1)).max() <= 1e-6
+    assert weights.shape == (2, cfg.heads, 1 if token_only else 65, 65)
+    # the token's row, which the quality branch hands on per block
+    assert np.abs(weights[:, :, 0] - w[:, :, 0]).max() <= 1e-6
+    assert np.allclose(weights[:, :, 0].sum(axis=-1, dtype=np.float64), 1.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("m", [65, 1])
