@@ -1,14 +1,16 @@
 """Top-down decoder from selected token layers to a predicted error map.
 
 Selected layers are aggregated shallow-to-deep by running addition,
-then each aggregate is reshaped onto the patch grid, convolved and
-passed through GELU. The model then upsamples the concatenated features
-in two bilinear stages, with a 1-channel head conv between them, and a
-sigmoid bounds the map to (0, 1). The first stage adapts to the patch
-size and the second supplies the rest of the patch-size factor (8 -> 4x
-then 2x, 16 -> 4x then 4x).
+then each aggregate is reshaped onto the patch grid and convolved. One
+GELU acts on the concatenated features of every layer: it is
+elementwise, so this equals a GELU per layer, bit for bit, with one call
+and one tape node. The model then upsamples the features in two
+bilinear stages, with a 1-channel head conv between them, and a sigmoid
+bounds the map to (0, 1). The first stage adapts to the patch size and
+the second supplies the rest of the patch-size factor (8 -> 4x then 2x,
+16 -> 4x then 4x).
 
-All five convs are ``tensor.conv2d_3x3``. Everything from the GELUs to
+All five convs are ``tensor.conv2d_3x3``. Everything from the GELU to
 the sigmoid is linear, so the head conv takes both resize sizes and runs
 upsample, conv and final resize as one op on the patch grid; the
 intermediate resolution is never built. Every step carries the batch:
@@ -106,8 +108,7 @@ def decode(layer_tokens: list, store: ParamStore, cfg: ModelConfig) -> T.Tensor:
     feats = []
     for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
         fmap = T.reshape(T.transpose(tokens), (bsz, d, grid, grid))
-        fmap = T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"])
-        feats.append(T.gelu(fmap))
-    merged = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
+        feats.append(T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"]))
+    merged = T.gelu(feats[0] if len(feats) == 1 else T.concat(feats, axis=1))
     head = T.conv2d_3x3(merged, store["dec.head.w"], store["dec.head.b"], mid, cfg.image_size)
     return T.sigmoid(head)

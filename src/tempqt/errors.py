@@ -15,10 +15,11 @@ class ArgumentError(TempqtError, ValueError):
 
 
 class ParseError(TempqtError, ValueError):
-    """Malformed image file. Carries the byte offset of the problem."""
+    """Malformed image file. Carries the message and the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -176,10 +176,13 @@ def _parse_pnm(data: bytes) -> tuple[str, int, int, int, np.ndarray]:
 
 
 def load_image(path) -> GrayImage:
-    """Load a PGM or PPM file as a grayscale image in [0, 1]."""
+    """Load a PGM or PPM file as a grayscale image in [0, 1]; a ParseError names the file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, width, height, maxval, samples = _parse_pnm(data)
+    try:
+        magic, width, height, maxval, samples = _parse_pnm(data)
+    except ParseError as err:
+        raise ParseError(f"{path}: {err.message}", err.offset) from None
     scaled = samples / float(maxval)
     if magic in ("P3", "P6"):
         rgb = scaled.reshape(height, width, 3)

@@ -12,10 +12,9 @@ op whose output went non-finite.
 float32 is the working precision. All ops follow the dtype of their
 inputs, so the finite-difference harness can run a float64 shadow of
 the same code paths, with one exception: ``gelu`` takes the normal CDF
-of a float32 array with at least ``GELU_RATIONAL_MIN_SIZE`` elements
-from a float32 rational kernel. float64 arrays, which the harness and
-the accuracy tests use as the reference, and smaller float32 arrays
-take it from scipy's ``erf``.
+of every float32 array from a float32 rational kernel, and of a float64
+array, which only the harness and the reference tests use, from
+``math.erf``. The package needs numpy alone.
 
 Model tensors are batch-first: tokens are (B, N, d), feature maps
 (B, C, H, W), and a single image is a batch of one. The shaped ops act
@@ -73,7 +72,6 @@ import math
 import os
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ArgumentError, DimensionError, TrainingError
 
@@ -81,14 +79,6 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5  # layer_norm's variance floor
 
-# Smallest float32 array that gelu sends to the rational kernel. Below it
-# the kernel's 26 ufunc calls cost more than one scipy erf. On a 2-vCPU
-# x86 host (numpy 2.4, scipy 1.17, one thread; untaped gelu, best of
-# 7 x 1,000 calls, activations N(0, s^2) with s = 0.5, 1, 3) the erf path
-# took 17-29 us at 1,024 elements against 36 us for the kernel, and
-# 114-211 us at 8,192 against 60-73 us. They crossed between 2,048 and
-# 6,144 elements, later for smaller activations, where erf is faster.
-GELU_RATIONAL_MIN_SIZE = 4096
 # Eigen's float erf: erf(t) ~ t * A(t^2) / B(t^2) on |t| <= 4, which is
 # +-1 in float32 beyond; coefficients lowest power first.
 _ERF_A = (
@@ -106,6 +96,7 @@ _ERF_B = (
 _PHI_P = tuple(np.float32(0.5 / _SQRT2 * c / 2.0**k) for k, c in enumerate(_ERF_A))[::-1]
 _PHI_Q = tuple(np.float32(c / 2.0**k) for k, c in enumerate(_ERF_B))[::-1]
 _PHI_CLAMP = 4.0 * _SQRT2
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, for float64 arrays
 
 # By default glibc serves large arrays with mmap and trims the heap top,
 # so memory a training step frees goes back to the kernel and the next
@@ -333,7 +324,9 @@ def sum_(a: Tensor) -> Tensor:
 
 def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
     """Phi(x) of a float32 array from the clamped rational; 4 temporaries, other passes in place."""
-    z = np.clip(x, -_PHI_CLAMP, _PHI_CLAMP)
+    # not np.clip, whose Python wrapper costs 3 us a call, more than the
+    # two passes on an array of a few thousand elements
+    z = np.minimum(np.maximum(x, np.float32(-_PHI_CLAMP)), np.float32(_PHI_CLAMP))
     z2 = z * z
     p = z2 * _PHI_P[0]
     for c in _PHI_P[1:-1]:
@@ -354,29 +347,26 @@ def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x), with Phi the standard normal CDF (the exact GELU).
 
-    float32 arrays of at least ``GELU_RATIONAL_MIN_SIZE`` (4,096)
-    elements take Phi from ``_normal_cdf_f32``: Eigen's float erf
-    rational (odd numerator to x^13 over even denominator to x^8),
-    clamped at |x| = 4 sqrt2, with no transcendental call. Its forward
-    stays within 4e-7 * max(1, |x|) of x * Phi(x) in float64, and so does
-    its gradient (tests/test_tensor.py). float64 arrays and smaller
-    float32 arrays use scipy's ``erf``. The backward is
-    g * (Phi + x * pdf(x)) with the exact Gaussian pdf on either path.
+    float32 arrays, whatever their size, take Phi from
+    ``_normal_cdf_f32``: Eigen's float erf rational (odd numerator to
+    x^13 over even denominator to x^8), clamped at |x| = 4 sqrt2, with no
+    transcendental call. Its forward stays within 4e-7 * max(1, |x|) of
+    x * Phi(x) in float64, and so does its gradient (tests/test_tensor.py).
+    float64 arrays take Phi from ``math.erf``, one element at a time. The
+    backward is g * (Phi + x * pdf(x)) with the exact Gaussian pdf.
     """
     ad = a.data
-    if ad.dtype == np.float32 and ad.size >= GELU_RATIONAL_MIN_SIZE:
+    if ad.dtype == np.float32:
         phi = _normal_cdf_f32(ad)
-        out = ad * phi
-        e = None
     else:
-        e = erf(ad * (1.0 / _SQRT2))
-        out = 0.5 * ad * (1.0 + e)
-        phi = None
+        phi = np.array(_erf(ad * (1.0 / _SQRT2)), dtype=ad.dtype)
+        phi += 1.0
+        phi *= 0.5
+    out = ad * phi
 
     def bwd(g):
         pdf = np.exp(-0.5 * ad * ad) * _INV_SQRT_2PI
-        cdf = 0.5 * (1.0 + e) if phi is None else phi
-        return (g * (cdf + ad * pdf),)
+        return (g * (phi + ad * pdf),)
 
     return _emit(out, (a,), bwd)
 
@@ -402,12 +392,15 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = expit(a.data)
+    """0.5 * tanh(x / 2) + 0.5, which cannot overflow, computed in place."""
+    y = np.tanh(a.data * 0.5)
+    y *= 0.5
+    y += 0.5
 
     def bwd(g):
         return (g * (y * (1.0 - y)),)
 
-    return _emit(y.astype(a.data.dtype, copy=False), (a,), bwd)
+    return _emit(y, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

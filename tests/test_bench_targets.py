@@ -4,8 +4,10 @@
 missing, so a rename or deletion in ``src/`` would break the benchmark
 without failing a test here. These tests read the tracer and fail first:
 one checks the list, two that the benchmark's entry modules load every
-listed module, the others that a tape node's backward closure still
-names the op the tracer files its time under. The last two read
+listed module, two that they load no scipy (the package is numpy-only,
+and ``scipy.special`` alone would add about 26 MB to every run's peak
+RSS), the others that a tape node's backward closure still names the op
+the tracer files its time under. The last two read
 ``bench/workloads.py``: every run config it writes must parse, and the
 config and checkpoint fields it reads must exist.
 """
@@ -49,6 +51,13 @@ def load_workloads(monkeypatch):
     return workloads
 
 
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports this checkout's tempqt."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_every_benchmark_target_exists():
     tracer = load_tracer()
     assert tracer.TARGETS
@@ -68,16 +77,19 @@ def test_benchmark_entry_module_loads_every_target_module(entry):
     # a fresh interpreter
     modules = sorted({module for module, _function, _span in load_tracer().TARGETS})
     probe = f"import sys, {entry}; print(' '.join(m for m in {modules!r} if m not in sys.modules))"
-    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.split() == []
+    assert run_fresh(probe).split() == []
+
+
+@pytest.mark.parametrize("entry", ["tempqt.cli", "tempqt.training"])
+def test_benchmark_entry_module_loads_no_scipy(entry):
+    probe = f"import sys, {entry}; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_fresh(probe).split() == []
 
 
 def test_tracer_files_gelu_backward_under_gelu():
     # the tracer names a tape node's op from its backward closure's
-    # qualname; 64 and 65,536 float32 elements lie on either side of
-    # gelu's kernel switch (tensor.GELU_RATIONAL_MIN_SIZE)
+    # qualname; a small and a large float32 array, 64 and 65,536
+    # elements, both take the one float32 kernel
     tracer = load_tracer()
     for size in (64, 65536):
         a = T.Tensor(np.linspace(-3.0, 3.0, size), requires_grad=True)

@@ -424,7 +424,8 @@ def test_synth_truncated_base_exit_1_without_output(tmp_path, capsys):
     (bases / "texture_zzz.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(5))
     out = tmp_path / "ds"
     assert cli.main(["synth", "--bases", str(bases), "--out", str(out)]) == 1
-    assert "truncated raster" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "texture_zzz.pgm" in err and "truncated raster" in err
     assert not out.exists()
 
 

@@ -207,9 +207,42 @@ def test_decode_builds_nothing_at_the_mid_resolution():
     with T.Tape() as tape:
         decode(tokens, store, cfg)
     assert [n for n in tape.nodes if n.out.shape[-2:] == (mid, mid)] == []
-    # 4 layers of transpose, reshape, conv and GELU, 3 running sums, then
-    # concat, the folded head and the sigmoid
-    assert len(tape.nodes) == 22
+    # 4 layers of transpose, reshape and conv, 3 running sums, then concat,
+    # one GELU, the folded head and the sigmoid
+    assert len(tape.nodes) == 19
+
+
+def per_layer_gelu_decode(layer_tokens, store, cfg):
+    """``decode`` with a GELU on each layer's features before the concat."""
+    bsz, grid, d = layer_tokens[0].shape[0], cfg.grid, cfg.embed_dim
+    mid = grid * upsample_stages(cfg.patch_size)
+    feats = []
+    for idx, tokens in enumerate(aggregate_topdown(layer_tokens)):
+        fmap = T.reshape(T.transpose(tokens), (bsz, d, grid, grid))
+        feats.append(T.gelu(T.conv2d_3x3(fmap, store[f"dec.layer{idx}.w"], store[f"dec.layer{idx}.b"])))
+    head = T.conv2d_3x3(T.concat(feats, axis=1), store["dec.head.w"], store["dec.head.b"], mid, cfg.image_size)
+    return T.sigmoid(head)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cfg", [ModelConfig(), tiny_config()], ids=["default", "tiny"])
+def test_one_gelu_over_the_concat_equals_one_per_layer(cfg, dtype):
+    # GELU is elementwise, so the map and every gradient are bit-equal
+    store = make_decoder_store(cfg)
+    for t in store.tensors():
+        t.data = t.data.astype(dtype)
+    rng = np.random.default_rng(5)
+    tokens = [
+        T.Tensor(rng.normal(size=(2, cfg.num_patches, cfg.embed_dim)), requires_grad=True, dtype=dtype)
+        for _ in cfg.selected_layers
+    ]
+    probe = T.constant(rng.uniform(0.5, 1.5, size=(2, 1, cfg.image_size, cfg.image_size)), dtype=dtype)
+    got_map, got_grads = map_and_grads(decode, tokens, store, cfg, probe)
+    ref_map, ref_grads = map_and_grads(per_layer_gelu_decode, tokens, store, cfg, probe)
+    assert got_map.dtype == dtype
+    assert np.array_equal(got_map, ref_map)
+    for got, ref in zip(got_grads, ref_grads):
+        assert got.dtype == dtype and np.array_equal(got, ref)
 
 
 def test_init_head_bias_prior():

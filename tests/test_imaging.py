@@ -77,6 +77,16 @@ def test_malformed_files_raise(tmp_path, data):
         load_image(write(tmp_path, "bad.pgm", data))
 
 
+def test_parse_error_names_the_file_and_keeps_the_offset(tmp_path):
+    path = write(tmp_path, "short.pgm", b"P5\n2 2\n255\n\x00\x00")
+    with pytest.raises(ParseError) as info:
+        load_image(path)
+    err = info.value
+    assert err.offset == 13  # the end of the file
+    assert err.message == f"{path}: truncated raster: need 4 bytes, file has 2"
+    assert str(err) == f"{err.message} (byte offset 13)"
+
+
 def test_ascii_header_larger_than_file_raises_before_allocating(tmp_path):
     # 10^18 samples would take exbibytes; a 33-byte file cannot hold them
     data = b"P2\n1000000000 1000000000\n255\n0 1\n"

@@ -1,6 +1,7 @@
 """Tensor op semantics and the taped backward pass."""
 
 import inspect
+import math
 import os
 import platform
 import subprocess
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import ndtr
 
 from tempqt import gradcheck
 from tempqt import tensor as T
@@ -69,35 +69,55 @@ def test_gelu_known_values():
     x = T.constant([0.0, 1.0, -1.0], dtype=np.float64)
     got = T.gelu(x).data
     assert np.allclose(got, [0.0, 0.8413447460685429, -0.15865525393145707], atol=1e-12)
+    # a 0-d float32 array takes the float32 kernel too
+    assert abs(float(T.gelu(T.constant(np.float32(1.0))).data) - 0.8413447460685429) <= 4e-7
 
 
-GELU_F32_TOL = 4e-7  # |error| / max(1, |x|), forward and gradient, both float32 kernels
+GELU_F32_TOL = 4e-7  # |error| / max(1, |x|), forward and gradient, float32 kernel
+SIGMOID_F32_TOL = 1.2e-7  # absolute, float32 against the float64 logistic
 
 
-def test_gelu_float32_accuracy_both_kernels():
-    x = np.concatenate([np.linspace(-12.0, 12.0, 48001), [0.0, -0.0, 1e4, -1e4]]).astype(np.float32)
-    n = T.GELU_RATIONAL_MIN_SIZE
-    # one array takes the rational kernel, slices below the size limit take erf
-    whole, slices = [x], np.array_split(x, 2 * x.size // n + 1)
-    assert x.size >= n and max(map(len, slices)) < n
+def normal_cdf64(x64):
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x64])
+
+
+# 1,088 elements is a tiny-config activation, 48,005 the whole point set
+@pytest.mark.parametrize("size, count", [(1, 1024), (64, 64), (1088, 8), (48005, 1)])
+def test_gelu_float32_accuracy(size, count):
+    # count float32 arrays of size elements each, one kernel for every
+    # size, cover the special points and an even grid on [-12, 12]
+    x = np.concatenate([[0.0, -0.0, 1e4, -1e4], np.linspace(-12.0, 12.0, size * count - 4)])
+    x = x.astype(np.float32)
     x64 = x.astype(np.float64)
-    cdf = ndtr(x64)
+    cdf = normal_cdf64(x64)
     ref_out = x64 * cdf
     ref_grad = cdf + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
     scale = np.maximum(1.0, np.abs(x64))
-    for parts in (whole, slices):
-        outs, grads = [], []
-        for part in parts:
-            a = leaf(part, dtype=np.float32)
-            with T.Tape() as tape:
-                y = T.gelu(a)
-                T.backward(T.sum_(y), tape)  # g = 1
-            outs.append(y.data)
-            grads.append(a.grad)
-        out, grad = np.concatenate(outs), np.concatenate(grads)
-        assert out.dtype == np.float32
-        assert (np.abs(out - ref_out) / scale).max() <= GELU_F32_TOL
-        assert (np.abs(grad - ref_grad) / scale).max() <= GELU_F32_TOL
+    outs, grads = [], []
+    for part in np.split(x, count):
+        a = leaf(part, dtype=np.float32)
+        with T.Tape() as tape:
+            y = T.gelu(a)
+            T.backward(T.sum_(y), tape)  # g = 1
+        outs.append(y.data)
+        grads.append(a.grad)
+    out, grad = np.concatenate(outs), np.concatenate(grads)
+    assert out.dtype == np.float32 and grad.dtype == np.float32
+    assert (np.abs(out - ref_out) / scale).max() <= GELU_F32_TOL
+    assert (np.abs(grad - ref_grad) / scale).max() <= GELU_F32_TOL
+
+
+def test_sigmoid_float32_accuracy():
+    # beyond |x| = 89 a float32 exp overflows; the warnings-as-errors
+    # filter turns any RuntimeWarning into a failure
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80001), [0.0, -0.0, 1e4, -1e4]]).astype(np.float32)
+    x64 = x.astype(np.float64)
+    e = np.exp(-np.abs(x64))
+    ref = np.where(x64 >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = T.sigmoid(T.constant(x)).data
+    assert y.dtype == np.float32
+    assert np.abs(y - ref).max() <= SIGMOID_F32_TOL
+    assert y.min() >= 0.0 and y.max() <= 1.0
 
 
 def test_prelu_and_sigmoid():
