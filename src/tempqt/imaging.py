@@ -2,7 +2,11 @@
 
 File support is deliberately narrow: binary and ASCII PGM/PPM (P2, P3,
 P5, P6) with maxval 255 or 65535. Color input is reduced to luma with
-the Rec.601 weights. Values are held as float32 in [0, 1].
+the Rec.601 weights. Values are held as float32 in [0, 1]. Tokens are
+split by filler: the six whitespace bytes (space, tab, LF, CR, VT, FF)
+and ``#`` comments, which run to the newline in the header and in a plain
+raster alike and also end a token. Exactly one whitespace byte precedes
+a binary raster. A ParseError's offset is a byte offset into the file.
 
 The distortion bank is one table, ``_FAMILIES``, of three parametric
 families with severity 1..5; ``DISTORTION_KINDS`` is its keys, and
@@ -13,6 +17,7 @@ a given (image, spec) pair produces bit-identical output on every run.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,6 @@ from .errors import ArgumentError, ParseError
 from .rng import CounterRng, derive_seed
 
 _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 @dataclass
@@ -85,92 +89,64 @@ def as_batch(images) -> ImageBatch:
     return ImageBatch(images.pixels[None])
 
 
-class _HeaderReader:
-    """Tokenizer over a netpbm header; tracks byte offsets for errors."""
+# filler (a whitespace byte, or a comment through its newline), then one token
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def _skip_filler(self) -> None:
-        data = self.data
-        while self.pos < len(data):
-            ch = data[self.pos : self.pos + 1]
-            if ch in (b"#",):
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            elif ch and ch in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
+def _token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
+    """The next token at or after ``pos``: its bytes, its offset, the position after it."""
+    start, end = _TOKEN.match(data, pos).span(1)
+    if start == end:
+        raise ParseError(f"unexpected end of file while reading {what}", start)
+    return data[start:end], start, end
 
-    def token(self, what: str) -> tuple[bytes, int]:
-        self._skip_filler()
-        if self.pos >= len(self.data):
-            raise ParseError(f"unexpected end of file while reading {what}", self.pos)
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        return data[start : self.pos], start
 
-    def integer(self, what: str) -> tuple[int, int]:
-        tok, start = self.token(what)
-        if not tok.isdigit():
-            raise ParseError(f"expected an integer for {what}, got {tok!r}", start)
-        return int(tok), start
+def _integer(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+    tok, start, end = _token(data, pos, what)
+    if not tok.isdigit():
+        raise ParseError(f"expected an integer for {what}, got {tok!r}", start)
+    return int(tok), start, end
 
 
 def _parse_pnm(data: bytes) -> tuple[str, int, int, int, np.ndarray]:
-    reader = _HeaderReader(data)
-    magic, off = reader.token("magic number")
+    magic, off, pos = _token(data, 0, "magic number")
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ParseError(f"unsupported magic {magic!r}", off)
     magic = magic.decode()
-    width, off = reader.integer("width")
+    width, off, pos = _integer(data, pos, "width")
     if width < 1:
         raise ParseError("width must be positive", off)
-    height, off = reader.integer("height")
+    height, off, pos = _integer(data, pos, "height")
     if height < 1:
         raise ParseError("height must be positive", off)
-    maxval, off = reader.integer("maxval")
+    maxval, off, pos = _integer(data, pos, "maxval")
     if maxval not in (255, 65535):
         raise ParseError(f"unsupported maxval {maxval} (expected 255 or 65535)", off)
-    channels = 3 if magic in ("P3", "P6") else 1
-    count = width * height * channels
+    count = width * height * (3 if magic in ("P3", "P6") else 1)
 
     if magic in ("P5", "P6"):
         # exactly one whitespace byte separates the header from the raster
-        if reader.pos >= len(data) or data[reader.pos : reader.pos + 1] not in _WHITESPACE:
-            raise ParseError("expected a whitespace byte after maxval", reader.pos)
-        raster_at = reader.pos + 1
-        itemsize = 2 if maxval == 65535 else 1
-        need = count * itemsize
-        if len(data) - raster_at < need:
-            raise ParseError(
-                f"truncated raster: need {need} bytes, file has {len(data) - raster_at}",
-                len(data),
-            )
-        raw = data[raster_at : raster_at + need]
-        dtype = ">u2" if maxval == 65535 else np.uint8
-        samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+        if not data[pos : pos + 1].isspace():
+            raise ParseError("expected a whitespace byte after maxval", pos)
+        dtype = np.dtype(">u2" if maxval == 65535 else np.uint8)
+        need, have = count * dtype.itemsize, len(data) - pos - 1
+        if have < need:
+            raise ParseError(f"truncated raster: need {need} bytes, file has {have}", len(data))
+        samples = np.frombuffer(data, dtype, count=count, offset=pos + 1).astype(np.float64)
     else:
         # each sample needs a digit and a separator; check before allocating
-        raster = len(data) - reader.pos - 1
+        raster = len(data) - pos - 1
         if raster < 2 * count - 1:
             raise ParseError(
                 f"truncated raster: {count} samples need at least {2 * count - 1} bytes, file has {max(raster, 0)}",
                 len(data),
             )
-        values = np.empty(count, dtype=np.float64)
+        samples = np.empty(count, dtype=np.float64)
         for i in range(count):
-            v, off = reader.integer("sample value")
+            v, off, pos = _integer(data, pos, "sample value")
             if v > maxval:
                 raise ParseError(f"sample {v} exceeds maxval {maxval}", off)
-            values[i] = v
-        samples = values
+            samples[i] = v
 
     return magic, width, height, maxval, samples
 

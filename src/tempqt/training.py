@@ -469,7 +469,6 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
     else:
         epochs, base_lr = train_cfg.epochs_stage2, train_cfg.beta
     state = AdamState(store)
-    logged_first = False
     for epoch in range(epochs):
         lr = lr_at(epoch, train_cfg, base=base_lr)
         items = epoch_items(epoch)
@@ -488,9 +487,8 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
                     raise
             zero_grads(store.tensors())
             value = loss.item()
-            if not logged_first:
+            if epoch == 0 and batch == 0:
                 log.line(f"stage={stage} init_batch_loss={value!r}")
-                logged_first = True
             epoch_losses.append(value)
         log.line(f"stage={stage} epoch={epoch} lr={lr!r} loss={float(np.mean(epoch_losses))!r}")
 

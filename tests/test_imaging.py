@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempqt import imaging
 from tempqt.errors import ArgumentError, ParseError
@@ -60,21 +62,33 @@ def test_maxval_65535_big_endian(tmp_path):
     assert np.allclose(img.pixels, [[1.0, 0.0]])
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"P7\n1 1\n255\n\x00",
-        b"P5\n0 1\n255\n",
-        b"P5\n1 1\n254\n\x00",
-        b"P5\n2 2\n255\n\x00\x00",  # truncated raster
-        b"P2\n1 1\n255\n999\n",  # sample exceeds maxval
-        b"P2\n1 1\n255\n",  # missing sample
-        b"P5\nx 1\n255\n\x00",
-    ],
-)
+# file bytes -> (ParseError message, byte offset); the message as the
+# parser words it, before load_image puts the path in front
+MALFORMED = {
+    b"P7\n1 1\n255\n\x00": ("unsupported magic b'P7'", 0),
+    b"P5\n0 1\n255\n": ("width must be positive", 3),
+    b"P5\n1 1\n254\n\x00": ("unsupported maxval 254 (expected 255 or 65535)", 7),
+    b"P5\n2 2\n255\n\x00\x00": ("truncated raster: need 4 bytes, file has 2", 13),
+    b"P2\n1 1\n255\n999\n": ("sample 999 exceeds maxval 255", 11),
+    b"P2\n1 1\n255\n": ("truncated raster: 1 samples need at least 1 bytes, file has 0", 11),
+    b"P5\nx 1\n255\n\x00": ("expected an integer for width, got b'x'", 3),
+    b"P5\n1 1\n255#c\n\x00": ("expected a whitespace byte after maxval", 10),
+    b"P5\n1 1 # no end": ("unexpected end of file while reading maxval", 15),
+    b"P2\n1 1\n255\n+1\n": ("expected an integer for sample value, got b'+1'", 11),
+    b"P2\n2 1\n255\n7 x\n": ("expected an integer for sample value, got b'x'", 13),
+    b"P3\n1 1\n255\n1 2\n": ("truncated raster: 3 samples need at least 5 bytes, file has 4", 15),
+    # enough bytes for two samples, but only one token
+    b"P2\n2 1\n255\n7  \n": ("unexpected end of file while reading sample value", 15),
+}
+
+
+@pytest.mark.parametrize("data", list(MALFORMED))
 def test_malformed_files_raise(tmp_path, data):
-    with pytest.raises(ParseError):
-        load_image(write(tmp_path, "bad.pgm", data))
+    path = write(tmp_path, "bad.pgm", data)
+    with pytest.raises(ParseError) as info:
+        load_image(path)
+    message, offset = MALFORMED[data]
+    assert (info.value.message, info.value.offset) == (f"{path}: {message}", offset)
 
 
 def test_parse_error_names_the_file_and_keeps_the_offset(tmp_path):
@@ -97,6 +111,64 @@ def test_ascii_header_larger_than_file_raises_before_allocating(tmp_path):
 def test_ascii_raster_of_exactly_one_byte_per_sample_and_separator(tmp_path):
     img = load_image(write(tmp_path, "a.pgm", b"P2\n3 1\n255\n1 2 3"))
     assert np.allclose(img.pixels, [[1 / 255.0, 2 / 255.0, 3 / 255.0]], atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P2\n2 1\n255\n1#x\n2",  # a comment ends a raster token
+        b"P2\r2\x0b1\x0c255\r1\x0b2",  # CR, VT and FF separate tokens
+    ],
+)
+def test_comments_and_every_whitespace_byte_separate_tokens(tmp_path, data):
+    img = load_image(write(tmp_path, "a.pgm", data))
+    assert np.array_equal(img.pixels, np.array([[1, 2]], dtype=np.float32) / np.float32(255))
+
+
+WHITESPACE_BYTES = [bytes([b]) for b in b" \t\n\r\x0b\x0c"]
+
+
+@st.composite
+def filler(draw):
+    """A non-empty run of whitespace bytes and ``#`` comments; a comment runs to its newline."""
+    comment = st.binary(max_size=4).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+    pieces = st.one_of(st.sampled_from(WHITESPACE_BYTES), comment)
+    return b"".join(draw(st.lists(pieces, min_size=1, max_size=3)))
+
+
+@st.composite
+def netpbm_files(draw):
+    """A valid P2/P3/P5/P6 file of at most 8x8, its magic, maxval and samples."""
+    magic = draw(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]))
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    maxval = draw(st.sampled_from([255, 65535]))
+    count = width * height * (3 if magic in (b"P3", b"P6") else 1)
+    samples = draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count))
+    data = magic
+    for value in (width, height, maxval):
+        data += draw(filler()) + str(value).encode()
+    if magic in (b"P5", b"P6"):
+        dtype = ">u2" if maxval == 65535 else np.uint8
+        data += draw(st.sampled_from(WHITESPACE_BYTES)) + np.array(samples, dtype=dtype).tobytes()
+    else:
+        for value in samples:
+            data += draw(filler()) + str(value).encode()
+        data += draw(st.one_of(st.just(b""), filler()))
+    return data, magic, width, height, maxval, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(netpbm_files())
+def test_valid_files_with_any_filler_read_exactly(tmp_path_factory, case):
+    data, magic, width, height, maxval, samples = case
+    path = tmp_path_factory.mktemp("pnm") / "a.pnm"
+    path.write_bytes(data)
+    scaled = np.array(samples, dtype=np.float64) / float(maxval)
+    if magic in (b"P3", b"P6"):
+        rgb = scaled.reshape(height, width, 3)
+        scaled = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
+    expected = np.clip(scaled.reshape(height, width), 0.0, 1.0).astype(np.float32)
+    assert np.array_equal(load_image(path).pixels, expected)
 
 
 def test_save_golden_and_round_trip(tmp_path):
