@@ -5,7 +5,8 @@ train (stage 2), eval (score a manifest), maps (export error and
 attention maps), gradcheck (finite-difference audit of every case in
 ``gradcheck.CASES``; it takes only a seed). Every command writes its
 fully resolved configuration beside its outputs, so a run directory is
-self-describing.
+self-describing. pretrain, train and eval take settings from ``--config``
+and paths only from ``--manifest`` and ``--out``, which may not be empty.
 
 eval reports SROCC and PLCC per split, and ``n/a`` for a metric that is
 undefined on a split: fewer than two samples, or constant scores or
@@ -28,7 +29,6 @@ its stage's log ends with an ``error=`` line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -77,17 +77,11 @@ def _resolved_run(run: RunConfig, out_dir: str, command: str) -> None:
     _write(os.path.join(out_dir, f"{command}.resolved.config"), serialize_run_config(run))
 
 
-def _load_run(args) -> RunConfig:
-    run = load_run_config(args.config)
-    if args.manifest:
-        run = dataclasses.replace(run, manifest=os.path.abspath(args.manifest))
-    if args.out:
-        run = dataclasses.replace(run, out_dir=os.path.abspath(args.out))
-    if run.manifest is None:
-        raise ArgumentError("no manifest given (config key `manifest` or --manifest)")
-    if run.out_dir is None:
-        raise ArgumentError("no output directory given (config key `out_dir` or --out)")
-    return run
+def _run_path(text: str) -> str:
+    """A run's --manifest or --out as an absolute path; empty is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return os.path.abspath(text)
 
 
 # --- commands ---------------------------------------------------------------
@@ -136,9 +130,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    run = _load_run(args)
-    manifest = load_manifest(run.manifest)
-    out = _ensure_out(run.out_dir)
+    run = load_run_config(args.config)
+    manifest = load_manifest(args.manifest)
+    out = _ensure_out(args.out)
     _resolved_run(run, out, "pretrain")
     ckpt = pretrain_pem(
         manifest,
@@ -156,11 +150,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = _load_run(args)
-    manifest = load_manifest(run.manifest)
+    run = load_run_config(args.config)
+    manifest = load_manifest(args.manifest)
     pem_ckpt = load_checkpoint(args.pem_ckpt)
     check_model_compat(pem_ckpt.model_cfg, run.model)
-    out = _ensure_out(run.out_dir)
+    out = _ensure_out(args.out)
     _resolved_run(run, out, "train")
     ckpt = train_quality(
         manifest,
@@ -186,8 +180,8 @@ def _metric_text(metric, targets, preds) -> str:
 
 
 def cmd_eval(args) -> int:
-    run = _load_run(args)
-    manifest = load_manifest(run.manifest)
+    run = load_run_config(args.config)
+    manifest = load_manifest(args.manifest)
     ckpt = load_checkpoint(args.ckpt)
     check_model_compat(ckpt.model_cfg, run.model)
     # scores and reports everything first, so a bad checkpoint or image
@@ -205,7 +199,7 @@ def cmd_eval(args) -> int:
             f"plcc={_metric_text(plcc, targets, preds)}"
         )
 
-    out = _ensure_out(run.out_dir)
+    out = _ensure_out(args.out)
     _resolved_run(run, out, "eval")
     for line in report_lines:
         print(line)
@@ -279,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quality assessment from predicted error maps and a quality token.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # what pretrain, train and eval share: the run config and its two overrides
+    # what pretrain, train and eval share: the run config and the run's two paths
     run_args = argparse.ArgumentParser(add_help=False)
-    run_args.add_argument("--config", required=True)
-    run_args.add_argument("--manifest", default=None, help="override config manifest path")
-    run_args.add_argument("--out", default=None, help="override config out_dir")
+    run_args.add_argument("--config", required=True, help="key = value settings file")
+    run_args.add_argument("--manifest", required=True, type=_run_path, help="dataset manifest.csv to read")
+    run_args.add_argument("--out", required=True, type=_run_path, help="run directory to write")
 
     p = sub.add_parser("synth", help="generate a distorted dataset from base images")
     p.add_argument("--bases", required=True, help="directory of base images (.pgm/.ppm)")

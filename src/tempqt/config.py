@@ -3,10 +3,9 @@
 One namespace covers the model, training, loss, and run settings; the
 field names of the underlying dataclasses are the keys, so they must
 never collide. One table, ``_KEYS``, gives each key its group and type;
-parsing and serialization both read it. A comment starts at a ``#``
-that begins the line or follows whitespace (``out_dir = run#2`` keeps
-its ``#``), booleans are ``true``/``false``, integer tuples are comma
-separated, and ``manifest`` and ``out_dir`` may not be empty.
+parsing and serialization both read it. Every ``#`` starts a comment
+(``alpha = 0.5#x`` reads 0.5), booleans are ``true``/``false``, integer
+tuples are comma separated, and no key names a path.
 Serialization is canonical: fixed group order, one key per line, so
 equal configurations produce identical text.
 """
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import re
 from dataclasses import dataclass
 
 from .encoder import ModelConfig
@@ -32,8 +29,6 @@ class RunConfig:
     model: ModelConfig
     train: TrainConfig
     loss: PemLossConfig
-    manifest: str | None = None
-    out_dir: str | None = None
     patch_count: int = 4
     augment: bool = True
 
@@ -46,17 +41,13 @@ class RunConfig:
                 f"share_backbone needs selected_layers to reach layers ({self.model.layers}), "
                 f"got {','.join(map(str, self.model.selected_layers))}"
             )
-        for key in ("manifest", "out_dir"):
-            if getattr(self, key) == "":
-                raise ArgumentError(f"{key} must not be empty")
 
 
 # settings dataclass by group; a group is the heading its keys are written under
 _SETTINGS = {"model": ModelConfig, "training": TrainConfig, "loss": PemLossConfig}
 # key -> (group, type), in the text's order
 _KEYS = {f.name: (group, type(f.default)) for group, cls in _SETTINGS.items() for f in dataclasses.fields(cls)}
-_KEYS.update(manifest=("run", str), out_dir=("run", str), patch_count=("run", int), augment=("run", bool))
-_COMMENT = re.compile(r"(?:^|\s)#")
+_KEYS.update(patch_count=("run", int), augment=("run", bool))
 
 
 def _format_value(value) -> str:
@@ -95,12 +86,12 @@ def _parse_value(key: str, text: str, kind: type):
 
 def _text(sections) -> str:
     """Per (group, object): a ``# group`` line, then each of the group's
-    keys as ``key = value``; a None value is left out."""
+    keys as ``key = value``."""
     lines = []
     for group, obj in sections:
         lines.append(f"# {group}")
         for key, (key_group, _) in _KEYS.items():
-            if key_group == group and getattr(obj, key) is not None:
+            if key_group == group:
                 lines.append(f"{key} = {_format_value(getattr(obj, key))}")
     return "\n".join(lines) + "\n"
 
@@ -114,7 +105,7 @@ def parse_pairs(text: str) -> dict:
     """Raw key -> value-string mapping, with duplicate keys rejected."""
     pairs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -155,21 +146,13 @@ def parse_run_text(text: str) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    """Parse a config file; relative paths resolve against its directory."""
+    """Parse a UTF-8 config file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ArgumentError(f"{path}: config file is not UTF-8") from exc
-    run = parse_run_text(text)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        if p is None or os.path.isabs(p):
-            return p
-        return os.path.normpath(os.path.join(base, p))
-
-    return dataclasses.replace(run, manifest=resolve(run.manifest), out_dir=resolve(run.out_dir))
+    return parse_run_text(text)
 
 
 def serialize_run_config(run: RunConfig) -> str:

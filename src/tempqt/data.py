@@ -61,6 +61,9 @@ class DatasetManifest:
 
 
 def _validate(manifest: DatasetManifest) -> None:
+    # the metadata line's seed is read back as digits only
+    if manifest.seed < 0:
+        raise DataError(f"seed must be non-negative, got {manifest.seed}")
     seen = set()
     group_split: dict = {}
     for s in manifest.samples:

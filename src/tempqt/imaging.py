@@ -5,8 +5,11 @@ P5, P6) with maxval 255 or 65535. Color input is reduced to luma with
 the Rec.601 weights. Values are held as float32 in [0, 1]. Tokens are
 split by filler: the six whitespace bytes (space, tab, LF, CR, VT, FF)
 and ``#`` comments, which run to the newline in the header and in a plain
-raster alike and also end a token. Exactly one whitespace byte precedes
-a binary raster. A ParseError's offset is a byte offset into the file.
+raster alike and also end a token. The magic number starts the file.
+Exactly one whitespace byte precedes a binary raster. A plain (P2/P3)
+file holds one image, so only filler may follow its last sample; a
+binary file may hold several, so bytes after its raster are ignored. A
+ParseError's offset is a byte offset into the file.
 
 The distortion bank is one table, ``_FAMILIES``, of three parametric
 families with severity 1..5; ``DISTORTION_KINDS`` is its keys, and
@@ -110,6 +113,8 @@ def _integer(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
 
 def _parse_pnm(data: bytes) -> tuple[str, int, int, int, np.ndarray]:
     magic, off, pos = _token(data, 0, "magic number")
+    if off:
+        raise ParseError("the magic number must start the file", 0)
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ParseError(f"unsupported magic {magic!r}", off)
     magic = magic.decode()
@@ -147,6 +152,9 @@ def _parse_pnm(data: bytes) -> tuple[str, int, int, int, np.ndarray]:
             if v > maxval:
                 raise ParseError(f"sample {v} exceeds maxval {maxval}", off)
             samples[i] = v
+        start, end = _TOKEN.match(data, pos).span(1)
+        if start < end:
+            raise ParseError("extra data after the last sample", start)
 
     return magic, width, height, maxval, samples
 

@@ -42,8 +42,6 @@ epochs_stage2 = 1
 # run
 patch_count = 1
 augment = false
-manifest = ds/manifest.csv
-out_dir = run
 """
 
 
@@ -64,12 +62,13 @@ def pipeline(tmp_path_factory):
         "synth", "--bases", str(bases), "--out", str(ds),
         "--seed", "0", "--severities", "1,5",
     ]) == 0
-    assert cli.main(["pretrain", "--config", str(cfg_path)]) == 0
+    paths = ["--manifest", str(ds / "manifest.csv"), "--out", str(run)]
+    assert cli.main(["pretrain", "--config", str(cfg_path), *paths]) == 0
     assert cli.main([
-        "train", "--config", str(cfg_path), "--pem-ckpt", str(run / "pem.ckpt"),
+        "train", "--config", str(cfg_path), *paths, "--pem-ckpt", str(run / "pem.ckpt"),
     ]) == 0
     assert cli.main([
-        "eval", "--config", str(cfg_path), "--ckpt", str(run / "quality.ckpt"),
+        "eval", "--config", str(cfg_path), *paths, "--ckpt", str(run / "quality.ckpt"),
     ]) == 0
     some_dist = next((ds / "dist").glob("*_s5.pgm"))
     maps_out = root / "maps"
@@ -158,6 +157,55 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+RUN_COMMAND_ARGS = {"pretrain": [], "train": ["--pem-ckpt", "pem.ckpt"], "eval": ["--ckpt", "quality.ckpt"]}
+
+
+@pytest.mark.parametrize("command", list(RUN_COMMAND_ARGS))
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        (["--out", "run"], "the following arguments are required: --manifest"),
+        (["--manifest", "manifest.csv"], "the following arguments are required: --out"),
+        (["--manifest", "", "--out", "run"], "argument --manifest: must not be empty"),
+        (["--manifest", "manifest.csv", "--out", ""], "argument --out: must not be empty"),
+    ],
+    ids=["no_manifest", "no_out", "empty_manifest", "empty_out"],
+)
+def test_run_paths_are_required_flags(tmp_path, monkeypatch, capsys, command, paths, message):
+    # an empty --out would otherwise write into the working directory
+    (tmp_path / "run.cfg").write_text(TINY_RUN_CONFIG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", "run.cfg", *RUN_COMMAND_ARGS[command], *paths])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("key", ["manifest", "out_dir"])
+def test_config_naming_a_path_exit_1_without_output(pipeline, tmp_path, capsys, key):
+    cfg = tmp_path / "paths.cfg"
+    cfg.write_text(TINY_RUN_CONFIG + f"{key} = elsewhere\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main([
+        "pretrain", "--config", str(cfg),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: unknown configuration key '{key}'\n"
+    assert not out.exists()
+
+
+def test_resolved_config_is_the_same_from_any_directory(pipeline, tmp_path, monkeypatch):
+    # relative flags from another working directory, into another run directory
+    shutil.copytree(pipeline["ds"], tmp_path / "ds")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([
+        "pretrain", "--config", str(pipeline["cfg"]), "--manifest", "ds/manifest.csv", "--out", "elsewhere",
+    ]) == 0
+    resolved = (tmp_path / "elsewhere" / "pretrain.resolved.config").read_bytes()
+    assert resolved == (pipeline["run"] / "pretrain.resolved.config").read_bytes()
+
+
 def test_eval_reports_undefined_correlations_as_na(pipeline, tmp_path, capsys):
     # constant test scores, then a fusion head whose output ignores its input
     ds = pipeline["ds"]
@@ -205,21 +253,16 @@ def test_every_error_class_is_reported():
 
 def test_runtime_errors_exit_1(pipeline, tmp_path, capsys):
     # missing manifest file
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("manifest = nowhere/manifest.csv\nout_dir = out\n", encoding="utf-8")
-    assert cli.main(["pretrain", "--config", str(cfg)]) == 1
+    assert cli.main([
+        "pretrain", "--config", str(pipeline["cfg"]),
+        "--manifest", str(tmp_path / "nowhere" / "manifest.csv"), "--out", str(tmp_path / "out"),
+    ]) == 1
     assert "error:" in capsys.readouterr().err
-
-    # config without a manifest at all
-    cfg2 = tmp_path / "empty.cfg"
-    cfg2.write_text("out_dir = out\n", encoding="utf-8")
-    assert cli.main(["pretrain", "--config", str(cfg2)]) == 1
-    assert "no manifest" in capsys.readouterr().err
 
     # eval with a stage-1 checkpoint
     assert cli.main([
-        "eval", "--config", str(pipeline["cfg"]),
-        "--ckpt", str(pipeline["run"] / "pem.ckpt"),
+        "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(pipeline["run"] / "pem.ckpt"),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(tmp_path / "e"),
     ]) == 1
     assert "no fusion head" in capsys.readouterr().err
 
@@ -353,6 +396,18 @@ def test_synth_empty_bases_exit_1(tmp_path, capsys):
     empty.mkdir()
     assert cli.main(["synth", "--bases", str(empty), "--out", str(tmp_path / "o")]) == 1
     assert "no .pgm" in capsys.readouterr().err
+
+
+def test_synth_negative_seed_exit_1_without_output(tmp_path, capsys):
+    # the manifest's metadata line reads the seed back as digits only
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    for seed in (1, 2):
+        save_image(make_texture(32, 32, seed=seed), bases / f"b{seed}.pgm")
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--bases", str(bases), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_synth_comma_in_base_name_exit_1(tmp_path, capsys):
@@ -501,7 +556,7 @@ def test_eval_checkpoint_with_trailing_bytes_exit_1(pipeline, tmp_path, capsys):
     padded.write_bytes((pipeline["run"] / "quality.ckpt").read_bytes() + b"junk")
     assert cli.main([
         "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(padded),
-        "--out", str(tmp_path / "e"),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(tmp_path / "e"),
     ]) == 1
     assert "4 trailing bytes" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
@@ -530,7 +585,8 @@ def test_eval_checkpoint_missing_parameter_exit_1(pipeline, tmp_path, capsys):
         save_checkpoint(ckpt, bad)
         out = tmp_path / f"e{i}"
         assert cli.main([
-            "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(bad), "--out", str(out),
+            "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(bad),
+            "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
         ]) == 1
         assert message in capsys.readouterr().err
         # the load fails before eval writes anything
@@ -548,7 +604,7 @@ def test_corrupt_checkpoint_exit_1(pipeline, tmp_path, capsys):
     bad.write_bytes(b"garbage")
     assert cli.main([
         "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(bad),
-        "--out", str(tmp_path / "e"),
+        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(tmp_path / "e"),
     ]) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -6,7 +6,6 @@ import pytest
 
 from tempqt.config import (
     RunConfig,
-    load_run_config,
     parse_pairs,
     parse_run_text,
     parse_settings,
@@ -74,11 +73,14 @@ def test_default_settings_text_is_golden():
     assert serialize_settings(ModelConfig(), TrainConfig(), PemLossConfig()) == DEFAULT_SETTINGS_TEXT
 
 
-def test_run_text_appends_the_run_keys_and_leaves_out_unset_paths():
-    run = RunConfig(ModelConfig(), TrainConfig(), PemLossConfig(), out_dir="/o", patch_count=2)
-    assert serialize_run_config(run) == (
-        DEFAULT_SETTINGS_TEXT + "# run\nout_dir = /o\npatch_count = 2\naugment = true\n"
-    )
+def test_run_text_appends_the_run_keys():
+    run = RunConfig(ModelConfig(), TrainConfig(), PemLossConfig(), patch_count=2)
+    assert serialize_run_config(run) == DEFAULT_SETTINGS_TEXT + "# run\npatch_count = 2\naugment = true\n"
+
+
+def test_run_config_holds_no_paths():
+    # a run's manifest and output directory are the --manifest and --out flags
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["model", "train", "loss", "patch_count", "augment"]
 
 
 def test_float_values_survive_exactly():
@@ -93,20 +95,9 @@ def test_comments_and_blank_lines_ignored():
     assert pairs == {"alpha": "0.5", "beta": "0.25"}
 
 
-def test_hash_inside_a_value_is_kept(tmp_path):
-    # a comment starts only at a '#' that begins the line or follows whitespace
-    assert parse_pairs("  # indented comment\nout_dir = run#2 # trailing\n") == {"out_dir": "run#2"}
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("out_dir = run#2\n", encoding="utf-8")
-    assert load_run_config(cfg).out_dir == str(tmp_path / "run#2")
-
-
-@pytest.mark.parametrize("key", ["manifest", "out_dir"])
-def test_empty_path_rejected(tmp_path, key):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = \n", encoding="utf-8")
-    with pytest.raises(ArgumentError, match=f"^{key} must not be empty$"):
-        load_run_config(cfg)
+def test_hash_always_starts_a_comment():
+    assert parse_pairs("  # indented comment\nablation_mode = both#x\n") == {"ablation_mode": "both"}
+    assert parse_run_text("alpha = 0.5#x\n").train.alpha == 0.5
 
 
 @pytest.mark.parametrize(
@@ -136,8 +127,10 @@ def test_unknown_key_rejected():
 def test_removed_use_pqt_key_rejected():
     # ablation_mode alone decides which branches exist; the MLP width and
     # Adam's weight decay are constants (encoder.MLP_RATIO,
-    # training.ADAM_WEIGHT_DECAY)
-    for key, value in (("use_pqt", "true"), ("mlp_ratio", "4.0"), ("weight_decay", "1e-05")):
+    # training.ADAM_WEIGHT_DECAY); a run's paths are the --manifest and --out flags
+    removed = (("use_pqt", "true"), ("mlp_ratio", "4.0"), ("weight_decay", "1e-05"), ("manifest", "m.csv"),
+               ("out_dir", "run"))
+    for key, value in removed:
         with pytest.raises(ArgumentError, match=f"unknown configuration key '{key}'"):
             parse_run_text(f"{key} = {value}")
 
@@ -158,7 +151,7 @@ def test_typed_value_errors(text, message):
 
 def test_settings_reject_run_level_keys():
     with pytest.raises(ArgumentError, match="run-level keys"):
-        parse_settings("out_dir = /tmp/x")
+        parse_settings("patch_count = 2")
 
 
 def test_run_config_round_trip():
@@ -166,8 +159,6 @@ def test_run_config_round_trip():
         model=ModelConfig(embed_dim=48, heads=4),
         train=TrainConfig(batch_size=4),
         loss=PemLossConfig(oem_lambda=0.0),
-        manifest="data/manifest.csv",
-        out_dir="out",
         patch_count=2,
         augment=False,
     )
@@ -182,27 +173,11 @@ def test_run_config_defaults_when_keys_missing():
     assert run.loss == PemLossConfig()
     assert run.patch_count == 4
     assert run.augment is True
-    assert run.manifest is None
 
 
 def test_run_config_validates_patch_count():
     with pytest.raises(ArgumentError, match="patch_count"):
         parse_run_text("patch_count = 0")
-
-
-def test_load_resolves_paths_against_file(tmp_path):
-    (tmp_path / "cfg").mkdir()
-    cfg = tmp_path / "cfg" / "run.cfg"
-    cfg.write_text("manifest = ../data/manifest.csv\nout_dir = out\n", encoding="utf-8")
-    run = load_run_config(cfg)
-    assert run.manifest == str(tmp_path / "data" / "manifest.csv")
-    assert run.out_dir == str(tmp_path / "cfg" / "out")
-
-
-def test_load_keeps_absolute_paths(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("manifest = /abs/manifest.csv\n", encoding="utf-8")
-    assert load_run_config(cfg).manifest == "/abs/manifest.csv"
 
 
 def test_dataclass_field_names_do_not_collide():
@@ -211,6 +186,6 @@ def test_dataclass_field_names_do_not_collide():
         {f.name for f in dataclasses.fields(cls)}
         for cls in (ModelConfig, TrainConfig, PemLossConfig)
     ]
-    names.append({"manifest", "out_dir", "patch_count", "augment"})
+    names.append({"patch_count", "augment"})
     union = set().union(*names)
     assert len(union) == sum(len(n) for n in names)

@@ -79,6 +79,10 @@ MALFORMED = {
     b"P3\n1 1\n255\n1 2\n": ("truncated raster: 3 samples need at least 5 bytes, file has 4", 15),
     # enough bytes for two samples, but only one token
     b"P2\n2 1\n255\n7  \n": ("unexpected end of file while reading sample value", 15),
+    # filler before the magic number
+    b" #c\n P5\n1 1\n255\n\x00": ("the magic number must start the file", 0),
+    # a plain file holds one image: nothing but filler after its last sample
+    b"P2\n1 1\n255\n1 2 x junk": ("extra data after the last sample", 13),
 }
 
 
