@@ -4,10 +4,12 @@ numpy arrays hold the values; every backward rule is written out
 explicitly against the recorded inputs. A ``Tape`` collects operations
 in execution order while active, and ``backward`` replays the tape in
 reverse, accumulating gradients into every ``requires_grad`` leaf that
-the loss reaches. Ops executed with no active tape produce plain
-constants, which is the inference path. No op scans for NaN or Inf:
-``backward`` checks the loss, once per step, and names the first taped
-op whose output went non-finite.
+the loss reaches. A tape replays once: the sweep releases each node as
+it passes it, so what the node's backward saved is freed during the
+sweep, and the replayed tape keeps one spent entry per op. Ops executed
+with no active tape produce plain constants, which is the inference
+path. No op scans for NaN or Inf: ``backward`` checks the loss, once
+per step, and names the first taped op whose output went non-finite.
 
 float32 is the working precision. All ops follow the dtype of their
 inputs, so the finite-difference harness can run a float64 shadow of
@@ -19,8 +21,9 @@ array, which only the harness and the reference tests use, from
 Model tensors are batch-first: tokens are (B, N, d), feature maps
 (B, C, H, W), and a single image is a batch of one. The shaped ops act
 on the trailing axes and carry any leading axes through: ``matmul``
-multiplies the last axis by a shared (k, m) weight, ``transpose`` swaps
-the last two axes, ``slice_rows`` and ``slice_cols`` cut axis -2 and -1,
+multiplies the last axis by a shared (k, m) weight, ``linear`` does the
+same and adds an (m,) bias in one op, ``transpose`` swaps the last two
+axes, ``slice_rows`` and ``slice_cols`` cut axis -2 and -1,
 ``softmax_rows`` and ``layer_norm`` normalize the last axis, and
 ``attention`` runs multi-head attention of (B, M, d) queries over
 (B, N, d) keys and values.
@@ -174,12 +177,13 @@ class _Node:
 
 
 class Tape:
-    """Execution-ordered record of differentiable operations."""
+    """Execution-ordered record of differentiable operations; ``backward`` replays it once."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "replayed")
 
     def __init__(self):
         self.nodes = []
+        self.replayed = False
 
     def __enter__(self):
         _tapes.append(self)
@@ -215,14 +219,19 @@ def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep: accumulate d(loss)/d(leaf) into leaf.grad.
 
-    Repeated calls keep accumulating until grads are zeroed. A non-finite
-    loss raises TrainingError, naming the first non-finite tape node,
-    before any gradient is touched.
+    A tape replays once. The sweep releases each node as it passes it, so
+    the arrays that node's backward closure saved are freed during the
+    sweep, not after it; the replayed tape keeps one spent entry per op,
+    and replaying it again raises ArgumentError. A non-finite loss raises
+    TrainingError, naming the first non-finite tape node, before any
+    gradient is touched.
     """
     if loss.data.size != 1:
         raise ArgumentError(f"backward needs a scalar loss, shape is {loss.shape}")
     if not loss.needs_grad:
         raise ArgumentError("loss is not connected to any requires_grad tensor on the tape")
+    if tape.replayed:
+        raise ArgumentError("tape was already replayed")
     if not np.isfinite(loss.data).all():
         for i, node in enumerate(tape.nodes):
             if not np.isfinite(node.out.data).all():
@@ -230,13 +239,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 op = node.backward.__qualname__.split(".", 1)[0]
                 raise TrainingError(f"non-finite loss: first non-finite value from {op} (tape node {i})")
         raise TrainingError("non-finite loss")
+    tape.replayed = True
     # Tensor hashes by identity, so each tensor keys its own gradient
     grads = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(node.out, None)
+        out, inputs, bwd = node.out, node.inputs, node.backward
+        node.out = node.inputs = node.backward = None
+        g = grads.pop(out, None)
         if g is None:
             continue
-        for inp, gi in zip(node.inputs, node.backward(g)):
+        for inp, gi in zip(inputs, bwd(g)):
             if gi is None or not inp.needs_grad:
                 continue
             grads[inp] = grads[inp] + gi if inp in grads else gi
@@ -414,13 +426,17 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y
 
 
+def _check_matmul(a: Tensor, b: Tensor, name: str) -> None:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise DimensionError(f"{name} needs (..., k) @ (k, m), got {a.shape} and {b.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
+        raise DimensionError(f"{name} inner dims differ: {a.shape} x {b.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., k) @ (k, m): one shared 2-D weight for every leading index of a."""
+    _check_matmul(a, b, "matmul")
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != 2:
-        raise DimensionError(f"matmul needs (..., k) @ (k, m), got {a.shape} and {b.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
 
     def bwd(g):
         ga = _mm(g, bd.T) if a.needs_grad else None
@@ -520,8 +536,28 @@ def add_row_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map: matmul plus row bias."""
-    return add_row_bias(matmul(x, w), b)
+    """(..., k) @ (k, m) + b, with b of shape (m,), as one tape node.
+
+    It equals ``add_row_bias(matmul(x, w), b)`` bit for bit, forward and
+    gradients, but the bias is added in place to the product it owns, so
+    the pre-bias product is never a tape output that lives until the
+    backward. Its backward runs the two ops' expressions. Once replayed,
+    the node is one spent entry on the tape, like every other op's.
+    """
+    _check_matmul(x, w, "linear")
+    xd, wd, bd = x.data, w.data, b.data
+    if bd.shape != wd.shape[1:]:
+        raise DimensionError(f"linear bias must have shape ({wd.shape[1]},), got {b.shape}")
+    out = _mm(xd, wd)
+    out += bd
+
+    def bwd(g):
+        gx = _mm(g, wd.T) if x.needs_grad else None
+        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if w.needs_grad else None
+        gb = g.reshape((-1,) + bd.shape).sum(axis=0) if b.needs_grad else None
+        return (gx, gw, gb)
+
+    return _emit(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,10 @@ class AdamState:
     first step on: construction copies them there in store order and
     rebinds each ``p.data`` to a reshaped view of it, so the model and
     ``store.arrays()`` read the optimizer's values. ``m`` and ``v`` are
-    the moments, ``g`` gathers the gradients and ``tmp`` is scratch.
-    Frozen parameters stay outside the buffer.
+    the moments. Frozen parameters stay outside the buffer. The step's
+    gathered gradient and its scratch are allocated by each
+    ``adam_step`` and freed when it returns, so they never sit beside
+    the next forward's activations.
     """
 
     def __init__(self, store: ParamStore):
@@ -147,8 +149,6 @@ class AdamState:
             p.data = view
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
-        self.g = np.empty_like(self.values)
-        self.tmp = np.empty_like(self.values)
         self.t = 0
 
 
@@ -157,17 +157,23 @@ def adam_step(state: AdamState, lr: float, weight_decay: float) -> None:
 
     Every check runs before anything changes, so a step that raises
     leaves the values, moments and step count as they were. The update
-    runs in place over the flat buffers, ``v`` before ``m`` so that the
-    gradient buffer can be scaled in place; each element sees the
+    runs in place over the flat buffers and two per-step arrays, the
+    gathered gradient and a scratch buffer, ``v`` before ``m`` so that
+    the gradient can be scaled in place; each element sees the
     operations of the per-tensor rule in the same order.
     """
     for name, p in state.params:
         if p.grad is None:
             raise TrainingError(f"missing gradient for trainable parameter {name!r}")
+        if p.grad.shape != p.data.shape:
+            raise TrainingError(
+                f"gradient for trainable parameter {name!r} has shape {p.grad.shape}, expected {p.data.shape}"
+            )
         if p.data.base is not state.values:
             raise TrainingError(f"trainable parameter {name!r} no longer views the optimizer's buffer")
-    values, m, v, g, tmp = state.values, state.m, state.v, state.g, state.tmp
-    np.concatenate([p.grad.ravel() for _name, p in state.params], out=g)
+    values, m, v = state.values, state.m, state.v
+    g = np.concatenate([p.grad.ravel() for _name, p in state.params], dtype=values.dtype)
+    tmp = np.empty_like(values)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t

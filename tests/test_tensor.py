@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -342,6 +343,59 @@ def test_nested_tapes_are_rejected_or_isolated():
     assert np.allclose(x.grad, [4.0])
 
 
+def test_backward_replays_a_tape_once():
+    x = leaf([2.0])
+    with T.Tape() as tape:
+        loss = T.sum_(T.square(x))
+    T.backward(loss, tape)
+    with pytest.raises(ArgumentError, match="tape was already replayed"):
+        T.backward(loss, tape)
+    assert np.allclose(x.grad, [4.0])  # the first replay's gradient, once
+    # a loss that is itself a leaf records no node, and its tape still replays once
+    y, empty = leaf([1.0]), T.Tape()
+    T.backward(y, empty)
+    with pytest.raises(ArgumentError, match="tape was already replayed"):
+        T.backward(y, empty)
+    assert np.allclose(y.grad, [1.0])
+
+
+def test_backward_frees_what_each_op_saved_and_keeps_the_tape_length():
+    x = leaf(np.linspace(-1.0, 1.0, 6))
+    with T.Tape() as tape:
+        loss = T.sum_(T.gelu(T.mul(x, 3.0)))
+    # mul's output: only the tape and gelu's closure hold it
+    saved = weakref.ref(tape.nodes[0].out.data)
+    n = len(tape.nodes)
+    T.backward(loss, tape)
+    assert saved() is None
+    assert len(tape.nodes) == n
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5, 4)])
+def test_linear_is_one_node_equal_to_matmul_plus_row_bias(shape):
+    rng = CounterRng(3)
+    values = [rng.normal(math.prod(s)).reshape(s).astype(np.float32) for s in (shape, (4, 6), (6,))]
+
+    def run(build):
+        leaves = [leaf(v, np.float32) for v in values]
+        with T.Tape() as tape:
+            out = build(*leaves)
+            loss = T.sum_(T.square(out))
+        n = len(tape.nodes)
+        T.backward(loss, tape)
+        return n, out.data, [t.grad for t in leaves]
+
+    n, out, grads = run(T.linear)
+    n2, out2, grads2 = run(lambda x, w, b: T.add_row_bias(T.matmul(x, w), b))
+    assert (n, n2) == (3, 4)  # linear, square and sum_
+    assert np.array_equal(out, out2)
+    for g, g2 in zip(grads, grads2):
+        assert g.dtype == g2.dtype and np.array_equal(g, g2)
+    bad = T.constant(np.zeros(5, dtype=np.float32))
+    with pytest.raises(DimensionError, match="linear bias"):
+        T.linear(T.constant(values[0]), T.constant(values[1]), bad)
+
+
 def test_abs_gradient_at_zero_is_zero():
     x = leaf([0.0])
     run_backward(lambda: T.sum_(T.abs_(x)))
@@ -502,12 +556,10 @@ def test_layer_norm_leaves_its_inputs_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# allocator policy
+# step memory and the allocator policy
 
-# default-config stage-1 steps on one fixed batch of 8; prints the minor
-# page faults per step over the steps after the warm-up
-STAGE1_FAULTS = """
-import resource
+# one default-config stage-1 step, step(), on one fixed batch of 8
+STAGE1_STEP = """
 import numpy as np
 from tempqt import tensor as T
 from tempqt.encoder import ModelConfig
@@ -529,7 +581,11 @@ def step():
     T.backward(loss, tape)
     adam_step(state, 1e-4, 0.0)
     T.zero_grads(store.tensors())
+"""
 
+# the minor page faults per step over the steps after the warm-up
+STAGE1_FAULTS = STAGE1_STEP + """
+import resource
 for _ in range(3):
     step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -537,6 +593,24 @@ for _ in range(5):
     step()
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 """
+
+# the tracemalloc peak of one step after a warm-up step, in MiB
+STAGE1_PEAK = STAGE1_STEP + """
+import tracemalloc
+step()
+tracemalloc.start()
+step()
+print(tracemalloc.get_traced_memory()[1] / 2**20)
+"""
+
+
+def run_src(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports this checkout's tempqt."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout
 
 
 @pytest.mark.skipif(
@@ -546,13 +620,14 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 def test_stage1_step_reuses_freed_memory_without_page_faults():
     # glibc's defaults give each freed activation back to the kernel, and
     # a step then faults 2,900 or more pages back in
-    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run(
-        [sys.executable, "-c", STAGE1_FAULTS], env=env, capture_output=True, text=True, check=True
-    )
-    assert float(result.stdout) < 100
+    assert float(run_src(STAGE1_FAULTS)) < 100
+
+
+def test_stage1_step_holds_only_what_its_backward_reads():
+    # 24.5 MiB when linear was two nodes, whose pre-bias products the tape
+    # kept, backward freed nothing until the sweep ended, and Adam kept its
+    # gradient and scratch buffers between steps; 18.2 MiB without all three
+    assert float(run_src(STAGE1_PEAK)) < 20
 
 
 def _no_libc(name):

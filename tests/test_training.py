@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ def test_failed_adam_step_changes_nothing():
     state = AdamState(store)
     before = store.arrays()
     with pytest.raises(TrainingError, match="missing gradient for trainable parameter 'b'"):
+        adam_step(state, lr=0.1, weight_decay=1e-5)
+    assert state.t == 0
+    for name, arr in before.items():
+        assert np.array_equal(store[name].data, arr)
+    assert not state.m.any() and not state.v.any()
+
+
+def test_adam_step_rejects_a_misshapen_gradient_and_changes_nothing():
+    store = ParamStore()
+    store.add("a", np.linspace(-1.0, 1.0, 4)).grad = np.ones(4, dtype=np.float32)
+    store.add("b", np.full(3, 0.5)).grad = np.ones((3, 1, 2), dtype=np.float32)
+    state = AdamState(store)
+    before = store.arrays()
+    with pytest.raises(TrainingError, match=r"'b' has shape \(3, 1, 2\), expected \(3,\)"):
         adam_step(state, lr=0.1, weight_decay=1e-5)
     assert state.t == 0
     for name, arr in before.items():
@@ -563,12 +578,17 @@ def test_shared_backbone_needs_every_block(micro_manifest, shallow_pem_ckpt):
 
 
 def _record_tapes(monkeypatch):
-    """Spy on training.backward: keep every (loss, tape) a step replays."""
+    """Spy on training.backward: keep every loss and a copy of the tape a step replays.
+
+    ``backward`` releases each node it replays, so the copy snapshots each
+    node's output and inputs before the replay.
+    """
     tapes = []
     real_backward = training.backward
 
     def spy(loss, tape):
-        tapes.append((loss, tape))
+        nodes = [SimpleNamespace(out=node.out, inputs=node.inputs) for node in tape.nodes]
+        tapes.append((loss, SimpleNamespace(nodes=nodes)))
         real_backward(loss, tape)
 
     monkeypatch.setattr(training, "backward", spy)
