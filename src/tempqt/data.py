@@ -244,7 +244,10 @@ def sample_patches(
 
     Deterministic in (img, count, crop, seed, augment); calling twice
     with the same seed yields the same geometry, which is how aligned
-    distorted/reference pairs are cropped.
+    distorted/reference pairs are cropped. Each patch's pixels are a
+    read-only view of ``img``'s, so an epoch's patches hold no pixels of
+    their own and none can write into the image; ``ImageBatch.stack``
+    copies a batch's patches into one array.
     """
     if count < 1:
         raise ArgumentError("count must be positive")
@@ -261,7 +264,9 @@ def sample_patches(
                 tile = tile[:, ::-1]
             if rng.random() < 0.5:
                 tile = tile[::-1, :]
-        out.append(GrayImage(crop, crop, tile.copy()))
+        patch = GrayImage(crop, crop, tile)
+        patch.pixels.flags.writeable = False
+        out.append(patch)
     return out
 
 

@@ -19,6 +19,10 @@ Everything runs on a batch: B images give (B, N, d) tokens, and one
 image is a batch of one. Blocks are pre-norm:
 x += attn(norm(x)); x += mlp(norm(x)). The keys carry no bias: it
 would add q . b_k to every logit of a query row, which softmax ignores.
+The attention half is separate tape nodes (layer norm, projections,
+``tensor.attention``, residual add). The MLP half, norm through
+residual, is one ``tensor.mlp_residual`` node, which keeps only the
+norm's statistics, the pre-activation and its Phi for the backward.
 """
 
 from __future__ import annotations
@@ -210,7 +214,8 @@ def encoder_block(
     (B, heads, M, N) attention weights of ``tensor.attention``. With
     ``token_only`` only row 0 is updated and returned, as (B, 1, d), and
     M is 1: every row is normalized and feeds the keys and values, and
-    the rest of the block runs on row 0 alone.
+    the rest of the block runs on row 0 alone. The MLP half is one
+    ``tensor.mlp_residual`` node.
     """
     base = f"{prefix}.block{layer}"
     xn = T.layer_norm(x, store[f"{base}.ln1.g"], store[f"{base}.ln1.b"])
@@ -224,11 +229,8 @@ def encoder_block(
     attn_out = T.linear(merged, store[f"{base}.attn.wo"], store[f"{base}.attn.bo"])
     t = T.add(x, attn_out)
 
-    tn = T.layer_norm(t, store[f"{base}.ln2.g"], store[f"{base}.ln2.b"])
-    m = T.linear(tn, store[f"{base}.mlp.w1"], store[f"{base}.mlp.b1"])
-    m = T.gelu(m)
-    m = T.linear(m, store[f"{base}.mlp.w2"], store[f"{base}.mlp.b2"])
-    return T.add(t, m), weights
+    mlp = [store[f"{base}.{name}"] for name in ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")]
+    return T.mlp_residual(t, *mlp), weights
 
 
 def encode(

@@ -289,6 +289,8 @@ CASES = {
     "slice_cols": _single_op("slice_cols", (2, 4, 8), start=2, stop=7),
     "add_row_bias": _case_add_row_bias,
     "linear": _single_op("linear", (2, 4, 6), (6, 3), (3,)),
+    # the MLP half of a block: x, norm gain and shift, (d, 2d) and (2d, d) layers
+    "mlp_residual": _single_op("mlp_residual", (2, 3, 6), (6,), (6,), (6, 12), (12,), (12, 6), (6,)),
     "softmax_rows": _single_op("softmax_rows", ((2, 4, 7), 2.0)),
     "layer_norm": _case_layer_norm,
     "attention": _single_op("attention", (2, 5, 6), (2, 5, 6), (2, 5, 6), heads=2),

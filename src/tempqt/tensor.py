@@ -23,10 +23,20 @@ Model tensors are batch-first: tokens are (B, N, d), feature maps
 on the trailing axes and carry any leading axes through: ``matmul``
 multiplies the last axis by a shared (k, m) weight, ``linear`` does the
 same and adds an (m,) bias in one op, ``transpose`` swaps the last two
-axes, ``slice_rows`` and ``slice_cols`` cut axis -2 and -1,
-``softmax_rows`` and ``layer_norm`` normalize the last axis, and
+axes and returns a view, ``slice_rows`` and ``slice_cols`` cut axis -2
+and -1, ``softmax_rows`` and ``layer_norm`` normalize the last axis,
 ``attention`` runs multi-head attention of (B, M, d) queries over
-(B, N, d) keys and values.
+(B, N, d) keys and values, and ``mlp_residual`` is a transformer
+block's MLP half, x + linear(gelu(linear(layer_norm(x)))), as one op.
+
+``mlp_residual`` keeps what its backward cannot cheaply rebuild: the
+layer norm's x-hat and inverse std, the pre-activation m1 and Phi(m1).
+Its backward rebuilds the normalized input and the GELU output with the
+forward's own expressions, which gives the forward's bits back. Each
+formula it shares with ``layer_norm``, ``gelu`` and ``linear`` (layer
+norm statistics and gradients, GELU's derivative, a linear map's three
+gradients) lives in one private helper that all of them call, so the
+fused op equals the composed ops bit for bit.
 
 The two kernels every transformer block runs, ``attention`` and
 ``layer_norm``, are bound by elementwise and reduction passes, not by
@@ -356,6 +366,22 @@ def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
     return p
 
 
+def _normal_cdf(a: np.ndarray) -> np.ndarray:
+    """Phi(a): ``_normal_cdf_f32`` for float32, ``math.erf`` elementwise otherwise."""
+    if a.dtype == np.float32:
+        return _normal_cdf_f32(a)
+    phi = np.array(_erf(a * (1.0 / _SQRT2)), dtype=a.dtype)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def _gelu_grad(g: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Gradient at a of a * Phi(a), given g at the output and phi = Phi(a)."""
+    pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
+    return g * (phi + a * pdf)
+
+
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x), with Phi the standard normal CDF (the exact GELU).
 
@@ -368,19 +394,8 @@ def gelu(a: Tensor) -> Tensor:
     backward is g * (Phi + x * pdf(x)) with the exact Gaussian pdf.
     """
     ad = a.data
-    if ad.dtype == np.float32:
-        phi = _normal_cdf_f32(ad)
-    else:
-        phi = np.array(_erf(ad * (1.0 / _SQRT2)), dtype=ad.dtype)
-        phi += 1.0
-        phi *= 0.5
-    out = ad * phi
-
-    def bwd(g):
-        pdf = np.exp(-0.5 * ad * ad) * _INV_SQRT_2PI
-        return (g * (phi + ad * pdf),)
-
-    return _emit(out, (a,), bwd)
+    phi = _normal_cdf(ad)
+    return _emit(ad * phi, (a,), lambda g: (_gelu_grad(g, ad, phi),))
 
 
 def prelu(a: Tensor, slope: Tensor) -> Tensor:
@@ -426,6 +441,28 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y
 
 
+def _grad_left(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient at x of x @ w, given g at the product."""
+    return _mm(g, w.T)
+
+
+def _grad_weight(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the shared 2-D w of x @ w, summed over x's leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _grad_bias(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient at a bias of the given trailing shape, summed over g's leading axes."""
+    return g.reshape((-1,) + shape).sum(axis=0)
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place to the product."""
+    out = _mm(x, w)
+    out += b
+    return out
+
+
 def _check_matmul(a: Tensor, b: Tensor, name: str) -> None:
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise DimensionError(f"{name} needs (..., k) @ (k, m), got {a.shape} and {b.shape}")
@@ -439,20 +476,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        ga = _mm(g, bd.T) if a.needs_grad else None
-        gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if b.needs_grad else None
+        ga = _grad_left(g, bd) if a.needs_grad else None
+        gb = _grad_weight(ad, g) if b.needs_grad else None
         return (ga, gb)
 
     return _emit(_mm(ad, bd), (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
+    """Swap the last two axes, as a view of a's data."""
     if a.data.ndim < 2:
         raise DimensionError(f"transpose needs at least 2 axes, got {a.shape}")
-    return _emit(
-        np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), lambda g: (np.swapaxes(g, -1, -2),)
-    )
+    return _emit(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -529,7 +564,7 @@ def add_row_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         gx = g if x.needs_grad else None
-        gb = g.reshape((-1,) + b.data.shape).sum(axis=0) if b.needs_grad else None
+        gb = _grad_bias(g, b.data.shape) if b.needs_grad else None
         return (gx, gb)
 
     return _emit(x.data + b.data, (x, b), bwd)
@@ -548,16 +583,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd, bd = x.data, w.data, b.data
     if bd.shape != wd.shape[1:]:
         raise DimensionError(f"linear bias must have shape ({wd.shape[1]},), got {b.shape}")
-    out = _mm(xd, wd)
-    out += bd
 
     def bwd(g):
-        gx = _mm(g, wd.T) if x.needs_grad else None
-        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]) if w.needs_grad else None
-        gb = g.reshape((-1,) + bd.shape).sum(axis=0) if b.needs_grad else None
+        gx = _grad_left(g, wd) if x.needs_grad else None
+        gw = _grad_weight(xd, g) if w.needs_grad else None
+        gb = _grad_bias(g, bd.shape) if b.needs_grad else None
         return (gx, gw, gb)
 
-    return _emit(out, (x, w, b), bwd)
+    return _emit(_linear(xd, wd, bd), (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +616,47 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(y, (x,), lambda g: (_softmax_vjp(y, g),))
 
 
+def _ln_stats(x: np.ndarray) -> tuple:
+    """(x-hat, inverse std) over the last axis; x-hat is a new array, the inverse std (..., 1)."""
+    d = x.shape[-1]
+    mu = np.einsum("...i->...", x)[..., None]
+    mu /= d
+    xhat = x - mu
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    var /= d
+    var += _LN_EPS
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    return xhat, inv
+
+
+def _ln_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """x-hat * gamma + beta, the layer norm's output."""
+    out = xhat * gamma
+    out += beta
+    return out
+
+
+def _ln_grads(g, xhat, inv, gamma, need_x: bool, need_gamma: bool, need_beta: bool) -> tuple:
+    """(gx, ggamma, gbeta) of the layer norm, given g at its output; None where not needed."""
+    d = xhat.shape[-1]
+    g2, xhat2 = g.reshape(-1, d), xhat.reshape(-1, d)
+    ggamma = np.einsum("ni,ni->i", g2, xhat2) if need_gamma else None
+    gbeta = np.einsum("ni->i", g2) if need_beta else None
+    gx = None
+    if need_x:
+        a = g * gamma
+        a_mean = np.einsum("...i->...", a)[..., None]
+        a_mean /= d
+        ax_mean = np.einsum("...i,...i->...", a, xhat)[..., None]
+        ax_mean /= d
+        a -= a_mean
+        a -= xhat * ax_mean
+        a *= inv
+        gx = a
+    return (gx, ggamma, gbeta)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance; scale and shift.
 
@@ -601,36 +675,56 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/shift must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    xd = x.data
-    mu = np.einsum("...i->...", xd)[..., None]
-    mu /= d
-    xhat = xd - mu
-    var = np.einsum("...i,...i->...", xhat, xhat)[..., None]
-    var /= d
-    var += _LN_EPS
-    inv = 1.0 / np.sqrt(var)
-    xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
+    xhat, inv = _ln_stats(x.data)
 
     def bwd(g):
-        g2, xhat2 = g.reshape(-1, d), xhat.reshape(-1, d)
-        ggamma = np.einsum("ni,ni->i", g2, xhat2) if gamma.needs_grad else None
-        gbeta = np.einsum("ni->i", g2) if beta.needs_grad else None
-        gx = None
-        if x.needs_grad:
-            a = g * gamma.data
-            a_mean = np.einsum("...i->...", a)[..., None]
-            a_mean /= d
-            ax_mean = np.einsum("...i,...i->...", a, xhat)[..., None]
-            ax_mean /= d
-            a -= a_mean
-            a -= xhat * ax_mean
-            a *= inv
-            gx = a
-        return (gx, ggamma, gbeta)
+        return _ln_grads(g, xhat, inv, gamma.data, x.needs_grad, gamma.needs_grad, beta.needs_grad)
 
-    return _emit(out, (x, gamma, beta), bwd)
+    return _emit(_ln_affine(xhat, gamma.data, beta.data), (x, gamma, beta), bwd)
+
+
+def mlp_residual(
+    x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+) -> Tensor:
+    """x + linear(gelu(linear(layer_norm(x), w1, b1)), w2, b2) as one tape node.
+
+    The MLP half of a pre-norm transformer block over (..., d) tokens,
+    with a (d, h) and an (h, d) weight. It equals the five composed ops
+    bit for bit, forward and gradients, and keeps only x-hat, the inverse
+    std, the pre-activation m1 and Phi(m1). Its backward rebuilds the
+    normalized input and the GELU output with the forward's own
+    expressions, so the rebuilt values are the forward's bits, and runs
+    each op's gradient helper in reverse. x is listed twice among the
+    node's inputs, first for the residual and then for the layer norm, so
+    ``backward`` adds the two gradients in the order two nodes would.
+    """
+    if x.data.ndim < 2:
+        raise DimensionError(f"mlp_residual needs (..., d) tokens with a leading axis, got {x.shape}")
+    d, h = x.data.shape[-1], w1.data.shape[-1]
+    shapes = (ln_g.data.shape, ln_b.data.shape, w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape)
+    if shapes != ((d,), (d,), (d, h), (h,), (h, d), (d,)):
+        raise DimensionError(f"mlp_residual over width {d} got parameter shapes {shapes}")
+    gd, bd, w1d, b1d, w2d, b2d = ln_g.data, ln_b.data, w1.data, b1.data, w2.data, b2.data
+    xhat, inv = _ln_stats(x.data)
+    m1 = _linear(_ln_affine(xhat, gd, bd), w1d, b1d)
+    phi = _normal_cdf(m1)
+    out = _linear(m1 * phi, w2d, b2d)
+    out += x.data
+
+    def bwd(g):
+        gw2 = _grad_weight(m1 * phi, g) if w2.needs_grad else None
+        gb2 = _grad_bias(g, b2d.shape) if b2.needs_grad else None
+        gx = gg = gb = gw1 = gb1 = None
+        need_ln = (x.needs_grad, ln_g.needs_grad, ln_b.needs_grad)
+        if any(need_ln) or w1.needs_grad or b1.needs_grad:
+            gm1 = _gelu_grad(_grad_left(g, w2d), m1, phi)
+            gw1 = _grad_weight(_ln_affine(xhat, gd, bd), gm1) if w1.needs_grad else None
+            gb1 = _grad_bias(gm1, b1d.shape) if b1.needs_grad else None
+            if any(need_ln):
+                gx, gg, gb = _ln_grads(_grad_left(gm1, w1d), xhat, inv, gd, *need_ln)
+        return (g, gx, gg, gb, gw1, gb1, gw2, gb2)
+
+    return _emit(out, (x, x, ln_g, ln_b, w1, b1, w2, b2), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int):
@@ -794,11 +888,19 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mid: int | None = None, out: int
 
     ay, ax = fold(h), fold(wid)
 
+    def channels_major(a: np.ndarray) -> np.ndarray:
+        """(B, C_in, H, W) as a C-ordered (C_in, B * H * W) matrix."""
+        return np.ascontiguousarray(a.transpose(1, 0, 2, 3).reshape(c_in, bsz * h * wid))
+
     # channels lead, so one matmul mixes every tap over the whole batch;
-    # rows of w9 run over (C_out, di, dj)
-    x_mat = x.data.transpose(1, 0, 2, 3).reshape(c_in, bsz * h * wid)
+    # rows of w9 run over (C_out, di, dj). Both products read x as the
+    # same C-ordered copy whatever x's strides: on some shapes OpenBLAS
+    # rounds a product with a transposed operand differently. The copy is
+    # made where each product runs and not kept, since the node keeps x,
+    # which may be a view of the caller's tokens
+    xd = x.data
     w9 = w.data.transpose(0, 2, 3, 1).reshape(c_out * 9, c_in)
-    taps = (w9 @ x_mat).reshape(c_out, 3, 3, bsz, h, wid)
+    taps = (w9 @ channels_major(xd)).reshape(c_out, 3, 3, bsz, h, wid)
     planes = taps.transpose(3, 0, 1, 4, 2, 5).reshape(bsz, c_out, 3 * h, 3 * wid)
     y = _rows_cols(planes, ay, ax)
     y += b.data[:, None, None]
@@ -809,7 +911,7 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, mid: int | None = None, out: int
         gtaps = gplanes.transpose(1, 2, 4, 0, 3, 5).reshape(c_out * 9, bsz * h * wid)
         gw = gx = None
         if w.needs_grad:
-            gw = (gtaps @ x_mat.T).reshape(c_out, 3, 3, c_in).transpose(0, 3, 1, 2)
+            gw = (gtaps @ channels_major(xd).T).reshape(c_out, 3, 3, c_in).transpose(0, 3, 1, 2)
         if x.needs_grad:
             gx = (w9.T @ gtaps).reshape(c_in, bsz, h, wid).transpose(1, 0, 2, 3)
         return (gx, gw, gb)

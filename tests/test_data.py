@@ -297,6 +297,18 @@ def test_patch_full_crop_identity():
     assert np.array_equal(patch.pixels, img.pixels)
 
 
+@pytest.mark.parametrize("augment", [False, True])
+def test_patches_are_read_only_views_of_the_image(augment):
+    img = ramp_image(12, 9)
+    before = img.pixels.copy()
+    for patch in sample_patches(img, count=4, crop=5, seed=3, augment=augment):
+        assert np.shares_memory(patch.pixels, img.pixels)
+        with pytest.raises(ValueError, match="read-only"):
+            patch.pixels[0, 0] = 0.5
+    assert img.pixels.flags.writeable
+    assert np.array_equal(img.pixels, before)
+
+
 def test_patch_determinism_and_pair_alignment():
     img = ramp_image(16, 16)
     other = GrayImage(16, 16, (1.0 - img.pixels).astype(np.float32))

@@ -285,5 +285,6 @@ def test_stage2_step_runs_the_last_mlp_on_one_row():
         features = training.frozen_features(patches, store, cfg)
         preds = training.score_crops(patches, features, store, cfg, "both", False)
         quality_loss(preds, np.linspace(0.1, 0.9, 8, dtype=np.float32))
-    gelu_rows = [n.out.shape[1] for n in tape.nodes if n.backward.__qualname__.startswith("gelu.")]
-    assert sorted(gelu_rows) == [1] + [cfg.num_patches + 1] * (cfg.layers - 1)
+    # each block's MLP half is one mlp_residual node; the last runs on the token's row alone
+    mlp_rows = [n.out.shape[1] for n in tape.nodes if n.backward.__qualname__.startswith("mlp_residual.")]
+    assert sorted(mlp_rows) == [1] + [cfg.num_patches + 1] * (cfg.layers - 1)

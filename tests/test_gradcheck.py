@@ -16,7 +16,7 @@ DIFFERENTIABLE_OPS = [
     "add", "sub", "mul", "abs_", "square", "mean", "sum_",
     "gelu", "prelu", "sigmoid", "matmul", "transpose", "reshape",
     "concat", "slice_rows", "slice_cols", "add_row_bias", "linear",
-    "softmax_rows", "layer_norm", "attention", "conv2d_3x3", "bilinear_resize",
+    "softmax_rows", "layer_norm", "mlp_residual", "attention", "conv2d_3x3", "bilinear_resize",
     "global_average_pool",
 ]
 

@@ -255,6 +255,34 @@ def test_conv2d_3x3_resized_is_resize_conv_resize(shape, mid, out):
     assert np.allclose(got, expect, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bsz, d, grid", [(8, 16, 4), (1, 32, 4), (5, 64, 2)])
+def test_conv2d_3x3_on_a_transposed_view_equals_it_on_a_copy(bsz, d, grid):
+    # the decoder's conv input is a view of (B, N, d) tokens; at these
+    # shapes, the tiny config's and two others, OpenBLAS rounds a product
+    # with a transposed operand differently, so the conv must read the
+    # view as it reads a contiguous copy, forward and gradients
+    rng = CounterRng(8)
+    values = [
+        rng.normal(math.prod(s)).reshape(s).astype(np.float32)
+        for s in ((bsz, grid * grid, d), (max(1, d // 4), d, 3, 3), (max(1, d // 4),))
+    ]
+
+    def conv(x):
+        w, b = leaf(values[1], np.float32), leaf(values[2], np.float32)
+        with T.Tape() as tape:
+            out = T.conv2d_3x3(x, w, b)
+            loss = T.sum_(T.square(out))
+        T.backward(loss, tape)
+        return [out.data, w.grad, b.grad]
+
+    view = T.reshape(T.transpose(T.constant(values[0])), (bsz, d, grid, grid))
+    assert not view.data.flags.c_contiguous
+    copy = T.constant(np.ascontiguousarray(view.data))
+    assert copy.data.flags.c_contiguous
+    for got, expect in zip(conv(view), conv(copy)):
+        assert np.array_equal(got, expect)
+
+
 def test_conv2d_3x3_rejects_bad_shapes():
     def make(*shape):
         return T.constant(np.zeros(shape))
@@ -394,6 +422,78 @@ def test_linear_is_one_node_equal_to_matmul_plus_row_bias(shape):
     bad = T.constant(np.zeros(5, dtype=np.float32))
     with pytest.raises(DimensionError, match="linear bias"):
         T.linear(T.constant(values[0]), T.constant(values[1]), bad)
+
+
+def _mlp_composed(x, ln_g, ln_b, w1, b1, w2, b2):
+    return T.add(x, T.linear(T.gelu(T.linear(T.layer_norm(x, ln_g, ln_b), w1, b1)), w2, b2))
+
+
+@pytest.mark.parametrize("shape", [(2, 65, 64), (2, 1, 64)])
+@pytest.mark.parametrize("x_feeds_more", [False, True])
+def test_mlp_residual_is_one_node_equal_to_the_composed_ops(shape, x_feeds_more):
+    # (B, N, d) tokens and the token-only block's (B, 1, d) row; with
+    # x_feeds_more x also reaches the loss past the block, as a pem layer's
+    # tokens reach the decoder, so its three gradient terms must add in
+    # the order five separate nodes add them
+    d = shape[-1]
+    shapes = (shape, (d,), (d,), (d, 4 * d), (4 * d,), (4 * d, d), (d,))
+    rng = CounterRng(5)
+    values = [rng.normal(math.prod(s)).reshape(s).astype(np.float32) for s in shapes]
+    values[1] += 1.0  # norm gain near one
+    probe = T.constant(rng.normal(math.prod(shape)).reshape(shape).astype(np.float32))
+
+    def run(build):
+        leaves = [leaf(v, np.float32) for v in values]
+        with T.Tape() as tape:
+            out = build(*leaves)
+            loss = T.sum_(T.mul(out, probe))
+            if x_feeds_more:
+                loss = T.add(loss, T.sum_(T.square(leaves[0])))
+        n = len(tape.nodes)
+        T.backward(loss, tape)
+        return n, out.data, [t.grad for t in leaves]
+
+    n, out, grads = run(T.mlp_residual)
+    n2, out2, grads2 = run(_mlp_composed)
+    assert n2 - n == 4  # five nodes became one
+    assert np.array_equal(out, out2)
+    assert len(grads) == 7
+    for g, g2 in zip(grads, grads2):
+        assert g.dtype == g2.dtype and np.array_equal(g, g2)
+
+
+def test_mlp_residual_keeps_no_normalized_input_or_gelu_output():
+    rng = CounterRng(6)
+    x = leaf(rng.normal(2 * 5 * 8).reshape(2, 5, 8), np.float32)
+    shapes = ((8,), (8,), (8, 32), (32,), (32, 8), (8,))
+    params = [leaf(rng.normal(math.prod(s)).reshape(s), np.float32) for s in shapes]
+    with T.Tape() as tape:
+        T.mlp_residual(x, *params)
+    (node,) = tape.nodes
+    assert node.inputs[:2] == (x, x)  # the residual first, then the layer norm
+    closure = node.backward.__closure__
+    saved = [c.cell_contents for c in closure if isinstance(c.cell_contents, np.ndarray)]
+    # x-hat (B, N, d), the inverse std (B, N, 1), m1 and Phi(m1) (B, N, 4d),
+    # plus the parameters' own arrays; nothing else of activation size
+    activations = sorted(a.shape for a in saved if a.ndim == 3)
+    assert activations == [(2, 5, 1), (2, 5, 8), (2, 5, 32), (2, 5, 32)]
+    with pytest.raises(DimensionError, match="mlp_residual"):
+        T.mlp_residual(x, *params[:2], params[4], params[3], params[4], params[5])
+    with pytest.raises(DimensionError, match="mlp_residual"):
+        T.mlp_residual(T.constant(np.zeros(8, dtype=np.float32)), *params)
+
+
+def test_transpose_is_a_view_with_the_same_gradient():
+    rng = CounterRng(4)
+    a = leaf(rng.normal(2 * 3 * 5).reshape(2, 3, 5))
+    probe = rng.normal(2 * 5 * 3).reshape(2, 5, 3)
+    with T.Tape() as tape:
+        out = T.transpose(a)
+        loss = T.sum_(T.mul(out, T.constant(probe, dtype=np.float64)))
+    assert np.shares_memory(out.data, a.data)
+    assert np.array_equal(out.data, np.swapaxes(a.data, -1, -2))
+    T.backward(loss, tape)
+    assert np.array_equal(a.grad, np.swapaxes(probe, -1, -2))
 
 
 def test_abs_gradient_at_zero_is_zero():
@@ -595,13 +695,44 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 """
 
 # the tracemalloc peak of one step after a warm-up step, in MiB
-STAGE1_PEAK = STAGE1_STEP + """
+PEAK = """
 import tracemalloc
 step()
 tracemalloc.start()
 step()
 print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
+STAGE1_PEAK = STAGE1_STEP + PEAK
+
+# one default-config stage-2 step on one fixed batch of 8: the frozen
+# error-map branch runs untaped, the quality branch and head train
+STAGE2_STEP = """
+import numpy as np
+from tempqt import tensor as T
+from tempqt.encoder import ModelConfig
+from tempqt.imaging import ImageBatch
+from tempqt.quality import quality_loss
+from tempqt.training import (
+    AdamState, adam_step, build_store, frozen_features, param_table, score_crops, stage1,
+)
+
+cfg = ModelConfig()
+table = param_table(cfg)
+store = build_store(table, 0, frozen=build_store(stage1(table), 0).arrays())
+state = AdamState(store)
+rng = np.random.default_rng(0)
+patches = ImageBatch(rng.random((8, 64, 64)))
+targets = np.linspace(0.1, 0.9, 8, dtype=np.float32)
+
+def step():
+    with T.Tape() as tape:
+        features = frozen_features(patches, store, cfg)
+        loss = quality_loss(score_crops(patches, features, store, cfg, "both", False), targets)
+    T.backward(loss, tape)
+    adam_step(state, 1e-4, 0.0)
+    T.zero_grads(store.tensors())
+"""
+STAGE2_PEAK = STAGE2_STEP + PEAK
 
 
 def run_src(code: str) -> str:
@@ -626,8 +757,16 @@ def test_stage1_step_reuses_freed_memory_without_page_faults():
 def test_stage1_step_holds_only_what_its_backward_reads():
     # 24.5 MiB when linear was two nodes, whose pre-bias products the tape
     # kept, backward freed nothing until the sweep ended, and Adam kept its
-    # gradient and scratch buffers between steps; 18.2 MiB without all three
-    assert float(run_src(STAGE1_PEAK)) < 20
+    # gradient and scratch buffers between steps; 18.2 MiB without all
+    # three; 14.2 MiB once each block's MLP half is one node that keeps no
+    # normalized input, GELU output or pre-residual sum, and transpose
+    # and the decoder's conv input are views of the tokens
+    assert float(run_src(STAGE1_PEAK)) < 16
+
+
+def test_stage2_step_holds_only_what_its_backward_reads():
+    # 12.9 MiB with five nodes per MLP half, 10.9 MiB with one
+    assert float(run_src(STAGE2_PEAK)) < 12
 
 
 def _no_libc(name):
