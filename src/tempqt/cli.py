@@ -3,10 +3,13 @@
 Subcommands: synth (build a distorted dataset), pretrain (stage 1),
 train (stage 2), eval (score a manifest), maps (export error and
 attention maps), gradcheck (finite-difference audit of every case in
-``gradcheck.CASES``; it takes only a seed). Every command writes its
-fully resolved configuration beside its outputs, so a run directory is
-self-describing. pretrain, train and eval take settings from ``--config``
-and paths only from ``--manifest`` and ``--out``, which may not be empty.
+``gradcheck.CASES``; it takes only a seed). Every other command writes
+``<command>.resolved.config``, the settings it ran with, beside its
+outputs: synth its flags, pretrain the run config, train the run config
+with the loss settings of ``--pem-ckpt`` (stage 2 keeps them), and eval
+and maps the settings of the checkpoint they read. pretrain, train and
+eval take settings from ``--config`` and paths only from ``--manifest``
+and ``--out``, which may not be empty.
 
 eval reports SROCC and PLCC per split, and ``n/a`` for a metric that is
 undefined on a split: fewer than two samples, or constant scores or
@@ -29,12 +32,13 @@ its stage's log ends with an ``error=`` line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .config import RunConfig, load_run_config, serialize_run_config, serialize_settings
+from .config import RunConfig, load_run_config, serialize_run_config
 from .data import (
     check_crop_fits,
     check_train_fraction,
@@ -155,7 +159,7 @@ def cmd_train(args) -> int:
     pem_ckpt = load_checkpoint(args.pem_ckpt)
     check_model_compat(pem_ckpt.model_cfg, run.model)
     out = _ensure_out(args.out)
-    _resolved_run(run, out, "train")
+    _resolved_run(dataclasses.replace(run, loss=pem_ckpt.loss_cfg), out, "train")
     ckpt = train_quality(
         manifest,
         pem_ckpt,
@@ -200,7 +204,7 @@ def cmd_eval(args) -> int:
         )
 
     out = _ensure_out(args.out)
-    _resolved_run(run, out, "eval")
+    _write(os.path.join(out, "eval.resolved.config"), ckpt.settings_text())
     for line in report_lines:
         print(line)
     _write(os.path.join(out, "report.txt"), "\n".join(report_lines) + "\n")
@@ -231,10 +235,7 @@ def cmd_maps(args) -> int:
         attention = encode(batch, store, cfg, "pqt", ckpt.train_cfg.share_backbone).attention
 
     out = _ensure_out(args.out)
-    _write(
-        os.path.join(out, "maps.resolved.config"),
-        serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg),
-    )
+    _write(os.path.join(out, "maps.resolved.config"), ckpt.settings_text())
     for i, stem in enumerate(stems):
         base = os.path.join(out, stem)
         save_image(GrayImage(size, size, pems[i]), f"{base}.pem.pgm")

@@ -7,8 +7,8 @@ differentiable op at least once (``conv2d_3x3`` and ``attention`` twice,
 with and without a resize and with one query row or all of them) plus
 composite graphs up to a full tiny two-branch model. Shaped ops run on
 a batch of two, so the gradients they sum over broadcast and batch axes
-are checked too. Inputs for abs/prelu are nudged away from the kink at
-zero, where the subgradient and the secant legitimately disagree.
+are checked too. Inputs of abs, prelu and the fusion head's PReLU stay
+off the kink at zero, where the subgradient and the secant disagree.
 
 A case that applies one op to scaled normal leaves is one row of
 ``CASES``, built by ``_single_op`` from the op's name, its leaves'
@@ -77,6 +77,16 @@ def _away_from_kink(t: Tensor) -> Tensor:
     sign = np.where(d >= 0.0, 1.0, -1.0)
     t.data = np.where(small, d + sign * (2.0 * _KINK_MARGIN), d)
     return t
+
+
+def _head_off_kink(rng: CounterRng, store, features: Tensor, token: Tensor) -> None:
+    """Shift ``fuse.mlp2.b1`` per hidden unit, to a side drawn at random, so that every
+    row's PReLU pre-activation sits at least 0.05 off the kink (one row: 0.05 * side - pre)."""
+    fused = T.add(T.linear(features, store["fuse.mlp1.w"], store["fuse.mlp1.b"]), token)
+    pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data
+    signs = np.where(_normal(rng, (pre.shape[-1],)) >= 0.0, 1.0, -1.0)
+    nearest = np.where(signs > 0.0, pre.min(axis=0), pre.max(axis=0))
+    store["fuse.mlp2.b1"].data += 0.05 * signs - nearest
 
 
 def _projector(rng: CounterRng, shape):
@@ -198,6 +208,7 @@ def _case_fusion(rng):
         dtype=np.float64,
     )
     token = _leaf(rng, 2, cfg.embed_dim, scale=0.5)
+    _head_off_kink(rng, store, features, token)
     leaves = [features, token] + list(store.tensors())
     proj = _projector(rng, (2,))
 
@@ -247,13 +258,7 @@ def _case_tiny_model(rng):
     loss_cfg = PemLossConfig()
     leaves = list(store.tensors())
 
-    # Place the head's PReLU preactivations a safe distance from the
-    # kink at the operating point, so the fd step cannot straddle it.
-    v_pem = T.linear(frozen_features(dist, store, model), store["fuse.mlp1.w"], store["fuse.mlp1.b"])
-    fused = T.add(v_pem, encode(dist, store, model, "pqt").token)
-    pre = T.linear(fused, store["fuse.mlp2.w1"], store["fuse.mlp2.b1"]).data[0]
-    signs = np.where(_normal(rng, (model.embed_dim,)) >= 0.0, 1.0, -1.0)
-    store["fuse.mlp2.b1"].data += 0.05 * signs - pre
+    _head_off_kink(rng, store, frozen_features(dist, store, model), encode(dist, store, model, "pqt").token)
 
     def forward():
         pem = forward_pem(dist, store, model)

@@ -2,21 +2,21 @@
 
 numpy arrays hold the values; every backward rule is written out
 explicitly against the recorded inputs. A ``Tape`` collects operations
-in execution order while active, and ``backward`` replays the tape in
-reverse, accumulating gradients into every ``requires_grad`` leaf that
-the loss reaches. A tape replays once: the sweep releases each node as
-it passes it, so what the node's backward saved is freed during the
-sweep, and the replayed tape keeps one spent entry per op. Ops executed
-with no active tape produce plain constants, which is the inference
-path. No op scans for NaN or Inf: ``backward`` checks the loss, once
-per step, and names the first taped op whose output went non-finite.
+in execution order inside its ``with`` block, and only one tape records
+at a time: entering a second raises ArgumentError. ``backward`` replays
+the tape in reverse, accumulating gradients into every ``requires_grad``
+leaf that the loss reaches. A tape replays once: the sweep releases each
+node as it passes it, so what the node's backward saved is freed during
+the sweep, and the replayed tape keeps one spent entry per op. Ops
+executed with no recording tape produce plain constants, which is the
+inference path. No op scans for NaN or Inf: ``backward`` checks the
+loss, once per step, and names the first taped op whose output went
+non-finite.
 
 float32 is the working precision. All ops follow the dtype of their
-inputs, so the finite-difference harness can run a float64 shadow of
-the same code paths, with one exception: ``gelu`` takes the normal CDF
-of every float32 array from a float32 rational kernel, and of a float64
-array, which only the harness and the reference tests use, from
-``math.erf``. The package needs numpy alone.
+inputs, so the finite-difference harness runs a float64 shadow of the
+same code paths, ``gelu``'s rational normal CDF included. The package
+needs numpy alone.
 
 Model tensors are batch-first: tokens are (B, N, d), feature maps
 (B, C, H, W), and a single image is a batch of one. The shaped ops act
@@ -109,7 +109,6 @@ _ERF_B = (
 _PHI_P = tuple(np.float32(0.5 / _SQRT2 * c / 2.0**k) for k, c in enumerate(_ERF_A))[::-1]
 _PHI_Q = tuple(np.float32(c / 2.0**k) for k, c in enumerate(_ERF_B))[::-1]
 _PHI_CLAMP = 4.0 * _SQRT2
-_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, for float64 arrays
 
 # By default glibc serves large arrays with mmap and trims the heap top,
 # so memory a training step frees goes back to the kernel and the next
@@ -196,33 +195,31 @@ class Tape:
         self.replayed = False
 
     def __enter__(self):
-        _tapes.append(self)
+        global _recording
+        if _recording is not None:
+            raise ArgumentError("a tape is already recording; tapes do not nest")
+        _recording = self
         return self
 
     def __exit__(self, *exc):
-        _tapes.pop()
+        global _recording
+        _recording = None
         return False
 
 
-# active tapes, innermost last
-_tapes: list = []
-
-
-def _active_tape():
-    return _tapes[-1] if _tapes else None
+_recording = None  # the Tape inside whose ``with`` block ops are recorded
 
 
 def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:
-    """Wrap a computed array, recording the op if a tape is active."""
-    tape = _active_tape()
-    track = tape is not None and any(t.needs_grad for t in inputs)
+    """Wrap a computed array, recording the op if a tape is recording."""
+    track = _recording is not None and any(t.needs_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
     out.requires_grad = False
     out.needs_grad = track
     if track:
-        tape.nodes.append(_Node(out, inputs, backward))
+        _recording.nodes.append(_Node(out, inputs, backward))
     return out
 
 
@@ -344,8 +341,8 @@ def sum_(a: Tensor) -> Tensor:
     return _emit(val, (a,), bwd)
 
 
-def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
-    """Phi(x) of a float32 array from the clamped rational; 4 temporaries, other passes in place."""
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) from the clamped rational, in x's dtype; 4 temporaries, other passes in place."""
     # not np.clip, whose Python wrapper costs 3 us a call, more than the
     # two passes on an array of a few thousand elements
     z = np.minimum(np.maximum(x, np.float32(-_PHI_CLAMP)), np.float32(_PHI_CLAMP))
@@ -366,16 +363,6 @@ def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _normal_cdf(a: np.ndarray) -> np.ndarray:
-    """Phi(a): ``_normal_cdf_f32`` for float32, ``math.erf`` elementwise otherwise."""
-    if a.dtype == np.float32:
-        return _normal_cdf_f32(a)
-    phi = np.array(_erf(a * (1.0 / _SQRT2)), dtype=a.dtype)
-    phi += 1.0
-    phi *= 0.5
-    return phi
-
-
 def _gelu_grad(g: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Gradient at a of a * Phi(a), given g at the output and phi = Phi(a)."""
     pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
@@ -385,12 +372,13 @@ def _gelu_grad(g: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x), with Phi the standard normal CDF (the exact GELU).
 
-    float32 arrays, whatever their size, take Phi from
-    ``_normal_cdf_f32``: Eigen's float erf rational (odd numerator to
-    x^13 over even denominator to x^8), clamped at |x| = 4 sqrt2, with no
-    transcendental call. Its forward stays within 4e-7 * max(1, |x|) of
-    x * Phi(x) in float64, and so does its gradient (tests/test_tensor.py).
-    float64 arrays take Phi from ``math.erf``, one element at a time. The
+    Every array, whatever its size or dtype, takes Phi from
+    ``_normal_cdf``: Eigen's float erf rational (odd numerator to x^13
+    over even denominator to x^8) with float32 coefficients, clamped at
+    |x| = 4 sqrt2, with no transcendental call. In float32 and in float64
+    alike its forward stays within 4e-7 * max(1, |x|) of x * Phi(x), and
+    so does its gradient (tests/test_tensor.py), so the float64 shadow
+    that gradcheck runs differentiates the kernel that training runs. The
     backward is g * (Phi + x * pdf(x)) with the exact Gaussian pdf.
     """
     ad = a.data

@@ -309,6 +309,12 @@ class Checkpoint:
     loss_cfg: PemLossConfig
     params: dict
 
+    def settings_text(self) -> str:
+        """Model, train and loss settings as config text: the saved header, what eval and maps record."""
+        from .config import serialize_settings
+
+        return serialize_settings(self.model_cfg, self.train_cfg, self.loss_cfg)
+
 
 def store_from_checkpoint(ckpt: Checkpoint) -> ParamStore:
     """Rebuild an inference store: every parameter present, all frozen."""
@@ -319,9 +325,7 @@ def store_from_checkpoint(ckpt: Checkpoint) -> ParamStore:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    from .config import serialize_settings
-
-    text = serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg).encode("utf-8")
+    text = ckpt.settings_text().encode("utf-8")
     chunks = [CHECKPOINT_MAGIC, struct.pack("<B", CHECKPOINT_VERSION)]
     chunks.append(struct.pack("<I", len(text)))
     chunks.append(text)

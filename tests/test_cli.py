@@ -10,6 +10,7 @@ import pytest
 from tempqt import cli, errors
 from tempqt import gradcheck
 from tempqt import tensor as T
+from tempqt.config import serialize_settings
 from tempqt.data import load_manifest, save_manifest
 from tempqt.encoder import ModelConfig
 from tempqt.errors import CheckpointError
@@ -204,6 +205,43 @@ def test_resolved_config_is_the_same_from_any_directory(pipeline, tmp_path, monk
     ]) == 0
     resolved = (tmp_path / "elsewhere" / "pretrain.resolved.config").read_bytes()
     assert resolved == (pipeline["run"] / "pretrain.resolved.config").read_bytes()
+
+
+def test_eval_records_the_settings_of_the_checkpoint_it_scored(pipeline, tmp_path):
+    # the pipeline's checkpoint is `both`, trained with batch_size 8 and patch_count 1
+    cfg = tmp_path / "other.cfg"
+    text = TINY_RUN_CONFIG.replace("batch_size = 8", "batch_size = 99")
+    cfg.write_text(text.replace("patch_count = 1", "patch_count = 7") + "ablation_mode = pqt_only\n", encoding="utf-8")
+    out = tmp_path / "eval"
+    assert cli.main([
+        "eval", "--config", str(cfg), "--manifest", str(pipeline["ds"] / "manifest.csv"),
+        "--out", str(out), "--ckpt", str(pipeline["run"] / "quality.ckpt"),
+    ]) == 0
+    ckpt = load_checkpoint(pipeline["run"] / "quality.ckpt")
+    resolved = (out / "eval.resolved.config").read_text()
+    assert resolved == serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg)
+    assert "ablation_mode = both\n" in resolved and "batch_size = 8\n" in resolved
+    assert "patch_count" not in resolved
+    # it scored with the checkpoint's settings, as the pipeline's eval did
+    assert (out / "predictions.csv").read_bytes() == (pipeline["run"] / "predictions.csv").read_bytes()
+    maps_resolved = (pipeline["maps"] / "maps.resolved.config").read_text()
+    assert maps_resolved == serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg)
+
+
+def test_train_records_the_loss_settings_its_checkpoint_holds(pipeline, tmp_path):
+    # stage 2 keeps pem.ckpt's loss settings (the default oem_lambda 0.1), not --config's
+    cfg = tmp_path / "lambda.cfg"
+    cfg.write_text(TINY_RUN_CONFIG + "oem_lambda = 0.7\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main([
+        "train", "--config", str(cfg), "--manifest", str(pipeline["ds"] / "manifest.csv"),
+        "--out", str(out), "--pem-ckpt", str(pipeline["run"] / "pem.ckpt"),
+    ]) == 0
+    ckpt = load_checkpoint(out / "quality.ckpt")
+    assert ckpt.loss_cfg.oem_lambda == 0.1
+    resolved = (out / "train.resolved.config").read_text()
+    assert "oem_lambda = 0.1\n" in resolved
+    assert resolved.startswith(serialize_settings(ckpt.model_cfg, ckpt.train_cfg, ckpt.loss_cfg) + "# run\n")
 
 
 def test_eval_reports_undefined_correlations_as_na(pipeline, tmp_path, capsys):

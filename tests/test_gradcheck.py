@@ -57,6 +57,13 @@ def test_representative_cases_pass(name):
     assert result.checked > 0
 
 
+def test_fusion_head_passes_at_every_seed():
+    # a batch of two rows: a finite-difference step that crossed the head's
+    # PReLU kink in either row failed 12 of these 40 seeds
+    errors = {seed: run_case("fusion_head", seed=seed).max_rel_err for seed in range(40)}
+    assert {seed: err for seed, err in errors.items() if err >= TOLERANCE} == {}
+
+
 def test_run_case_deterministic():
     a = run_case("matmul", seed=3)
     b = run_case("matmul", seed=3)
