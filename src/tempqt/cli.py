@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -48,7 +49,7 @@ from .data import (
     split_by_reference,
 )
 from .encoder import encode
-from .errors import ArgumentError, DataError, MetricError, TempqtError
+from .errors import ArgumentError, DataError, MetricError, TempqtError, TrainingError
 from .gradcheck import CASES, TOLERANCE, run_case
 from .imaging import DISTORTION_KINDS, SEVERITIES, GrayImage, ImageBatch, load_image, save_image
 from .metrics import plcc, srocc
@@ -133,23 +134,31 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _train_stage(out: str, command: str, run: RunConfig, stage, ckpt_name: str) -> None:
+    """Run ``stage(log_path=...)`` and save the checkpoint it returns in ``out``.
+
+    The stage creates ``out`` when it opens its log, which it does only
+    once its inputs have loaded and checked. The resolved config goes
+    beside the log, also when a training step fails.
+    """
+    try:
+        ckpt = stage(log_path=os.path.join(out, f"{command}.log"))
+    except TrainingError:
+        _resolved_run(run, out, command)
+        raise
+    _resolved_run(run, out, command)
+    path = os.path.join(out, ckpt_name)
+    save_checkpoint(ckpt, path)
+    print(f"wrote {path}")
+
+
 def cmd_pretrain(args) -> int:
     run = load_run_config(args.config)
     manifest = load_manifest(args.manifest)
-    out = _ensure_out(args.out)
-    _resolved_run(run, out, "pretrain")
-    ckpt = pretrain_pem(
-        manifest,
-        run.model,
-        run.train,
-        run.loss,
-        patch_count=run.patch_count,
-        augment=run.augment,
-        log_path=os.path.join(out, "pretrain.log"),
+    stage = functools.partial(
+        pretrain_pem, manifest, run.model, run.train, run.loss, patch_count=run.patch_count, augment=run.augment
     )
-    path = os.path.join(out, "pem.ckpt")
-    save_checkpoint(ckpt, path)
-    print(f"wrote {path}")
+    _train_stage(args.out, "pretrain", run, stage, "pem.ckpt")
     return 0
 
 
@@ -158,19 +167,11 @@ def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     pem_ckpt = load_checkpoint(args.pem_ckpt)
     check_model_compat(pem_ckpt.model_cfg, run.model)
-    out = _ensure_out(args.out)
-    _resolved_run(dataclasses.replace(run, loss=pem_ckpt.loss_cfg), out, "train")
-    ckpt = train_quality(
-        manifest,
-        pem_ckpt,
-        run.train,
-        patch_count=run.patch_count,
-        augment=run.augment,
-        log_path=os.path.join(out, "train.log"),
+    stage = functools.partial(
+        train_quality, manifest, pem_ckpt, run.train, patch_count=run.patch_count, augment=run.augment
     )
-    path = os.path.join(out, "quality.ckpt")
-    save_checkpoint(ckpt, path)
-    print(f"wrote {path}")
+    # stage 2 keeps the loss settings of --pem-ckpt
+    _train_stage(args.out, "train", dataclasses.replace(run, loss=pem_ckpt.loss_cfg), stage, "quality.ckpt")
     return 0
 
 

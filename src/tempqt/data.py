@@ -237,6 +237,11 @@ def split_by_reference(manifest: DatasetManifest, train_fraction: float, seed: i
 # patch sampling
 
 
+def _check_crop(img: GrayImage, crop: int) -> None:
+    if crop < 1 or crop > img.height or crop > img.width:
+        raise ArgumentError(f"crop {crop} does not fit image {img.height}x{img.width}")
+
+
 def sample_patches(
     img: GrayImage, count: int, crop: int, seed: int, augment: bool = True
 ) -> list:
@@ -251,8 +256,7 @@ def sample_patches(
     """
     if count < 1:
         raise ArgumentError("count must be positive")
-    if crop < 1 or crop > img.height or crop > img.width:
-        raise ArgumentError(f"crop {crop} does not fit image {img.height}x{img.width}")
+    _check_crop(img, crop)
     rng = CounterRng(derive_seed(seed, "patches"))
     out = []
     for _ in range(count):
@@ -275,8 +279,7 @@ def eval_crops(img: GrayImage, crop: int) -> list:
 
     An image exactly crop x crop yields the single full crop.
     """
-    if crop < 1 or crop > img.height or crop > img.width:
-        raise ArgumentError(f"crop {crop} does not fit image {img.height}x{img.width}")
+    _check_crop(img, crop)
     bottom = img.height - crop
     right = img.width - crop
     positions = [

@@ -176,9 +176,14 @@ def load_image(path) -> GrayImage:
     return GrayImage(height, width, np.clip(gray, 0.0, 1.0).astype(np.float32))
 
 
+def _levels(img: GrayImage) -> np.ndarray:
+    """Pixels rounded to the 8-bit grid, as float64 levels 0..255."""
+    return np.clip(np.rint(img.pixels.astype(np.float64) * 255.0), 0, 255)
+
+
 def save_image(img: GrayImage, path) -> None:
     """Write an 8-bit binary PGM; pixels are rounded to the 255 grid."""
-    q = np.clip(np.rint(img.pixels.astype(np.float64) * 255.0), 0, 255).astype(np.uint8)
+    q = _levels(img).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -187,7 +192,7 @@ def save_image(img: GrayImage, path) -> None:
 
 def quantize_to_8bit(img: GrayImage) -> GrayImage:
     """Snap pixels to the 8-bit grid, matching a save/load round trip."""
-    q = np.clip(np.rint(img.pixels.astype(np.float64) * 255.0), 0, 255) / 255.0
+    q = _levels(img) / 255.0
     return GrayImage(img.height, img.width, q.astype(np.float32))
 
 

@@ -25,15 +25,19 @@ frozen_drawn=<drawn>``.
 ``param_table`` declares the model's parameters once, by init family;
 both stages build their stores from it through ``build_store``.
 
-Checkpoints are a small binary format (magic ``TQTCKPT``, version 4):
-embedded configuration text followed by named float32 parameter blocks
-in store order, and nothing after the last block. Optimizer state and
-epoch counters are not stored; nothing resumes from them. Little-endian
-throughout; a save/load/save round trip is byte-identical, and a save
-replaces the file atomically. A load rejects a parameter name that is
-not UTF-8 or appears twice, and validates the names and shapes against
-the table of the file's own configuration: the whole model if the file
-has a fusion head, else the error-map branch.
+Checkpoints are a small binary format (magic ``TQTCKPT``, version 5):
+a version byte, the settings text's u32 length, the text, then the
+float32 values of every entry of the settings' ``param_table``, in
+table order, with no name, shape or length stored beside them. The
+table is the one declaration of names, shapes and order. A file holds
+either the whole model or only its error-map branch (``stage1``); the
+number of values tells which, since the fusion head is never empty.
+Optimizer state and epoch counters are not stored; nothing resumes
+from them. Little-endian throughout; a save/load/save round trip is
+byte-identical, and a save replaces the file atomically. A save
+rejects parameters that differ from the table and writes nothing; a
+load rejects a value count that fits neither table, and a non-finite
+value, naming its parameter.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, backward, zero_grads
 
 CHECKPOINT_MAGIC = b"TQTCKPT"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 STAGE1_FAMILIES = ("pem", "dec")
 
@@ -324,23 +328,27 @@ def store_from_checkpoint(ckpt: Checkpoint) -> ParamStore:
     return store
 
 
+def _tables(model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple:
+    """The two tables a checkpoint of these settings can hold: the whole model, and its error-map branch."""
+    table = param_table(model_cfg, train_cfg.ablation_mode, train_cfg.share_backbone)
+    return table, stage1(table)
+
+
+def _size(table: dict) -> int:
+    """Bytes of a table's float32 values."""
+    return 4 * sum(math.prod(shape) for entries in table.values() for _name, shape, _init in entries)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` in its table's order; parameters that differ from it raise and write nothing."""
+    whole, branch = _tables(ckpt.model_cfg, ckpt.train_cfg)
+    # a checkpoint with a fusion head holds the whole model, any other the error-map branch
+    table = whole if any(name in ckpt.params for name, _shape, _init in whole["fuse"]) else branch
+    check_params(ckpt.params, table, f"{path}: parameters do not match the checkpoint's configuration")
     text = ckpt.settings_text().encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<B", CHECKPOINT_VERSION)]
-    chunks.append(struct.pack("<I", len(text)))
-    chunks.append(text)
-    chunks.append(struct.pack("<I", len(ckpt.params)))
-    for name, arr in ckpt.params.items():
-        data = np.ascontiguousarray(arr, dtype="<f4")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", data.ndim))
-        for dim in data.shape:
-            chunks.append(struct.pack("<I", dim))
-        raw = data.tobytes()
-        chunks.append(struct.pack("<Q", len(raw)))
-        chunks.append(raw)
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<BI", CHECKPOINT_VERSION, len(text)), text]
+    for entries in table.values():
+        chunks.extend(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes() for name, _s, _i in entries)
     # a crash mid-write leaves the previous file, never a truncated one
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -352,38 +360,24 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             os.remove(tmp)
 
 
-class _Cursor:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError(f"{self.path}: truncated while reading {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str, what: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what))[0]
-
-
 def load_checkpoint(path) -> Checkpoint:
     from .config import parse_settings
 
     with open(path, "rb") as fh:
         data = fh.read()
-    cur = _Cursor(data, path)
-    if cur.take(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+    head = len(CHECKPOINT_MAGIC)
+    if data[:head] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version = cur.unpack("<B", "version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    text_len = cur.unpack("<I", "config length")
+    if len(data) > head and data[head] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {data[head]}")
+    if len(data) < head + 5:
+        raise CheckpointError(f"{path}: truncated while reading the header")
+    (text_len,) = struct.unpack_from("<I", data, head + 1)
+    body = head + 5 + text_len
+    if len(data) < body:
+        raise CheckpointError(f"{path}: truncated while reading the config text")
     try:
-        text = cur.take(text_len, "config text").decode("utf-8")
+        text = data[head + 5 : body].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: config text is not UTF-8") from exc
     try:
@@ -391,32 +385,23 @@ def load_checkpoint(path) -> Checkpoint:
     except ArgumentError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
-    n_params = cur.unpack("<I", "parameter count")
+    # the fusion head is never empty, so the two sizes differ
+    whole, branch = _tables(model_cfg, train_cfg)
+    table = {_size(whole): whole, _size(branch): branch}.get(len(data) - body)
+    if table is None:
+        raise CheckpointError(
+            f"{path}: holds {len(data) - body} bytes of parameter values; its configuration needs "
+            f"{_size(whole)} (the whole model) or {_size(branch)} (the error-map branch)"
+        )
+    values = np.frombuffer(data, dtype="<f4", offset=body)
     params: dict = {}
-    for index in range(n_params):
-        name_len = cur.unpack("<H", "name length")
-        try:
-            name = cur.take(name_len, "parameter name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: parameter {index + 1}'s name is not UTF-8") from exc
-        if name in params:
-            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
-        ndim = cur.unpack("<B", "ndim")
-        shape = tuple(cur.unpack("<I", "dimension") for _ in range(ndim))
-        nbytes = cur.unpack("<Q", "data length")
-        if nbytes != 4 * math.prod(shape):
-            raise CheckpointError(f"{path}: parameter {name!r} length mismatch")
-        arr = np.frombuffer(cur.take(nbytes, f"data for {name!r}"), dtype="<f4")
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
-        params[name] = arr.reshape(shape).copy()
-    if cur.pos != len(data):
-        raise CheckpointError(f"{path}: {len(data) - cur.pos} trailing bytes after the last parameter")
-    # a file with a fusion head holds the whole model, any other the error-map branch
-    table = param_table(model_cfg, train_cfg.ablation_mode, train_cfg.share_backbone)
-    if not any(name.startswith("fuse.") for name in params):
-        table = stage1(table)
-    check_params(params, table, f"{path}: parameters do not match the checkpoint's configuration")
+    for entries in table.values():
+        for name, shape, _init in entries:
+            size = math.prod(shape)
+            arr, values = values[:size], values[size:]
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
+            params[name] = arr.reshape(shape).copy()
     return Checkpoint(model_cfg, train_cfg, loss_cfg, params)
 
 
@@ -438,6 +423,8 @@ class _Log:
     def __init__(self, path):
         self.path = path
         if path is not None:
+            # a stage opens its log once its inputs have checked: the run's directory appears then
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
             # truncate: each run owns its log
             with open(path, "w", encoding="utf-8"):
                 pass

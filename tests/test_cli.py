@@ -10,7 +10,7 @@ import pytest
 from tempqt import cli, errors
 from tempqt import gradcheck
 from tempqt import tensor as T
-from tempqt.config import serialize_settings
+from tempqt.config import load_run_config, serialize_run_config, serialize_settings
 from tempqt.data import load_manifest, save_manifest
 from tempqt.encoder import ModelConfig
 from tempqt.errors import CheckpointError
@@ -344,6 +344,8 @@ def test_diverging_pretrain_exit_1_without_checkpoint(pipeline, tmp_path, capsys
     assert "non-finite loss" in capsys.readouterr().err
     assert not (out / "pem.ckpt").exists()
     assert "error=" in (out / "pretrain.log").read_text().splitlines()[-1]
+    # the settings the failed run ran with sit beside its log
+    assert (out / "pretrain.resolved.config").read_text() == serialize_run_config(load_run_config(cfg))
 
 
 @pytest.mark.parametrize(
@@ -553,7 +555,7 @@ def test_image_smaller_than_the_crop_exit_1_naming_the_file(pipeline, tmp_path, 
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sample.dist_path}: image is 16x16, smaller than the model's 32x32 crop")
-    assert not any(out.glob("*.ckpt")) and not (out / "predictions.csv").exists()
+    assert not out.exists()
 
 
 def test_maps_rejects_images_that_share_a_file_stem(pipeline, tmp_path, capsys):
@@ -589,52 +591,46 @@ def test_maps_draws_the_center_crop_of_a_larger_image(tmp_path):
         assert load_image(tmp_path / "m" / f"big.{kind}.pgm").pixels.shape == (64, 64)
 
 
+def _value_bytes(path) -> int:
+    """Bytes of a checkpoint's parameter values: all after the magic, version, text length and text."""
+    blob = path.read_bytes()
+    return len(blob) - 12 - int.from_bytes(blob[8:12], "little")
+
+
 def test_eval_checkpoint_with_trailing_bytes_exit_1(pipeline, tmp_path, capsys):
-    padded = tmp_path / "padded.ckpt"
-    padded.write_bytes((pipeline["run"] / "quality.ckpt").read_bytes() + b"junk")
-    assert cli.main([
-        "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(padded),
-        "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(tmp_path / "e"),
-    ]) == 1
-    assert "4 trailing bytes" in capsys.readouterr().err
-    assert not (tmp_path / "e").exists()
-
-
-def test_eval_checkpoint_missing_parameter_exit_1(pipeline, tmp_path, capsys):
-    # each file's parameters differ from its own configuration: a load names them
-    def missing(params):
-        del params["fuse.mlp2.w2"]
-
-    def misshapen(params):
-        params["fuse.mlp2.w2"] = np.zeros((3, 1), dtype=np.float32)
-
-    def extra(params):
-        params["dec.extra.w"] = np.zeros(2, dtype=np.float32)
-
-    cases = [
-        ("quality.ckpt", missing, "missing fuse.mlp2.w2"),
-        ("quality.ckpt", misshapen, "fuse.mlp2.w2 is (3, 1), expected (16, 1)"),
-        ("pem.ckpt", extra, "extra dec.extra.w"),
-    ]
-    for i, (source, damage, message) in enumerate(cases):
-        ckpt = load_checkpoint(pipeline["run"] / source)
-        damage(ckpt.params)
+    # one float32 more, then one fewer: a size that fits neither table of its settings
+    run = pipeline["run"]
+    whole, branch = _value_bytes(run / "quality.ckpt"), _value_bytes(run / "pem.ckpt")
+    blob = (run / "quality.ckpt").read_bytes()
+    for i, cut in enumerate((blob + b"junk", blob[:-4])):
         bad = tmp_path / f"bad{i}.ckpt"
-        save_checkpoint(ckpt, bad)
+        bad.write_bytes(cut)
+        message = (
+            f"error: {bad}: holds {_value_bytes(bad)} bytes of parameter values; its configuration "
+            f"needs {whole} (the whole model) or {branch} (the error-map branch)\n"
+        )
         out = tmp_path / f"e{i}"
         assert cli.main([
             "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(bad),
             "--manifest", str(pipeline["ds"] / "manifest.csv"), "--out", str(out),
         ]) == 1
-        assert message in capsys.readouterr().err
-        # the load fails before eval writes anything
+        assert capsys.readouterr().err == message
         assert not out.exists()
-        if damage is misshapen:
-            assert cli.main([
-                "maps", "--ckpt", str(bad), "--images", str(pipeline["dist"]), "--out", str(out),
-            ]) == 1
-            assert message in capsys.readouterr().err
-            assert not out.exists()
+        assert cli.main(["maps", "--ckpt", str(bad), "--images", str(pipeline["dist"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def test_maps_from_the_stage1_checkpoint_draws_the_same_error_map(pipeline, tmp_path):
+    # stage 2 freezes the error-map branch bit for bit; a stage-1 file has no token branch
+    out = tmp_path / "m"
+    assert cli.main([
+        "maps", "--ckpt", str(pipeline["run"] / "pem.ckpt"), "--images", str(pipeline["dist"]), "--out", str(out),
+    ]) == 0
+    stem = pipeline["dist"].stem
+    assert (out / f"{stem}.pem.pgm").read_bytes() == (pipeline["maps"] / f"{stem}.pem.pgm").read_bytes()
+    assert (pipeline["maps"] / f"{stem}.am.pgm").is_file()
+    assert sorted(p.name for p in out.iterdir()) == [f"{stem}.pem.pgm", "maps.resolved.config"]
 
 
 def test_corrupt_checkpoint_exit_1(pipeline, tmp_path, capsys):

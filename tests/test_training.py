@@ -296,12 +296,23 @@ def test_flat_adam_matches_the_per_tensor_rule_bit_for_bit(weight_decay):
 
 
 def test_checkpoint_round_trip_bytes(micro_pem_ckpt, tmp_path):
-    p1 = tmp_path / "a.ckpt"
-    p2 = tmp_path / "b.ckpt"
-    save_checkpoint(micro_pem_ckpt, p1)
-    loaded = load_checkpoint(p1)
-    save_checkpoint(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    # the stage-1 branch, and a whole model in each ablation mode
+    cfg = micro_pem_ckpt.model_cfg
+    ckpts = [micro_pem_ckpt] + [
+        Checkpoint(cfg, TrainConfig(ablation_mode=mode), PemLossConfig(),
+                   training.build_store(training.param_table(cfg, mode), seed=1).arrays())
+        for mode in ("both", "pqt_only", "pem_only")
+    ]
+    for i, ckpt in enumerate(ckpts):
+        p1 = tmp_path / f"a{i}.ckpt"
+        p2 = tmp_path / f"b{i}.ckpt"
+        save_checkpoint(ckpt, p1)
+        loaded = load_checkpoint(p1)
+        assert list(loaded.params) == list(ckpt.params)
+        for name, arr in ckpt.params.items():
+            assert np.array_equal(loaded.params[name], arr)
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_fields_survive(micro_pem_ckpt, micro_quality_ckpt, tmp_path):
@@ -350,11 +361,12 @@ def test_checkpoint_v1_rejected(micro_pem_ckpt, tmp_path):
 
 def test_checkpoint_v2_rejected(micro_pem_ckpt, tmp_path):
     # v2 embedded raw pixels and had a key bias: its weights mean something
-    # else now; v3 embedded two configuration keys that are now constants
+    # else now; v3 embedded two configuration keys that are now constants;
+    # v4 stored each parameter's name, shape and length before its values
     path = tmp_path / "old.ckpt"
     save_checkpoint(micro_pem_ckpt, path)
     blob = bytearray(path.read_bytes())
-    for version in (2, 3):
+    for version in (2, 3, 4):
         blob[7] = version
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
@@ -368,57 +380,76 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def _values_at(blob: bytes) -> int:
+    """Where a checkpoint's values start: after the magic, version, text length and text."""
+    (text_len,) = struct.unpack_from("<I", blob, 8)
+    return 12 + text_len
+
+
 def test_checkpoint_truncation(micro_pem_ckpt, tmp_path):
     path = tmp_path / "t.ckpt"
     save_checkpoint(micro_pem_ckpt, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(path)
+    start = _values_at(blob)
+    cases = [
+        (blob[:10], "truncated while reading the header"),
+        (blob[: start // 2], "truncated while reading the config text"),
+        (blob[: len(blob) // 2], f"holds {len(blob) // 2 - start} bytes of parameter values"),
+    ]
+    for cut, message in cases:
+        path.write_bytes(cut)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
-def test_checkpoint_size_that_overflows_int64_names_the_parameter(micro_pem_ckpt, tmp_path):
-    # 65536^4 = 2^64 wraps to 0 in int64, so it would match a data length of 0
-    path = tmp_path / "huge.ckpt"
-    save_checkpoint(micro_pem_ckpt, path)
-    blob = path.read_bytes()
-    (text_len,) = struct.unpack_from("<I", blob, 8)  # after the magic and version byte
-    name = next(iter(micro_pem_ckpt.params)).encode("utf-8")
-    param = struct.pack("<IH", 1, len(name)) + name + struct.pack("<B4IQ", 4, *(65536,) * 4, 0)
-    path.write_bytes(blob[: 12 + text_len] + param)
-    with pytest.raises(CheckpointError, match=f"parameter '{name.decode()}' length mismatch"):
-        load_checkpoint(path)
+def test_checkpoint_value_count_that_fits_neither_table_names_both_sizes(micro_pem_ckpt, micro_quality_ckpt, tmp_path):
+    branch, whole = tmp_path / "branch.ckpt", tmp_path / "whole.ckpt"
+    save_checkpoint(micro_pem_ckpt, branch)
+    save_checkpoint(micro_quality_ckpt, whole)
+    sizes = [len(blob) - _values_at(blob) for blob in (whole.read_bytes(), branch.read_bytes())]
+    allowed = f"its configuration needs {sizes[0]} (the whole model) or {sizes[1]} (the error-map branch)"
+    bad = tmp_path / "bad.ckpt"
+    for source in (whole, branch):
+        blob = source.read_bytes()
+        # one float32 more, then one fewer
+        for cut in (blob + bytes(4), blob[:-4]):
+            bad.write_bytes(cut)
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(bad)
+            got = len(cut) - _values_at(cut)
+            assert str(info.value) == f"{bad}: holds {got} bytes of parameter values; {allowed}"
 
 
-def test_checkpoint_parameter_name_that_is_not_utf8_names_the_file(micro_pem_ckpt, tmp_path):
-    path = tmp_path / "name.ckpt"
+def test_checkpoint_settings_text_that_is_not_utf8_names_the_file(micro_pem_ckpt, tmp_path):
+    path = tmp_path / "text.ckpt"
     save_checkpoint(micro_pem_ckpt, path)
     blob = bytearray(path.read_bytes())
-    at = blob.index(b"pem.embed.w")
-    blob[at] = 0xFF  # never valid in UTF-8
+    blob[12] = 0xFF  # the text's first byte; never valid in UTF-8
     path.write_bytes(bytes(blob))
-    index = list(micro_pem_ckpt.params).index("pem.embed.w") + 1
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
-    assert str(info.value) == f"{path}: parameter {index}'s name is not UTF-8"
+    assert str(info.value) == f"{path}: config text is not UTF-8"
 
 
-def test_checkpoint_parameter_named_twice_rejected(micro_pem_ckpt, tmp_path):
-    # append a second copy of one parameter's block and count it
-    path = tmp_path / "twice.ckpt"
-    save_checkpoint(micro_pem_ckpt, path)
-    blob = path.read_bytes()
-    (text_len,) = struct.unpack_from("<I", blob, 8)
-    (count,) = struct.unpack_from("<I", blob, 12 + text_len)
-    name = b"pem.embed.b"
-    arr = micro_pem_ckpt.params[name.decode()]
-    start = blob.index(struct.pack("<H", len(name)) + name)
-    block = blob[start : start + 2 + len(name) + 1 + 4 * arr.ndim + 8 + 4 * arr.size]
-    head = blob[: 12 + text_len] + struct.pack("<I", count + 1)
-    path.write_bytes(head + blob[len(head) :] + block)
-    with pytest.raises(CheckpointError) as info:
-        load_checkpoint(path)
-    assert str(info.value) == f"{path}: parameter 'pem.embed.b' appears twice"
+def test_save_checkpoint_names_a_parameter_that_differs_from_its_table(micro_pem_ckpt, micro_quality_ckpt, tmp_path):
+    # a fusion head makes a checkpoint the whole model; without one it is the error-map branch
+    cases = [
+        (micro_quality_ckpt, "fuse.mlp2.w2", None, "missing fuse.mlp2.w2"),
+        (micro_pem_ckpt, "dec.extra.w", np.zeros(2, dtype=np.float32), "extra dec.extra.w"),
+        (micro_quality_ckpt, "fuse.mlp2.w2", np.zeros((3, 1), dtype=np.float32), "fuse.mlp2.w2 is (3, 1), expected (16, 1)"),
+    ]
+    path = tmp_path / "bad.ckpt"
+    for source, name, value, message in cases:
+        params = dict(source.params)
+        if value is None:
+            del params[name]
+        else:
+            params[name] = value
+        with pytest.raises(CompatibilityError) as info:
+            save_checkpoint(dataclasses.replace(source, params=params), path)
+        assert info.value.fields == (message,)
+        assert str(info.value).startswith(f"{path}: parameters do not match the checkpoint's configuration")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_bad_version(micro_pem_ckpt, tmp_path):
