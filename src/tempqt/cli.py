@@ -37,8 +37,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from .config import RunConfig, load_run_config, serialize_run_config
 from .data import (
     check_crop_fits,
@@ -104,8 +102,9 @@ def _severity_list(text: str) -> tuple:
 
 
 def cmd_synth(args) -> int:
-    kinds = tuple(args.kinds.split(",")) if args.kinds else DISTORTION_KINDS
-    severities = _severity_list(args.severities) if args.severities else SEVERITIES
+    # an empty --kinds or --severities is a list with one empty entry, not "all"
+    kinds = tuple(args.kinds.split(",")) if args.kinds is not None else DISTORTION_KINDS
+    severities = _severity_list(args.severities) if args.severities is not None else SEVERITIES
     # the split runs after the images are written, so its fraction is checked first
     check_train_fraction(args.train_fraction)
     names = sorted(
@@ -230,7 +229,8 @@ def cmd_maps(args) -> int:
         images.append(GrayImage(size, size, img.pixels[top : top + size, left : left + size]))
     # every image in one batch, mapped before anything is written
     batch = ImageBatch.stack(images)
-    pems = np.clip(forward_pem(batch, store, cfg).data[:, 0], 0.0, 1.0)
+    # the decoder's sigmoid keeps every value in [0, 1]
+    pems = forward_pem(batch, store, cfg).data[:, 0]
     attention = None
     if store.has_prefix("pqt."):
         attention = encode(batch, store, cfg, "pqt", ckpt.train_cfg.share_backbone).attention

@@ -7,7 +7,9 @@ reference group: every sample of a pristine source lands on the same
 side, which keeps evaluation reference-disjoint.
 
 ``check_crop_fits`` is the one check that an image holds the model's
-crop: training, evaluation and ``tempqt maps`` all call it.
+crop. Training, evaluation and ``tempqt maps`` run it on each image as
+they read it, so ``sample_patches`` and ``eval_crops`` only cut crops
+from images that passed it.
 """
 
 from __future__ import annotations
@@ -237,11 +239,6 @@ def split_by_reference(manifest: DatasetManifest, train_fraction: float, seed: i
 # patch sampling
 
 
-def _check_crop(img: GrayImage, crop: int) -> None:
-    if crop < 1 or crop > img.height or crop > img.width:
-        raise ArgumentError(f"crop {crop} does not fit image {img.height}x{img.width}")
-
-
 def sample_patches(
     img: GrayImage, count: int, crop: int, seed: int, augment: bool = True
 ) -> list:
@@ -252,11 +249,10 @@ def sample_patches(
     distorted/reference pairs are cropped. Each patch's pixels are a
     read-only view of ``img``'s, so an epoch's patches hold no pixels of
     their own and none can write into the image; ``ImageBatch.stack``
-    copies a batch's patches into one array.
+    copies a batch's patches into one array. The caller checks that the
+    crop fits (``check_crop_fits``) and that ``count`` and ``crop`` are
+    positive, as ``RunConfig`` and ``ModelConfig`` do.
     """
-    if count < 1:
-        raise ArgumentError("count must be positive")
-    _check_crop(img, crop)
     rng = CounterRng(derive_seed(seed, "patches"))
     out = []
     for _ in range(count):
@@ -277,9 +273,9 @@ def sample_patches(
 def eval_crops(img: GrayImage, crop: int) -> list:
     """Deterministic evaluation crops: corners plus center, deduplicated.
 
-    An image exactly crop x crop yields the single full crop.
+    An image exactly crop x crop yields the single full crop. The caller
+    checks that the crop fits (``check_crop_fits``) and is positive.
     """
-    _check_crop(img, crop)
     bottom = img.height - crop
     right = img.width - crop
     positions = [

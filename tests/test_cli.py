@@ -496,8 +496,11 @@ def test_synth_bad_severity_exit_1(tmp_path, capsys, severities, bad):
         ("--kinds", "sharpen", "unknown distortion kind 'sharpen'"),
         ("--kinds", "block_quantize,block_quantize", "kinds lists 'block_quantize' more than once"),
         ("--severities", "1,5,1", "severities lists 1 more than once"),
+        # an empty list holds one empty entry; only an absent flag means all
+        ("--kinds", "", "unknown distortion kind ''"),
+        ("--severities", "", "--severities entry '' is not an integer"),
     ],
-    ids=["severity", "kind", "repeated_kind", "repeated_severity"],
+    ids=["severity", "kind", "repeated_kind", "repeated_severity", "empty_kinds", "empty_severities"],
 )
 def test_synth_bad_distortion_exit_1_without_output(tmp_path, capsys, flag, value, message):
     bases = tmp_path / "bases"
@@ -525,24 +528,33 @@ def test_synth_truncated_base_exit_1_without_output(tmp_path, capsys):
 
 
 def test_maps_wrong_size_exit_1(pipeline, tmp_path, capsys):
-    # 32 rows fit the 32 px checkpoint, 31 columns do not
-    small = tmp_path / "small.pgm"
-    save_image(make_texture(32, 31, seed=1), small)
-    assert cli.main([
-        "maps", "--ckpt", str(pipeline["run"] / "quality.ckpt"),
-        "--images", str(small), "--out", str(tmp_path / "m"),
-    ]) == 1
-    err = capsys.readouterr().err
-    assert str(small) in err and "smaller than the model's 32x32 crop" in err
-    assert not (tmp_path / "m").exists()
+    # one side of 32 fits the 32 px checkpoint, the other side of 31 does not
+    for height, width in ((32, 31), (31, 32)):
+        small = tmp_path / f"small_{height}x{width}.pgm"
+        save_image(make_texture(height, width, seed=1), small)
+        assert cli.main([
+            "maps", "--ckpt", str(pipeline["run"] / "quality.ckpt"),
+            "--images", str(small), "--out", str(tmp_path / "m"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {small}: image is {height}x{width}, smaller than the model's 32x32 crop\n"
+        assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("command", ["pretrain", "train", "eval"])
-def test_image_smaller_than_the_crop_exit_1_naming_the_file(pipeline, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command,height,width",
+    [
+        pytest.param(command, height, width, id=command + suffix)
+        for command in ("pretrain", "train", "eval")
+        # both sides short, then one side short and the other exactly the crop
+        for suffix, height, width in (("", 16, 16), ("-short_height", 31, 32), ("-short_width", 32, 31))
+    ],
+)
+def test_image_smaller_than_the_crop_exit_1_naming_the_file(pipeline, tmp_path, capsys, command, height, width):
     ds = tmp_path / "ds"
     shutil.copytree(pipeline["ds"], ds)
     sample = load_manifest(ds / "manifest.csv").split_samples("train")[0]
-    save_image(make_texture(16, 16, seed=1), ds / sample.dist_path)
+    save_image(make_texture(height, width, seed=1), ds / sample.dist_path)
     ckpt = {
         "pretrain": [],
         "train": ["--pem-ckpt", str(pipeline["run"] / "pem.ckpt")],
@@ -554,7 +566,7 @@ def test_image_smaller_than_the_crop_exit_1_naming_the_file(pipeline, tmp_path, 
         "--manifest", str(ds / "manifest.csv"), "--out", str(out),
     ]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {sample.dist_path}: image is 16x16, smaller than the model's 32x32 crop")
+    assert err.startswith(f"error: {sample.dist_path}: image is {height}x{width}, smaller than the model's 32x32 crop")
     assert not out.exists()
 
 

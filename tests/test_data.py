@@ -327,13 +327,6 @@ def test_patch_augment_produces_flips():
     )
 
 
-def test_patch_rejects_oversized_crop():
-    with pytest.raises(ArgumentError, match="does not fit"):
-        sample_patches(ramp_image(4, 4), count=1, crop=5, seed=0)
-    with pytest.raises(ArgumentError, match="count"):
-        sample_patches(ramp_image(4, 4), count=0, crop=2, seed=0)
-
-
 # ---------------------------------------------------------------------------
 # eval crops
 
