@@ -3,11 +3,11 @@
 Stage 1 trains the patch encoder and decoder against objective error
 maps. Stage 2 freezes that branch bit-for-bit, builds the quality-token
 branch and fusion head, and regresses scores with an L1 loss. Both
-stages run one loop (``_train``): each epoch it samples the stage's
-items, shuffles them, and takes one classic Adam step (L2-coupled
-weight decay, stepped learning-rate schedule) per batch. A stage
-supplies only its per-epoch items and its batch loss, and each batch
-runs as one forward over its stacked patches. From the first step on,
+stages run one loop (``_train``): each epoch it cuts aligned crops
+from every train sample's images, shuffles them, and takes one classic
+Adam step (L2-coupled weight decay, stepped learning-rate schedule) per
+batch. A stage supplies only its images and its loss, and each batch
+runs as one forward over its stacked crops. From the first step on,
 a stage's trainable parameters live in one flat buffer, each ``p.data``
 a view of it, and Adam updates that buffer in place (``AdamState``).
 Stage 2 and inference score crops through one function,
@@ -436,6 +436,7 @@ class _Log:
 
 
 def _load_pairs(manifest: DatasetManifest, need_ref: bool, crop: int) -> list:
+    """Each train sample as (images, score): (dist, ref) with ``need_ref``, else (dist,)."""
     samples = manifest.split_samples("train")
     if not samples:
         raise DataError("manifest has no train samples")
@@ -443,19 +444,26 @@ def _load_pairs(manifest: DatasetManifest, need_ref: bool, crop: int) -> list:
     for s in samples:
         dist = load_image(manifest.resolve(s.dist_path))
         check_crop_fits(dist, crop, s.dist_path)
-        ref = None
         if need_ref:
             if not s.ref_path:
                 raise DataError(f"{s.dist_path}: error-map pretraining needs a reference image")
             ref = load_image(manifest.resolve(s.ref_path))
             if (ref.height, ref.width) != (dist.height, dist.width):
                 raise DataError(f"{s.dist_path}: reference size differs from distorted size")
-        out.append((dist, ref, s.score))
+        out.append(((dist, ref) if need_ref else (dist,), s.score))
     return out
 
 
-def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, batch_loss, log: _Log) -> None:
-    """Adam over shuffled batches of ``epoch_items(epoch)``, one step per batch.
+def _train(
+    store: ParamStore, train_cfg: TrainConfig, stage: int, samples: list, batch_loss, log: _Log,
+    *, crop: int, patch_count: int, augment: bool,
+) -> None:
+    """Adam over shuffled batches of the samples' crops, one step per batch.
+
+    Each epoch, one seed per sample, ``derive_seed(seed, "patch", stage,
+    epoch, si)``, cuts ``patch_count`` aligned crops from each of its
+    images. The items ``(*crops, score)`` are shuffled; ``batch_loss``
+    gets a batch as one ImageBatch per image, then the float32 scores.
 
     A step's TrainingError ends the log with an ``error=`` line and propagates.
     Steps run with numpy's overflow, invalid and divide warnings off, so a
@@ -468,14 +476,19 @@ def _train(store: ParamStore, train_cfg: TrainConfig, stage: int, epoch_items, b
     state = AdamState(store)
     for epoch in range(epochs):
         lr = lr_at(epoch, train_cfg, base=base_lr)
-        items = epoch_items(epoch)
+        items = []
+        for si, (images, score) in enumerate(samples):
+            pseed = derive_seed(train_cfg.seed, "patch", stage, epoch, si)
+            cuts = [sample_patches(img, patch_count, crop, pseed, augment) for img in images]
+            items.extend((*item, score) for item in zip(*cuts))
         CounterRng(derive_seed(train_cfg.seed, "order", stage, epoch)).shuffle(items)
 
         epoch_losses = []
         for batch, start in enumerate(range(0, len(items), train_cfg.batch_size)):
+            *crops, scores = zip(*items[start : start + train_cfg.batch_size])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 with Tape() as tape:
-                    loss = batch_loss(items[start : start + train_cfg.batch_size])
+                    loss = batch_loss(*map(ImageBatch.stack, crops), np.array(scores, dtype=np.float32))
                 try:
                     backward(loss, tape)
                     adam_step(state, lr, ADAM_WEIGHT_DECAY)
@@ -506,21 +519,11 @@ def pretrain_pem(
     pairs = _load_pairs(manifest, need_ref=True, crop=crop)
     store = build_pem_store(model_cfg, train_cfg.seed)
 
-    def epoch_items(epoch: int) -> list:
-        items = []
-        for si, (dist, ref, _score) in enumerate(pairs):
-            pseed = derive_seed(train_cfg.seed, "patch", 1, epoch, si)
-            dp = sample_patches(dist, patch_count, crop, pseed, augment)
-            rp = sample_patches(ref, patch_count, crop, pseed, augment)
-            items.extend(zip(dp, rp))
-        return items
-
-    def batch_loss(batch: list) -> T.Tensor:
-        dist = ImageBatch.stack(d for d, _r in batch)
-        ref = ImageBatch.stack(r for _d, r in batch)
+    def batch_loss(dist: ImageBatch, ref: ImageBatch, _scores: np.ndarray) -> T.Tensor:
         return pem_loss(forward_pem(dist, store, model_cfg), compute_oem(dist, ref), dist, ref, loss_cfg)
 
-    _train(store, train_cfg, 1, epoch_items, batch_loss, _Log(log_path))
+    log = _Log(log_path)
+    _train(store, train_cfg, 1, pairs, batch_loss, log, crop=crop, patch_count=patch_count, augment=augment)
     return Checkpoint(model_cfg, train_cfg, loss_cfg, store.arrays())
 
 
@@ -545,13 +548,6 @@ def train_quality(
     crop = model_cfg.image_size
     samples = _load_pairs(manifest, need_ref=False, crop=crop)
 
-    def epoch_items(epoch: int) -> list:
-        items = []
-        for si, (dist, _ref, score) in enumerate(samples):
-            pseed = derive_seed(train_cfg.seed, "patch", 2, epoch, si)
-            items.extend((p, score) for p in sample_patches(dist, patch_count, crop, pseed, augment))
-        return items
-
     # patch digest -> its frozen feature row; valid for the whole stage,
     # because adam_step never touches the frozen pem.*/dec.* parameters
     rows: dict[bytes, np.ndarray] = {}
@@ -571,14 +567,13 @@ def train_quality(
         # a constant: the frozen branch records no tape node
         return T.constant(np.stack([rows[key] for key in keys]))
 
-    def batch_loss(batch: list) -> T.Tensor:
-        patches = ImageBatch.stack(p for p, _y in batch)
+    def batch_loss(patches: ImageBatch, scores: np.ndarray) -> T.Tensor:
         pem_features = features(patches) if mode != "pqt_only" else None
         preds = score_crops(patches, pem_features, store, model_cfg, mode, train_cfg.share_backbone)
-        return quality_loss(preds, np.array([y for _p, y in batch], dtype=np.float32))
+        return quality_loss(preds, scores)
 
     log = _Log(log_path)
-    _train(store, train_cfg, 2, epoch_items, batch_loss, log)
+    _train(store, train_cfg, 2, samples, batch_loss, log, crop=crop, patch_count=patch_count, augment=augment)
     log.line(f"stage=2 frozen_encoded={len(rows)} frozen_drawn={drawn}")
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 

@@ -27,6 +27,7 @@ from tempqt.errors import (
 )
 from tempqt.imaging import (
     DistortionSpec,
+    GrayImage,
     ImageBatch,
     apply_distortion,
     load_image,
@@ -682,6 +683,75 @@ def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micr
     assert tape.nodes and dead == 0
 
 
+def _train_manifest(root, images) -> DatasetManifest:
+    """A train-only manifest of (dist, ref or None, score) images, written under ``root``."""
+    samples = []
+    for i, (dist, ref, score) in enumerate(images):
+        save_image(dist, str(root / f"d{i}.pgm"))
+        if ref is not None:
+            save_image(ref, str(root / f"r{i}.pgm"))
+        samples.append(Sample(f"d{i}.pgm", f"r{i}.pgm" if ref is not None else "", score, f"b{i}", "train"))
+    path = str(root / "manifest.csv")
+    save_manifest(DatasetManifest(1, 0, samples, str(root)), path)
+    return load_manifest(path)
+
+
+def test_stage1_steps_pair_each_distorted_crop_with_its_reference_crop(tmp_path, monkeypatch):
+    # each distorted image holds its reference's 8-bit levels halved, so a
+    # crop pair keeps d = r // 2 on every pixel only if both crops were cut
+    # at one seed from one sample
+    images = []
+    for i in range(2):
+        levels = np.clip(np.rint(255 * make_texture(48, 48, derive_seed(7, "pairs", i)).pixels), 0, 255)
+        ref = GrayImage(48, 48, levels / 255)
+        images.append((GrayImage(48, 48, (levels // 2) / 255), ref, 0.5))
+    manifest = _train_manifest(tmp_path, images)
+    seen = []
+    real_pem_loss = training.pem_loss
+
+    def spy(pred, oem, dist, ref, cfg):
+        seen.append((dist.pixels.copy(), ref.pixels.copy()))
+        return real_pem_loss(pred, oem, dist, ref, cfg)
+
+    monkeypatch.setattr(training, "pem_loss", spy)
+    tc = TrainConfig(batch_size=3, epochs_stage1=2)
+    pretrain_pem(manifest, tiny_config(), tc, patch_count=4, augment=True)
+    dist = np.concatenate([d for d, _r in seen])
+    ref = np.concatenate([r for _d, r in seen])
+    assert dist.shape[0] == ref.shape[0] == 2 * 2 * 4
+    assert np.array_equal(np.rint(255 * dist), np.rint(255 * ref) // 2)
+
+
+def test_stage2_steps_score_each_crop_against_its_own_sample(micro_pem_ckpt, tmp_path, monkeypatch):
+    # constant images: a crop's level names the sample it was cut from
+    score_of = {30: 0.1, 80: 0.3, 130: 0.5, 180: 0.7, 230: 0.9}
+    manifest = _train_manifest(
+        tmp_path, [(GrayImage(40, 40, np.full((40, 40), level / 255)), None, y) for level, y in score_of.items()]
+    )
+    crops, targets = [], []
+    real_score_crops, real_quality_loss = training.score_crops, training.quality_loss
+
+    def score_spy(patches, *args):
+        assert (patches.pixels == patches.pixels[:, :1, :1]).all()
+        crops.append(np.rint(255 * patches.pixels[:, 0, 0]).astype(int))
+        return real_score_crops(patches, *args)
+
+    def loss_spy(preds, scores):
+        targets.append(scores)
+        return real_quality_loss(preds, scores)
+
+    monkeypatch.setattr(training, "score_crops", score_spy)
+    monkeypatch.setattr(training, "quality_loss", loss_spy)
+    tc = TrainConfig(batch_size=4, epochs_stage2=2)
+    train_quality(manifest, micro_pem_ckpt, tc, patch_count=3, augment=True)
+    assert [len(c) for c in crops] == [len(t) for t in targets]
+    assert sum(map(len, crops)) == 2 * 5 * 3
+    assert any(len(set(c)) > 1 for c in crops)  # batches mix samples
+    for levels, scores in zip(crops, targets):
+        assert scores.dtype == np.float32
+        assert list(scores) == [np.float32(score_of[level]) for level in levels]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -798,18 +868,9 @@ def test_batched_stage1_gradients_match_one_at_a_time(micro_pem_ckpt):
 @pytest.fixture(scope="module")
 def default_manifest(tmp_path_factory):
     # two 64 px pairs: 4 patches each make one 8-patch step at the default config
-    root = tmp_path_factory.mktemp("default")
-    (root / "ref").mkdir()
-    (root / "dist").mkdir()
-    samples = []
-    for i, base in enumerate(_textures(2, 5, size=64)):
-        save_image(base, str(root / f"ref/{i}.pgm"))
-        spec = DistortionSpec("gaussian_blur", 3, seed=0)
-        save_image(apply_distortion(base, spec), str(root / f"dist/{i}.pgm"))
-        samples.append(Sample(f"dist/{i}.pgm", f"ref/{i}.pgm", pseudo_mos(spec), f"b{i}", "train"))
-    path = str(root / "manifest.csv")
-    save_manifest(DatasetManifest(1, 0, samples, str(root)), path)
-    return load_manifest(path)
+    spec = DistortionSpec("gaussian_blur", 3, seed=0)
+    images = [(apply_distortion(base, spec), base, pseudo_mos(spec)) for base in _textures(2, 5, size=64)]
+    return _train_manifest(tmp_path_factory.mktemp("default"), images)
 
 
 def test_default_steps_record_one_taped_forward_per_batch(default_manifest, monkeypatch):
@@ -819,9 +880,10 @@ def test_default_steps_record_one_taped_forward_per_batch(default_manifest, monk
     pem = pretrain_pem(default_manifest, cfg, tc, patch_count=4, augment=True)
     train_quality(default_manifest, pem, tc, patch_count=4, augment=True)
     (_loss1, step1), (_loss2, step2) = tapes
+    # exact counts, so that an op left un-fused or a stray node fails here:
     # one patch at a time with a per-head loop took 1,920 and 1,748 nodes
-    assert 0 < len(step1.nodes) <= 384
-    assert 0 < len(step2.nodes) <= 349
+    assert len(step1.nodes) == 62
+    assert len(step2.nodes) == 48
 
 
 def test_float32_stage2_backward_stays_float32(micro_manifest, micro_pem_ckpt, monkeypatch):
