@@ -5,9 +5,14 @@ train (stage 2), eval (score a manifest), maps (export error and
 attention maps), gradcheck (finite-difference audit of every case in
 ``gradcheck.CASES``; it takes only a seed). Every other command writes
 ``<command>.resolved.config``, the settings it ran with, beside its
-outputs: synth its flags, pretrain the run config, train the run config
-with the loss settings of ``--pem-ckpt`` (stage 2 keeps them), and eval
-and maps the settings of the checkpoint they read. pretrain, train and
+outputs. synth records its seed, kinds, severities and train fraction,
+and no path. pretrain records the run config, and train the run config
+with the loss settings of ``--pem-ckpt`` (stage 2 keeps them). eval and
+maps record the model, training and loss settings the checkpoint holds.
+``pem.ckpt`` holds those of its pretrain run. ``quality.ckpt`` holds
+the training settings of its train run, stage-1 keys such as alpha and
+epochs_stage1 included, and the loss settings of its ``pem.ckpt``; so
+only ``pem.ckpt`` records how stage 1 was trained. pretrain, train and
 eval take settings from ``--config`` and paths only from ``--manifest``
 and ``--out``, which may not be empty.
 
@@ -118,9 +123,8 @@ def cmd_synth(args) -> int:
     manifest = generate_synthetic_dataset(paths, kinds, severities, args.seed, out)
     manifest = split_by_reference(manifest, args.train_fraction, args.seed)
     save_manifest(manifest, os.path.join(out, "manifest.csv"))
+    # no paths, so the same bases and flags write the same file anywhere
     lines = [
-        f"bases = {os.path.abspath(args.bases)}",
-        f"out = {os.path.abspath(out)}",
         f"seed = {args.seed}",
         f"kinds = {','.join(kinds)}",
         f"severities = {','.join(str(s) for s in severities)}",
@@ -226,9 +230,9 @@ def cmd_maps(args) -> int:
         img = load_image(path)
         check_crop_fits(img, size, path)
         top, left = (img.height - size) // 2, (img.width - size) // 2
-        images.append(GrayImage(size, size, img.pixels[top : top + size, left : left + size]))
+        images.append(img.pixels[top : top + size, left : left + size])
     # every image in one batch, mapped before anything is written
-    batch = ImageBatch.stack(images)
+    batch = ImageBatch(images)
     # the decoder's sigmoid keeps every value in [0, 1]
     pems = forward_pem(batch, store, cfg).data[:, 0]
     attention = None

@@ -239,6 +239,13 @@ def split_by_reference(manifest: DatasetManifest, train_fraction: float, seed: i
 # patch sampling
 
 
+def _window(img: GrayImage, top: int, left: int, crop: int):
+    """The read-only crop x crop view of ``img``'s pixels at (top, left)."""
+    view = img.pixels[top : top + crop, left : left + crop]
+    view.flags.writeable = False
+    return view
+
+
 def sample_patches(
     img: GrayImage, count: int, crop: int, seed: int, augment: bool = True
 ) -> list:
@@ -246,26 +253,24 @@ def sample_patches(
 
     Deterministic in (img, count, crop, seed, augment); calling twice
     with the same seed yields the same geometry, which is how aligned
-    distorted/reference pairs are cropped. Each patch's pixels are a
-    read-only view of ``img``'s, so an epoch's patches hold no pixels of
-    their own and none can write into the image; ``ImageBatch.stack``
-    copies a batch's patches into one array. The caller checks that the
-    crop fits (``check_crop_fits``) and that ``count`` and ``crop`` are
-    positive, as ``RunConfig`` and ``ModelConfig`` do.
+    distorted/reference pairs are cropped. Each crop is a read-only
+    (crop, crop) float32 view of ``img``'s pixels, so an epoch's crops
+    hold no pixels of their own and none can write into the image;
+    ``ImageBatch`` copies a batch's crops into one array. The caller
+    checks that the crop fits (``check_crop_fits``) and that ``count``
+    and ``crop`` are positive, as ``RunConfig`` and ``ModelConfig`` do.
     """
     rng = CounterRng(derive_seed(seed, "patches"))
     out = []
     for _ in range(count):
         top = rng.randint(img.height - crop + 1)
         left = rng.randint(img.width - crop + 1)
-        tile = img.pixels[top : top + crop, left : left + crop]
+        patch = _window(img, top, left, crop)
         if augment:
             if rng.random() < 0.5:
-                tile = tile[:, ::-1]
+                patch = patch[:, ::-1]
             if rng.random() < 0.5:
-                tile = tile[::-1, :]
-        patch = GrayImage(crop, crop, tile)
-        patch.pixels.flags.writeable = False
+                patch = patch[::-1, :]
         out.append(patch)
     return out
 
@@ -273,23 +278,12 @@ def sample_patches(
 def eval_crops(img: GrayImage, crop: int) -> list:
     """Deterministic evaluation crops: corners plus center, deduplicated.
 
-    An image exactly crop x crop yields the single full crop. The caller
-    checks that the crop fits (``check_crop_fits``) and is positive.
+    Each crop is a read-only (crop, crop) float32 view of ``img``'s
+    pixels, in the order top-left, top-right, bottom-left, bottom-right,
+    center, with a repeated position kept once: an image exactly crop x
+    crop yields the single full crop. The caller checks that the crop
+    fits (``check_crop_fits``) and is positive.
     """
-    bottom = img.height - crop
-    right = img.width - crop
-    positions = [
-        (0, 0),
-        (0, right),
-        (bottom, 0),
-        (bottom, right),
-        (bottom // 2, right // 2),
-    ]
-    seen = set()
-    out = []
-    for top, left in positions:
-        if (top, left) in seen:
-            continue
-        seen.add((top, left))
-        out.append(GrayImage(crop, crop, img.pixels[top : top + crop, left : left + crop].copy()))
-    return out
+    bottom, right = img.height - crop, img.width - crop
+    positions = dict.fromkeys([(0, 0), (0, right), (bottom, 0), (bottom, right), (bottom // 2, right // 2)])
+    return [_window(img, top, left, crop) for top, left in positions]

@@ -221,8 +221,8 @@ def _case_fusion(rng):
 def _case_pem_loss(rng):
     cfg = tiny_config()
     size = cfg.image_size
-    dist = ImageBatch.stack(make_texture(size, size, rng.randint(1 << 30)) for _ in range(2))
-    ref = ImageBatch.stack(make_texture(size, size, rng.randint(1 << 30)) for _ in range(2))
+    dist = ImageBatch([make_texture(size, size, rng.randint(1 << 30)).pixels for _ in range(2)])
+    ref = ImageBatch([make_texture(size, size, rng.randint(1 << 30)).pixels for _ in range(2)])
     oem = compute_oem(dist, ref)
     pem = Tensor(
         0.25 + 0.02 * _normal(rng, (2, 1, size, size)),

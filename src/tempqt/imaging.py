@@ -33,7 +33,8 @@ _LUMA_R, _LUMA_G, _LUMA_B = 0.299, 0.587, 0.114
 
 @dataclass
 class GrayImage:
-    """Single-channel image, float32 pixels in [0, 1], shape (H, W)."""
+    """A whole single-channel image, loaded, synthesized or written: float32
+    pixels in [0, 1], shape (H, W). Its crops are read-only pixel views."""
 
     height: int
     width: int
@@ -60,9 +61,12 @@ class GrayImage:
 
 @dataclass
 class ImageBatch:
-    """Equal-size grayscale images as one float32 pixel stack (B, H, W).
+    """Equal-size grayscale images as one float32 pixel stack (B, H, W):
+    what the model reads.
 
-    The model runs on batches; ``as_batch`` makes a single GrayImage a
+    ``pixels`` is a (B, H, W) array, or a list or tuple of equal-size
+    2-D arrays such as crops, which it stacks into one new array: the
+    batch holds their only copy. ``as_batch`` makes a single GrayImage a
     batch of one.
     """
 
@@ -73,16 +77,6 @@ class ImageBatch:
         if arr.ndim != 3 or arr.shape[0] < 1:
             raise ArgumentError(f"an image batch needs (B, H, W) pixels with B >= 1, got {arr.shape}")
         self.pixels = arr
-
-    @classmethod
-    def stack(cls, images) -> "ImageBatch":
-        images = list(images)
-        if not images:
-            raise ArgumentError("cannot stack an empty list of images")
-        sizes = {img.pixels.shape for img in images}
-        if len(sizes) != 1:
-            raise ArgumentError(f"images to stack differ in size: {sorted(sizes)}")
-        return cls(np.stack([img.pixels for img in images]))
 
 
 def as_batch(images) -> ImageBatch:

@@ -296,7 +296,7 @@ def predict_score(
     share_backbone: bool = False,
 ) -> float:
     """Mean predicted score over the deterministic evaluation crops, run as one batch."""
-    crops = ImageBatch.stack(eval_crops(img, cfg.image_size))
+    crops = ImageBatch(eval_crops(img, cfg.image_size))
     features = frozen_features(crops, store, cfg) if mode != "pqt_only" else None
     scores = score_crops(crops, features, store, cfg, mode, share_backbone)
     return float(np.mean(scores.data, dtype=np.float64))
@@ -488,7 +488,7 @@ def _train(
             *crops, scores = zip(*items[start : start + train_cfg.batch_size])
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 with Tape() as tape:
-                    loss = batch_loss(*map(ImageBatch.stack, crops), np.array(scores, dtype=np.float32))
+                    loss = batch_loss(*map(ImageBatch, crops), np.array(scores, dtype=np.float32))
                 try:
                     backward(loss, tape)
                     adam_step(state, lr, ADAM_WEIGHT_DECAY)

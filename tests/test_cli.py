@@ -90,6 +90,9 @@ def test_synth_outputs(pipeline):
     assert (ds / "manifest.csv").is_file()
     assert (ds / "synth.resolved.config").is_file()
     resolved = (ds / "synth.resolved.config").read_text()
+    assert [line.split(" = ")[0] for line in resolved.splitlines()] == [
+        "seed", "kinds", "severities", "train_fraction",
+    ]
     assert "seed = 0" in resolved
     assert "severities = 1,5" in resolved
     # 3 bases x (1 pristine + 3 kinds x 2 severities)
@@ -205,6 +208,16 @@ def test_resolved_config_is_the_same_from_any_directory(pipeline, tmp_path, monk
     ]) == 0
     resolved = (tmp_path / "elsewhere" / "pretrain.resolved.config").read_bytes()
     assert resolved == (pipeline["run"] / "pretrain.resolved.config").read_bytes()
+
+
+def test_synth_writes_the_same_config_and_manifest_into_any_directory(pipeline, tmp_path, monkeypatch):
+    # the same bases, copied elsewhere, synthesized into another directory
+    # by relative flags: synth records no path
+    shutil.copytree(pipeline["bases"], tmp_path / "bases")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--bases", "bases", "--out", "other/ds", "--seed", "0", "--severities", "1,5"]) == 0
+    for name in ("synth.resolved.config", "manifest.csv"):
+        assert (tmp_path / "other" / "ds" / name).read_bytes() == (pipeline["ds"] / name).read_bytes(), name
 
 
 def test_eval_records_the_settings_of_the_checkpoint_it_scored(pipeline, tmp_path):

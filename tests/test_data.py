@@ -16,7 +16,7 @@ from tempqt.data import (
     split_by_reference,
 )
 from tempqt.errors import ArgumentError, DataError
-from tempqt.imaging import GrayImage, load_image, save_image
+from tempqt.imaging import GrayImage, ImageBatch, load_image, save_image
 from tempqt.rng import CounterRng, derive_seed
 
 
@@ -282,9 +282,10 @@ def test_patch_geometry_matches_source():
     assert len(patches) == 6
     flat = img.pixels
     for p in patches:
-        assert p.pixels.shape == (5, 5)
+        assert p.shape == (5, 5)
+        assert p.dtype == np.float32
         found = any(
-            np.array_equal(flat[t : t + 5, l : l + 5], p.pixels)
+            np.array_equal(flat[t : t + 5, l : l + 5], p)
             for t in range(12 - 5 + 1)
             for l in range(9 - 5 + 1)
         )
@@ -294,17 +295,20 @@ def test_patch_geometry_matches_source():
 def test_patch_full_crop_identity():
     img = ramp_image(8, 8)
     (patch,) = sample_patches(img, count=1, crop=8, seed=5, augment=False)
-    assert np.array_equal(patch.pixels, img.pixels)
+    assert np.array_equal(patch, img.pixels)
 
 
 @pytest.mark.parametrize("augment", [False, True])
 def test_patches_are_read_only_views_of_the_image(augment):
     img = ramp_image(12, 9)
     before = img.pixels.copy()
-    for patch in sample_patches(img, count=4, crop=5, seed=3, augment=augment):
-        assert np.shares_memory(patch.pixels, img.pixels)
+    crops = sample_patches(img, count=4, crop=5, seed=3, augment=augment) + eval_crops(img, 5)
+    assert len(crops) == 4 + 5
+    for crop in crops:
+        assert crop.shape == (5, 5) and crop.dtype == np.float32
+        assert np.shares_memory(crop, img.pixels)
         with pytest.raises(ValueError, match="read-only"):
-            patch.pixels[0, 0] = 0.5
+            crop[0, 0] = 0.5
     assert img.pixels.flags.writeable
     assert np.array_equal(img.pixels, before)
 
@@ -315,7 +319,7 @@ def test_patch_determinism_and_pair_alignment():
     a = sample_patches(img, count=4, crop=6, seed=9, augment=True)
     b = sample_patches(other, count=4, crop=6, seed=9, augment=True)
     for pa, pb in zip(a, b):
-        assert np.allclose(pa.pixels + pb.pixels, 1.0, atol=1e-6)
+        assert np.allclose(pa + pb, 1.0, atol=1e-6)
 
 
 def test_patch_augment_produces_flips():
@@ -323,7 +327,7 @@ def test_patch_augment_produces_flips():
     plain = sample_patches(img, count=16, crop=6, seed=2, augment=False)
     flipped = sample_patches(img, count=16, crop=6, seed=2, augment=True)
     assert any(
-        not np.array_equal(p.pixels, f.pixels) for p, f in zip(plain, flipped)
+        not np.array_equal(p, f) for p, f in zip(plain, flipped)
     )
 
 
@@ -335,7 +339,7 @@ def test_eval_crops_exact_size_single():
     img = ramp_image(7, 7)
     crops = eval_crops(img, 7)
     assert len(crops) == 1
-    assert np.array_equal(crops[0].pixels, img.pixels)
+    assert np.array_equal(crops[0], img.pixels)
 
 
 def test_eval_crops_double_size_five():
@@ -344,7 +348,7 @@ def test_eval_crops_double_size_five():
     assert len(crops) == 5
     corners = [(0, 0), (0, 5), (5, 0), (5, 5), (2, 2)]
     for crop, (t, l) in zip(crops, corners):
-        assert np.array_equal(crop.pixels, img.pixels[t : t + 5, l : l + 5])
+        assert np.array_equal(crop, img.pixels[t : t + 5, l : l + 5])
 
 
 def test_eval_crops_deterministic():
@@ -353,7 +357,22 @@ def test_eval_crops_deterministic():
     b = eval_crops(img, 4)
     assert len(a) == len(b)
     for ca, cb in zip(a, b):
-        assert np.array_equal(ca.pixels, cb.pixels)
+        assert np.array_equal(ca, cb)
+
+
+def test_image_batch_copies_crops_into_one_stack():
+    img = ramp_image(12, 9)
+    crops = tuple(sample_patches(img, count=4, crop=5, seed=3, augment=True))
+    assert any(min(c.strides) < 0 for c in crops)  # flipped views
+    batch = ImageBatch(crops)
+    assert batch.pixels.shape == (4, 5, 5)
+    assert batch.pixels.dtype == np.float32
+    assert batch.pixels.tobytes() == np.stack(crops).tobytes()
+    assert not np.shares_memory(batch.pixels, img.pixels)
+    with pytest.raises(ArgumentError):
+        ImageBatch([])
+    with pytest.raises(ArgumentError):
+        ImageBatch(())
 
 
 def test_generated_images_loadable(base_paths, tmp_path):

@@ -253,7 +253,7 @@ def token_and_grads(fn, store, probe):
 def test_token_only_last_block_matches_the_full_block(make_cfg, bsz):
     cfg = make_cfg()
     store = make_store(cfg, with_token=True)
-    images = ImageBatch.stack(rand_image(cfg, seed=s) for s in range(bsz))
+    images = ImageBatch([rand_image(cfg, seed=s).pixels for s in range(bsz)])
     rng = CounterRng(derive_seed(bsz, "probe"))
     probe = T.constant(rng.normal(bsz * cfg.embed_dim).reshape(bsz, cfg.embed_dim))
 
@@ -280,7 +280,7 @@ def test_stage2_step_runs_the_last_mlp_on_one_row():
     table = training.param_table(cfg)
     pem = training.build_store(training.stage1(table), seed=0).arrays()
     store = training.build_store(table, seed=0, frozen=pem)
-    patches = ImageBatch.stack(rand_image(cfg, seed=s) for s in range(8))
+    patches = ImageBatch([rand_image(cfg, seed=s).pixels for s in range(8)])
     with T.Tape() as tape:
         features = training.frozen_features(patches, store, cfg)
         preds = training.score_crops(patches, features, store, cfg, "both", False)

@@ -790,8 +790,8 @@ def test_error_maps_follow_the_objective_error_after_brief_training(tmp_path):
     cfg = tiny_config()
     tc = TrainConfig(alpha=2e-3, batch_size=8, epochs_stage1=30)
     store = store_from_checkpoint(pretrain_pem(manifest, cfg, tc, patch_count=1, augment=False))
-    dist = ImageBatch.stack(load_image(manifest.resolve(s.dist_path)) for s in manifest.samples)
-    ref = ImageBatch.stack(load_image(manifest.resolve(s.ref_path)) for s in manifest.samples)
+    dist = ImageBatch([load_image(manifest.resolve(s.dist_path)).pixels for s in manifest.samples])
+    ref = ImageBatch([load_image(manifest.resolve(s.ref_path)).pixels for s in manifest.samples])
     predicted = training.forward_pem(dist, store, cfg).data.mean(axis=(1, 2, 3))
     objective = compute_oem(dist, ref).pixels.mean(axis=(1, 2))
     assert plcc(objective, predicted) >= 0.8
@@ -814,7 +814,7 @@ def test_batched_forward_matches_one_at_a_time(micro_quality_ckpt):
     cfg = tiny_config()
     store = store_from_checkpoint(micro_quality_ckpt)
     crops = _textures(8, 1)
-    batch = ImageBatch.stack(crops)
+    batch = ImageBatch([c.pixels for c in crops])
     maps = training.forward_pem(batch, store, cfg)
     assert maps.shape == (8, 1, cfg.image_size, cfg.image_size)
     single = np.concatenate([training.forward_pem(c, store, cfg).data for c in crops])
@@ -831,12 +831,11 @@ def test_batched_forward_matches_one_at_a_time(micro_quality_ckpt):
     img = make_texture(48, 48, derive_seed(2, "batch"))
     crops = eval_crops(img, cfg.image_size)
     assert len(crops) == 5
-    one_by_one = [
-        training.score_crops(
-            ImageBatch.stack([c]), training.frozen_features(c, store, cfg), store, cfg, "both", False
-        ).item()
-        for c in crops
-    ]
+    one_by_one = []
+    for c in crops:
+        one = ImageBatch([c])
+        features = training.frozen_features(one, store, cfg)
+        one_by_one.append(training.score_crops(one, features, store, cfg, "both", False).item())
     assert training.predict_score(img, store, cfg) == pytest.approx(np.mean(one_by_one), abs=BATCH_ATOL)
 
 
@@ -849,7 +848,7 @@ def test_batched_stage1_gradients_match_one_at_a_time(micro_pem_ckpt):
     loss_cfg = PemLossConfig()
 
     def grads(d, r):
-        d, r = ImageBatch.stack(d), ImageBatch.stack(r)
+        d, r = ImageBatch([x.pixels for x in d]), ImageBatch([x.pixels for x in r])
         with T.Tape() as tape:
             loss = pem_loss(training.forward_pem(d, store, cfg), compute_oem(d, r), d, r, loss_cfg)
         T.backward(loss, tape)
