@@ -16,9 +16,12 @@ only ``pem.ckpt`` records how stage 1 was trained. pretrain, train and
 eval take settings from ``--config`` and paths only from ``--manifest``
 and ``--out``, which may not be empty.
 
-eval reports SROCC and PLCC per split, and ``n/a`` for a metric that is
-undefined on a split: fewer than two samples, or constant scores or
-constant predictions.
+eval reports SROCC and PLCC per split, and ``pem_srocc``: the SROCC of
+the stage-1 readout, minus the mean predicted error map over an image's
+evaluation crops, taken from the frozen features the scoring pass
+computes anyway. A metric that is undefined on a split reads ``n/a``:
+fewer than two samples, or constant scores or constant predictions.
+``pem_srocc`` also reads ``n/a`` in pqt_only, which has no error map.
 
 maps draws the maps of each image's center crop of the checkpoint's
 image_size: the crop of size s at ((H - s) // 2, (W - s) // 2). An
@@ -194,17 +197,18 @@ def cmd_eval(args) -> int:
     check_model_compat(ckpt.model_cfg, run.model)
     # scores and reports everything first, so a bad checkpoint or image
     # leaves no output
-    results = evaluate_manifest(manifest, ckpt)
+    results = evaluate_manifest(manifest, ckpt, readout=True)
     report_lines = []
     csv_lines = ["dist_path,y,pred"]
-    for split, (paths, targets, preds) in results.items():
+    for split, (paths, targets, preds, readouts) in results.items():
         if not paths:
             continue
         for path, y, p in zip(paths, targets, preds):
             csv_lines.append(f"{path},{y!r},{p!r}")
+        pem_text = "n/a" if None in readouts else _metric_text(srocc, targets, readouts)
         report_lines.append(
             f"split={split} n={len(paths)} srocc={_metric_text(srocc, targets, preds)} "
-            f"plcc={_metric_text(plcc, targets, preds)}"
+            f"plcc={_metric_text(plcc, targets, preds)} pem_srocc={pem_text}"
         )
 
     out = _ensure_out(args.out)

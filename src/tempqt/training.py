@@ -25,7 +25,7 @@ frozen_drawn=<drawn>``.
 ``param_table`` declares the model's parameters once, by init family;
 both stages build their stores from it through ``build_store``.
 
-Checkpoints are a small binary format (magic ``TQTCKPT``, version 5):
+Checkpoints are a small binary format (magic ``TQTCKPT``, version 6):
 a version byte, the settings text's u32 length, the text, then the
 float32 values of every entry of the settings' ``param_table``, in
 table order, with no name, shape or length stored beside them. The
@@ -70,7 +70,7 @@ from .supervision import PemLossConfig, compute_oem, pem_loss
 from .tensor import Tape, backward, zero_grads
 
 CHECKPOINT_MAGIC = b"TQTCKPT"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 STAGE1_FAMILIES = ("pem", "dec")
 
@@ -288,6 +288,22 @@ def score_crops(
     return fuse_and_predict(pem_features, token, store, cfg)
 
 
+def _score_image(
+    img: GrayImage, store: ParamStore, cfg: ModelConfig, mode: str, share_backbone: bool
+) -> tuple:
+    """(score, stage-1 readout) of one image, from one batch of its evaluation crops.
+
+    The score is the crops' mean predicted score. The readout is minus the
+    mean of their frozen features, None in pqt_only; with gap_grid
+    dividing image_size, that is minus the mean predicted map.
+    """
+    crops = ImageBatch(eval_crops(img, cfg.image_size))
+    features = frozen_features(crops, store, cfg) if mode != "pqt_only" else None
+    scores = score_crops(crops, features, store, cfg, mode, share_backbone)
+    readout = None if features is None else -float(np.mean(features.data, dtype=np.float64))
+    return float(np.mean(scores.data, dtype=np.float64)), readout
+
+
 def predict_score(
     img: GrayImage,
     store: ParamStore,
@@ -296,10 +312,7 @@ def predict_score(
     share_backbone: bool = False,
 ) -> float:
     """Mean predicted score over the deterministic evaluation crops, run as one batch."""
-    crops = ImageBatch(eval_crops(img, cfg.image_size))
-    features = frozen_features(crops, store, cfg) if mode != "pqt_only" else None
-    scores = score_crops(crops, features, store, cfg, mode, share_backbone)
-    return float(np.mean(scores.data, dtype=np.float64))
+    return _score_image(img, store, cfg, mode, share_backbone)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +591,13 @@ def train_quality(
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 
 
-def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint) -> dict:
-    """Predict every sample; returns {split: (paths, targets, predictions)} for train and test."""
+def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint, readout: bool = False) -> dict:
+    """Predict every sample; returns {split: (paths, targets, predictions)} for train and test.
+
+    With ``readout``, each split's tuple gains a fourth list: each image's
+    stage-1 readout (``_score_image``), or None in pqt_only. It comes from
+    the scoring pass's own frozen features, with no second forward.
+    """
     store = store_from_checkpoint(ckpt)
     if not store.has_prefix("fuse."):
         raise CompatibilityError("checkpoint has no fusion head; evaluate a quality checkpoint")
@@ -588,12 +606,14 @@ def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint) -> dict:
     share = ckpt.train_cfg.share_backbone
     out = {}
     for split in SPLITS:
-        paths, targets, preds = [], [], []
+        paths, targets, preds, readouts = [], [], [], []
         for s in manifest.split_samples(split):
             img = load_image(manifest.resolve(s.dist_path))
             check_crop_fits(img, cfg.image_size, s.dist_path)
             paths.append(s.dist_path)
             targets.append(s.score)
-            preds.append(predict_score(img, store, cfg, mode, share))
-        out[split] = (paths, targets, preds)
+            pred, pem = _score_image(img, store, cfg, mode, share)
+            preds.append(pred)
+            readouts.append(pem)
+        out[split] = (paths, targets, preds, readouts) if readout else (paths, targets, preds)
     return out

@@ -125,7 +125,7 @@ def test_eval_report_format(pipeline):
     assert len(report) == 2
     for line, split in zip(report, ("train", "test")):
         assert line.startswith(f"split={split} n=")
-        assert "srocc=" in line and "plcc=" in line
+        assert [field.split("=")[0] for field in line.split()] == ["split", "n", "srocc", "plcc", "pem_srocc"]
     csv = (run / "predictions.csv").read_text().splitlines()
     assert csv[0] == "dist_path,y,pred"
     assert len(csv) == 1 + 3 * 7
@@ -273,11 +273,12 @@ def test_eval_reports_undefined_correlations_as_na(pipeline, tmp_path, capsys):
     ckpt.params["fuse.mlp2.w2"][:] = 0.0
     const = tmp_path / "const.ckpt"
     save_checkpoint(ckpt, const)
+    # the zeroed head leaves the error-map branch, so pem_srocc stays defined
     cases = [
-        (flat, pipeline["run"] / "quality.ckpt", ("train",), ("test",)),
-        (ds / "manifest.csv", const, (), ("train", "test")),
+        (flat, pipeline["run"] / "quality.ckpt", ("train",), ("test",), ("test",)),
+        (ds / "manifest.csv", const, (), ("train", "test"), ()),
     ]
-    for i, (manifest_path, ckpt_path, defined, undefined) in enumerate(cases):
+    for i, (manifest_path, ckpt_path, defined, undefined, pem_undefined) in enumerate(cases):
         out = tmp_path / f"e{i}"
         assert cli.main([
             "eval", "--config", str(pipeline["cfg"]), "--ckpt", str(ckpt_path),
@@ -288,7 +289,9 @@ def test_eval_reports_undefined_correlations_as_na(pipeline, tmp_path, capsys):
         for split in defined:
             assert "n/a" not in report[f"split={split}"]
         for split in undefined:
-            assert report[f"split={split}"].endswith(" srocc=n/a plcc=n/a")
+            assert " srocc=n/a plcc=n/a pem_srocc=" in report[f"split={split}"]
+        for split in ("train", "test"):
+            assert report[f"split={split}"].endswith(" pem_srocc=n/a") == (split in pem_undefined)
         assert len((out / "predictions.csv").read_text().splitlines()) == 1 + 3 * 7
 
 

@@ -69,7 +69,7 @@ def test_serialization_is_canonical():
 
 
 def test_default_settings_text_is_golden():
-    assert CHECKPOINT_VERSION == 5
+    assert CHECKPOINT_VERSION == 6
     assert serialize_settings(ModelConfig(), TrainConfig(), PemLossConfig()) == DEFAULT_SETTINGS_TEXT
 
 

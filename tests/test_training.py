@@ -374,6 +374,17 @@ def test_checkpoint_v2_rejected(micro_pem_ckpt, tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_v5_rejected(micro_pem_ckpt, tmp_path):
+    # v5 has v6's layout, but its values were fit under the exact GELU
+    path = tmp_path / "v5.ckpt"
+    save_checkpoint(micro_pem_ckpt, path)
+    blob = bytearray(path.read_bytes())
+    blob[7] = 5
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 5"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTCKPT" + b"\x00" * 32)
@@ -776,6 +787,27 @@ def test_overfit_set_learns_score_order(overfit_manifest, overfit_quality_ckpt):
     _paths, targets, preds = evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
     assert srocc(targets, preds) >= 0.9
     assert plcc(targets, preds) >= 0.9
+
+
+def test_stage1_readout_ranks_the_overfit_set(overfit_manifest, overfit_quality_ckpt):
+    # eval's pem_srocc: minus each image's mean predicted map, read from
+    # the scoring pass, deterministic across evals, and the same scores
+    first = evaluate_manifest(overfit_manifest, overfit_quality_ckpt, readout=True)["train"]
+    second = evaluate_manifest(overfit_manifest, overfit_quality_ckpt, readout=True)["train"]
+    paths, targets, preds, readouts = first
+    assert second == first
+    assert (paths, targets, preds) == evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
+    assert srocc(targets, readouts) > 0.0
+
+
+def test_stage1_readout_is_none_without_an_error_map(micro_manifest):
+    cfg = tiny_config()
+    ckpt = Checkpoint(
+        cfg, TrainConfig(**MICRO, ablation_mode="pqt_only"), PemLossConfig(),
+        training.build_store(training.param_table(cfg, "pqt_only"), seed=0).arrays(),
+    )
+    _paths, _targets, preds, readouts = evaluate_manifest(micro_manifest, ckpt, readout=True)["train"]
+    assert readouts == [None] * len(preds) and len(preds) > 0
 
 
 def test_error_maps_follow_the_objective_error_after_brief_training(tmp_path):
