@@ -197,7 +197,7 @@ def cmd_eval(args) -> int:
     check_model_compat(ckpt.model_cfg, run.model)
     # scores and reports everything first, so a bad checkpoint or image
     # leaves no output
-    results = evaluate_manifest(manifest, ckpt, readout=True)
+    results = evaluate_manifest(manifest, ckpt)
     report_lines = []
     csv_lines = ["dist_path,y,pred"]
     for split, (paths, targets, preds, readouts) in results.items():

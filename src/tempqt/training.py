@@ -591,12 +591,12 @@ def train_quality(
     return Checkpoint(model_cfg, train_cfg, pem_ckpt.loss_cfg, store.arrays())
 
 
-def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint, readout: bool = False) -> dict:
-    """Predict every sample; returns {split: (paths, targets, predictions)} for train and test.
+def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint) -> dict:
+    """Predict every sample; returns {split: (paths, targets, predictions, readouts)}.
 
-    With ``readout``, each split's tuple gains a fourth list: each image's
-    stage-1 readout (``_score_image``), or None in pqt_only. It comes from
-    the scoring pass's own frozen features, with no second forward.
+    A readout is the image's stage-1 readout (``_score_image``), or None in
+    pqt_only. It comes from the scoring pass's own frozen features, with no
+    second forward.
     """
     store = store_from_checkpoint(ckpt)
     if not store.has_prefix("fuse."):
@@ -615,5 +615,5 @@ def evaluate_manifest(manifest: DatasetManifest, ckpt: Checkpoint, readout: bool
             pred, pem = _score_image(img, store, cfg, mode, share)
             preds.append(pred)
             readouts.append(pem)
-        out[split] = (paths, targets, preds, readouts) if readout else (paths, targets, preds)
+        out[split] = (paths, targets, preds, readouts)
     return out

@@ -491,7 +491,7 @@ def test_mlp_residual_keeps_no_normalized_input_or_gelu_output():
     assert node.inputs[:2] == (x, x)  # the residual first, then the layer norm
     closure = node.backward.__closure__
     saved = [c.cell_contents for c in closure if isinstance(c.cell_contents, np.ndarray)]
-    # x-hat (B, N, d), the inverse std (B, N, 1), m1 and Phi(m1) (B, N, 4d),
+    # x-hat (B, N, d), the inverse std (B, N, 1), m1 and t, the tanh of its GELU (B, N, 4d),
     # plus the parameters' own arrays; nothing else of activation size
     activations = sorted(a.shape for a in saved if a.ndim == 3)
     assert activations == [(2, 5, 1), (2, 5, 8), (2, 5, 32), (2, 5, 32)]

@@ -770,11 +770,11 @@ def test_stage2_steps_score_each_crop_against_its_own_sample(micro_pem_ckpt, tmp
 def test_evaluate_manifest_outputs(micro_manifest, micro_quality_ckpt):
     out = evaluate_manifest(micro_manifest, micro_quality_ckpt)
     assert set(out) == {"train", "test"}
-    paths, targets, preds = out["train"]
+    paths, targets, preds, readouts = out["train"]
     n_train = len(micro_manifest.split_samples("train"))
-    assert len(paths) == len(targets) == len(preds) == n_train
+    assert len(paths) == len(targets) == len(preds) == len(readouts) == n_train
     assert all(np.isfinite(p) for p in preds)
-    assert out["test"] == ([], [], [])
+    assert out["test"] == ([], [], [], [])
 
 
 def test_evaluate_rejects_pem_checkpoint(micro_manifest, micro_pem_ckpt):
@@ -784,19 +784,18 @@ def test_evaluate_rejects_pem_checkpoint(micro_manifest, micro_pem_ckpt):
 
 def test_overfit_set_learns_score_order(overfit_manifest, overfit_quality_ckpt):
     # headline check: both stages together rank and fit the training scores
-    _paths, targets, preds = evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
+    _paths, targets, preds, _readouts = evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
     assert srocc(targets, preds) >= 0.9
     assert plcc(targets, preds) >= 0.9
 
 
 def test_stage1_readout_ranks_the_overfit_set(overfit_manifest, overfit_quality_ckpt):
     # eval's pem_srocc: minus each image's mean predicted map, read from
-    # the scoring pass, deterministic across evals, and the same scores
-    first = evaluate_manifest(overfit_manifest, overfit_quality_ckpt, readout=True)["train"]
-    second = evaluate_manifest(overfit_manifest, overfit_quality_ckpt, readout=True)["train"]
-    paths, targets, preds, readouts = first
+    # the scoring pass, and deterministic across evals
+    first = evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
+    second = evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
+    _paths, targets, _preds, readouts = first
     assert second == first
-    assert (paths, targets, preds) == evaluate_manifest(overfit_manifest, overfit_quality_ckpt)["train"]
     assert srocc(targets, readouts) > 0.0
 
 
@@ -806,7 +805,7 @@ def test_stage1_readout_is_none_without_an_error_map(micro_manifest):
         cfg, TrainConfig(**MICRO, ablation_mode="pqt_only"), PemLossConfig(),
         training.build_store(training.param_table(cfg, "pqt_only"), seed=0).arrays(),
     )
-    _paths, _targets, preds, readouts = evaluate_manifest(micro_manifest, ckpt, readout=True)["train"]
+    _paths, _targets, preds, readouts = evaluate_manifest(micro_manifest, ckpt)["train"]
     assert readouts == [None] * len(preds) and len(preds) > 0
 
 
