@@ -19,6 +19,8 @@ def main() -> int:
     parser.add_argument("--size", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if not args.out:
+        parser.error("--out must not be empty")
     for flag, value in (("--count", args.count), ("--size", args.size)):
         if value < 1:
             parser.error(f"{flag} must be positive, got {value}")

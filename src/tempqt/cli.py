@@ -12,9 +12,9 @@ maps record the model, training and loss settings the checkpoint holds.
 ``pem.ckpt`` holds those of its pretrain run. ``quality.ckpt`` holds
 the training settings of its train run, stage-1 keys such as alpha and
 epochs_stage1 included, and the loss settings of its ``pem.ckpt``; so
-only ``pem.ckpt`` records how stage 1 was trained. pretrain, train and
-eval take settings from ``--config`` and paths only from ``--manifest``
-and ``--out``, which may not be empty.
+only ``pem.ckpt`` records how stage 1 was trained. A config names no
+path. Every path flag is required, must not be empty (a usage error,
+before anything is read or written) and is used as given.
 
 eval reports SROCC and PLCC per split, and ``pem_srocc``: the SROCC of
 the stage-1 readout, minus the mean predicted error map over an image's
@@ -79,20 +79,15 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _resolved_run(run: RunConfig, out_dir: str, command: str) -> None:
     _write(os.path.join(out_dir, f"{command}.resolved.config"), serialize_run_config(run))
 
 
-def _run_path(text: str) -> str:
-    """A run's --manifest or --out as an absolute path; empty is a usage error."""
+def _path(text: str) -> str:
+    """The type of every path flag: the text as given; empty is a usage error."""
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
-    return os.path.abspath(text)
+    return text
 
 
 # --- commands ---------------------------------------------------------------
@@ -122,10 +117,9 @@ def cmd_synth(args) -> int:
         raise DataError(f"no .pgm/.ppm/.pnm images under {args.bases}")
     paths = [os.path.join(args.bases, n) for n in names]
     # the generator checks everything before it creates the output directory
-    out = args.out
-    manifest = generate_synthetic_dataset(paths, kinds, severities, args.seed, out)
+    manifest = generate_synthetic_dataset(paths, args.out, kinds, severities, args.seed)
     manifest = split_by_reference(manifest, args.train_fraction, args.seed)
-    save_manifest(manifest, os.path.join(out, "manifest.csv"))
+    save_manifest(manifest, os.path.join(args.out, "manifest.csv"))
     # no paths, so the same bases and flags write the same file anywhere
     lines = [
         f"seed = {args.seed}",
@@ -133,10 +127,10 @@ def cmd_synth(args) -> int:
         f"severities = {','.join(str(s) for s in severities)}",
         f"train_fraction = {args.train_fraction!r}",
     ]
-    _write(os.path.join(out, "synth.resolved.config"), "\n".join(lines) + "\n")
+    _write(os.path.join(args.out, "synth.resolved.config"), "\n".join(lines) + "\n")
     n_train = len(manifest.split_samples("train"))
     n_test = len(manifest.split_samples("test"))
-    print(f"wrote {len(manifest.samples)} samples (train={n_train} test={n_test}) to {out}")
+    print(f"wrote {len(manifest.samples)} samples (train={n_train} test={n_test}) to {args.out}")
     return 0
 
 
@@ -211,12 +205,12 @@ def cmd_eval(args) -> int:
             f"plcc={_metric_text(plcc, targets, preds)} pem_srocc={pem_text}"
         )
 
-    out = _ensure_out(args.out)
-    _write(os.path.join(out, "eval.resolved.config"), ckpt.settings_text())
+    os.makedirs(args.out, exist_ok=True)
+    _write(os.path.join(args.out, "eval.resolved.config"), ckpt.settings_text())
     for line in report_lines:
         print(line)
-    _write(os.path.join(out, "report.txt"), "\n".join(report_lines) + "\n")
-    _write(os.path.join(out, "predictions.csv"), "\n".join(csv_lines) + "\n")
+    _write(os.path.join(args.out, "report.txt"), "\n".join(report_lines) + "\n")
+    _write(os.path.join(args.out, "predictions.csv"), "\n".join(csv_lines) + "\n")
     return 0
 
 
@@ -243,10 +237,10 @@ def cmd_maps(args) -> int:
     if store.has_prefix("pqt."):
         attention = encode(batch, store, cfg, "pqt", ckpt.train_cfg.share_backbone).attention
 
-    out = _ensure_out(args.out)
-    _write(os.path.join(out, "maps.resolved.config"), ckpt.settings_text())
+    os.makedirs(args.out, exist_ok=True)
+    _write(os.path.join(args.out, "maps.resolved.config"), ckpt.settings_text())
     for i, stem in enumerate(stems):
-        base = os.path.join(out, stem)
+        base = os.path.join(args.out, stem)
         save_image(GrayImage(size, size, pems[i]), f"{base}.pem.pgm")
         print(f"wrote {base}.pem.pgm")
         if attention is not None:
@@ -285,13 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # what pretrain, train and eval share: the run config and the run's two paths
     run_args = argparse.ArgumentParser(add_help=False)
-    run_args.add_argument("--config", required=True, help="key = value settings file")
-    run_args.add_argument("--manifest", required=True, type=_run_path, help="dataset manifest.csv to read")
-    run_args.add_argument("--out", required=True, type=_run_path, help="run directory to write")
+    run_args.add_argument("--config", required=True, type=_path, help="key = value settings file")
+    run_args.add_argument("--manifest", required=True, type=_path, help="dataset manifest.csv to read")
+    run_args.add_argument("--out", required=True, type=_path, help="run directory to write")
 
     p = sub.add_parser("synth", help="generate a distorted dataset from base images")
-    p.add_argument("--bases", required=True, help="directory of base images (.pgm/.ppm)")
-    p.add_argument("--out", required=True, help="output dataset directory")
+    p.add_argument("--bases", required=True, type=_path, help="directory of base images (.pgm/.ppm/.pnm)")
+    p.add_argument("--out", required=True, type=_path, help="output dataset directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kinds", default=None, help=f"comma list from {','.join(DISTORTION_KINDS)}")
     p.add_argument(
@@ -304,17 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", parents=[run_args], help="stage 2: train quality token and fusion head")
-    p.add_argument("--pem-ckpt", required=True, dest="pem_ckpt")
+    p.add_argument("--pem-ckpt", required=True, type=_path, dest="pem_ckpt")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[run_args], help="score a manifest with a quality checkpoint")
-    p.add_argument("--ckpt", required=True)
+    p.add_argument("--ckpt", required=True, type=_path)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("maps", help="export predicted error maps and attention maps")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--images", nargs="+", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--ckpt", required=True, type=_path)
+    p.add_argument("--images", nargs="+", required=True, type=_path)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_maps)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all backward rules")

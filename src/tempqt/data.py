@@ -144,10 +144,10 @@ def load_manifest(path) -> DatasetManifest:
 
 def generate_synthetic_dataset(
     base_images: list,
+    out_dir: str,
     kinds: tuple = DISTORTION_KINDS,
     severities: tuple = SEVERITIES,
     seed: int = 0,
-    out_dir: str = ".",
 ) -> DatasetManifest:
     """Distort each base image with every (kind, severity) pair.
 

@@ -161,29 +161,53 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-RUN_COMMAND_ARGS = {"pretrain": [], "train": ["--pem-ckpt", "pem.ckpt"], "eval": ["--ckpt", "quality.ckpt"]}
+# every path flag of every command; each is required and must not be empty
+PATH_FLAGS = {
+    "synth": ("--bases", "--out"),
+    "pretrain": ("--config", "--manifest", "--out"),
+    "train": ("--config", "--manifest", "--out", "--pem-ckpt"),
+    "eval": ("--config", "--manifest", "--out", "--ckpt"),
+    "maps": ("--ckpt", "--images", "--out"),
+}
 
 
-@pytest.mark.parametrize("command", list(RUN_COMMAND_ARGS))
+def _path_case(command, flag, value, message):
+    kind = "no" if value is None else "empty"
+    return pytest.param(command, flag, value, message, id=f"{kind}_{flag[2:].replace('-', '_')}-{command}")
+
+
 @pytest.mark.parametrize(
-    "paths,message",
+    "command,flag,value,message",
     [
-        (["--out", "run"], "the following arguments are required: --manifest"),
-        (["--manifest", "manifest.csv"], "the following arguments are required: --out"),
-        (["--manifest", "", "--out", "run"], "argument --manifest: must not be empty"),
-        (["--manifest", "manifest.csv", "--out", ""], "argument --out: must not be empty"),
+        _path_case(command, flag, value, message)
+        for command, flags in PATH_FLAGS.items()
+        for flag in flags
+        for value, message in (
+            (None, f"the following arguments are required: {flag}"),
+            ("", f"argument {flag}: must not be empty"),
+        )
     ],
-    ids=["no_manifest", "no_out", "empty_manifest", "empty_out"],
 )
-def test_run_paths_are_required_flags(tmp_path, monkeypatch, capsys, command, paths, message):
-    # an empty --out would otherwise write into the working directory
-    (tmp_path / "run.cfg").write_text(TINY_RUN_CONFIG, encoding="utf-8")
+def test_run_paths_are_required_flags(pipeline, tmp_path, monkeypatch, capsys, command, flag, value, message):
+    # every other flag names a real input, or an output in the working
+    # directory, so only the missing or empty flag stops the command; an
+    # empty --out would otherwise write into the working directory
+    given = {
+        "--bases": pipeline["bases"], "--config": pipeline["cfg"],
+        "--manifest": pipeline["ds"] / "manifest.csv", "--pem-ckpt": pipeline["run"] / "pem.ckpt",
+        "--ckpt": pipeline["run"] / "quality.ckpt", "--images": pipeline["dist"], "--out": "out",
+    }
+    given[flag] = value
+    argv = [command]
+    for name in PATH_FLAGS[command]:
+        if given[name] is not None:
+            argv += [name, str(given[name])]
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--config", "run.cfg", *RUN_COMMAND_ARGS[command], *paths])
+        cli.main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["run.cfg"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("key", ["manifest", "out_dir"])

@@ -25,13 +25,13 @@ bench_pairs = _load("bench_pairs")
 # make_textures.py
 
 
-def _make_textures(*args):
+def _make_textures(*args, cwd=None):
     env = dict(os.environ)
     src = str(SCRIPTS.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.run(
         [sys.executable, str(SCRIPTS / "make_textures.py"), *args],
-        env=env, capture_output=True, text=True, check=False,
+        env=env, cwd=cwd, capture_output=True, text=True, check=False,
     )
 
 
@@ -43,6 +43,15 @@ def test_make_textures_rejects_a_non_positive_count_or_size(tmp_path, flag, valu
     assert f"{flag} must be positive, got {value}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_make_textures_rejects_an_empty_out(tmp_path):
+    # os.makedirs("") would otherwise end in a traceback
+    proc = _make_textures("--out", "", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--out must not be empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_make_textures_writes_count_images(tmp_path):
