@@ -47,6 +47,7 @@ import sys
 
 from .config import RunConfig, load_run_config, serialize_run_config
 from .data import (
+    center_crop,
     check_crop_fits,
     check_train_fraction,
     generate_synthetic_dataset,
@@ -227,8 +228,7 @@ def cmd_maps(args) -> int:
     for path in args.images:
         img = load_image(path)
         check_crop_fits(img, size, path)
-        top, left = (img.height - size) // 2, (img.width - size) // 2
-        images.append(img.pixels[top : top + size, left : left + size])
+        images.append(center_crop(img, size))
     # every image in one batch, mapped before anything is written
     batch = ImageBatch(images)
     # the decoder's sigmoid keeps every value in [0, 1]

@@ -285,5 +285,11 @@ def eval_crops(img: GrayImage, crop: int) -> list:
     fits (``check_crop_fits``) and is positive.
     """
     bottom, right = img.height - crop, img.width - crop
-    positions = dict.fromkeys([(0, 0), (0, right), (bottom, 0), (bottom, right), (bottom // 2, right // 2)])
-    return [_window(img, top, left, crop) for top, left in positions]
+    corners = dict.fromkeys([(0, 0), (0, right), (bottom, 0), (bottom, right)])
+    center = [center_crop(img, crop)] if max(bottom, right) > 1 else []  # else the top-left corner
+    return [_window(img, top, left, crop) for top, left in corners] + center
+
+
+def center_crop(img: GrayImage, crop: int):
+    """The read-only crop x crop view at the center of ``img``; an odd margin's extra line goes below or right."""
+    return _window(img, (img.height - crop) // 2, (img.width - crop) // 2, crop)

@@ -22,8 +22,8 @@ would add q . b_k to every logit of a query row, which softmax ignores.
 The attention half is separate tape nodes (layer norm, projections,
 ``tensor.attention``, residual add). The MLP half, norm through
 residual, is one ``tensor.mlp_residual`` node, which keeps only the
-norm's statistics, the pre-activation and the tanh of its GELU (the
-tanh form) for the backward.
+norm's statistics and the output and slope of its GELU (the tanh form)
+for the backward.
 """
 
 from __future__ import annotations

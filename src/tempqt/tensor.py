@@ -29,15 +29,16 @@ and -1, ``softmax_rows`` and ``layer_norm`` normalize the last axis,
 (B, N, d) keys and values, and ``mlp_residual`` is a transformer
 block's MLP half, x + linear(gelu(linear(layer_norm(x)))), as one op.
 
-``mlp_residual`` keeps what its backward cannot cheaply rebuild: the
-layer norm's x-hat and inverse std, the pre-activation m1 and the
-tanh t of its GELU (``gelu`` takes the tanh form). Its backward rebuilds
-the normalized input and the GELU output with the forward's own
-expressions, which gives the forward's bits back. Each
-formula it shares with ``layer_norm``, ``gelu`` and ``linear`` (layer
-norm statistics and gradients, GELU's derivative, a linear map's three
-gradients) lives in one private helper that all of them call, so the
-fused op equals the composed ops bit for bit.
+``mlp_residual`` keeps the layer norm's x-hat and inverse std and its
+GELU's output and slope (``gelu`` takes the tanh form). Its backward
+rebuilds the normalized input with the forward's own expression, which
+gives the forward's bits back, and reads the GELU rather than re-running
+it: one kernel gives each GELU's output and, only for a recorded node
+that a gradient flows back through, its slope. Each formula it shares
+with ``layer_norm``, ``gelu`` and ``linear`` (layer norm statistics and
+gradients, the GELU and its slope, a linear map's three gradients) lives
+in one private helper that all of them call, so the fused op equals the
+composed ops bit for bit.
 
 The two kernels every transformer block runs, ``attention`` and
 ``layer_norm``, are bound by elementwise and reduction passes, not by
@@ -198,9 +199,14 @@ class Tape:
 _recording = None  # the Tape inside whose ``with`` block ops are recorded
 
 
+def _records(inputs: tuple) -> bool:
+    """Whether an op over ``inputs`` records a node: a tape records and some input needs a gradient."""
+    return _recording is not None and any(t.needs_grad for t in inputs)
+
+
 def _emit(arr: np.ndarray, inputs: tuple, backward) -> Tensor:
     """Wrap a computed array, recording the op if a tape is recording."""
-    track = _recording is not None and any(t.needs_grad for t in inputs)
+    track = _records(inputs)
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
@@ -329,45 +335,36 @@ def sum_(a: Tensor) -> Tensor:
     return _emit(val, (a,), bwd)
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """t = tanh(sqrt(2 / pi) * (x + 0.044715 x^3)) with x clamped, in x's dtype; 2 temporaries."""
+def _gelu(x: np.ndarray, slope: bool) -> tuple:
+    """(y, dy/dx) of GELU's tanh form at x, in x's dtype; the slope is None unless asked for.
+
+    t = tanh(sqrt(2 / pi) * (x + 0.044715 x^3)) and y = x * 0.5 * (1 + t), never above |x|.
+    The slope 0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2 / pi) (1 + 3 * 0.044715 x^2) is taken as
+    (1 + t) * (0.5 + (1 - t) * s), s = 0.5 sqrt(2 / pi) x (1 + 3 * 0.044715 x^2), so 1 - t^2
+    never cancels. Both read x clamped at +-10, where t is already +-1, so no power of a huge
+    input overflows; wherever the clamp acts, (1 + t) (1 - t) is 0.
+    """
     u = np.clip(x, -_GELU_CLAMP, _GELU_CLAMP)
     t = u * u
     t *= _GELU_C * _GELU_K
     t += _GELU_K
     t *= u
     np.tanh(t, out=t)
-    return t
-
-
-def _gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x * 0.5 * (1 + t): the GELU of x given t = _gelu_tanh(x); never above |x|, so never overflows."""
-    y = t * 0.5
-    y += 0.5
-    y *= x
-    return y
-
-
-def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gradient at x of _gelu_out(x, t), given g at the output and t = _gelu_tanh(x).
-
-    The derivative 0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2 / pi) (1 + 3 * 0.044715 x^2)
-    is taken as (1 + t) * (0.5 + (1 - t) * s), s = 0.5 sqrt(2 / pi) x (1 + 3 * 0.044715 x^2),
-    so 1 - t^2 never cancels; x is clamped as in the forward, and wherever
-    the clamp acts (1 + t) (1 - t) is 0.
-    """
-    u = np.clip(x, -_GELU_CLAMP, _GELU_CLAMP)
-    s = u * u
-    s *= 1.5 * _GELU_C * _GELU_K
-    s += 0.5 * _GELU_K
-    s *= u
-    np.subtract(1.0, t, out=u)
-    s *= u
-    s += 0.5
-    np.add(t, 1.0, out=u)
-    s *= u
-    s *= g
-    return s
+    s = None
+    if slope:
+        s = u * u
+        s *= 1.5 * _GELU_C * _GELU_K
+        s += 0.5 * _GELU_K
+        s *= u
+        np.subtract(1.0, t, out=u)
+        s *= u
+        s += 0.5
+        np.add(t, 1.0, out=u)
+        s *= u
+    t *= 0.5
+    t += 0.5
+    t *= x
+    return t, s
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -376,21 +373,19 @@ def gelu(a: Tensor) -> Tensor:
     The approximation of the GELU paper (Hendrycks and Gimpel, arXiv
     1606.08415) and the default of the JAX ``gelu`` that the original ViT
     code calls; it lies within 4.8e-4 of the exact x * Phi(x). One
-    ``np.tanh`` and eight cheap passes make the forward, in float32 and in
+    ``np.tanh`` and eight cheap passes make the output, in float32 and in
     gradcheck's float64 shadow alike, and the cubic reads x clamped at
     |x| = 10, so output and gradient are finite and warning-free for
     every finite input. In float32 both stay within 4e-7 * max(1, |x|) of
-    the float64 closed form (tests/test_tensor.py). The node keeps x and
-    the tanh t, and its backward needs no transcendental call.
+    the float64 closed form (tests/test_tensor.py). A recorded node also
+    takes the slope dy/dx, eight passes more from the same clamped x and
+    tanh, and keeps it alone: its backward is g times the slope.
     """
     ad = a.data
     x = np.atleast_1d(ad)  # the kernel works in place; a 0-d array's passes would give numpy scalars
-    t = _gelu_tanh(x)
-
-    def bwd(g):
-        return (_gelu_grad(g, x, t).reshape(ad.shape),)
-
-    return _emit(_gelu_out(x, t).reshape(ad.shape), (a,), bwd)
+    y, s = _gelu(x, _records((a,)))
+    # a tape replays once, so the backward scales the kept slope in place
+    return _emit(y.reshape(ad.shape), (a,), lambda g: (np.multiply(s, g, out=s).reshape(ad.shape),))
 
 
 def prelu(a: Tensor, slope: Tensor) -> Tensor:
@@ -686,11 +681,11 @@ def mlp_residual(
     The MLP half of a pre-norm transformer block over (..., d) tokens,
     with a (d, h) and an (h, d) weight. It equals the five composed ops
     bit for bit, forward and gradients, and keeps only x-hat, the inverse
-    std, the pre-activation m1 and t, the tanh of its GELU. Its backward
-    rebuilds the normalized input and the GELU output 0.5 m1 (1 + t) with
-    the forward's own expressions, so the rebuilt values are the forward's
-    bits, and runs each op's gradient helper in reverse; the GELU's, given
-    t, needs no transcendental call. x is listed twice among the
+    std, the GELU output, which ``w2``'s gradient reads, and the GELU's
+    slope, which the forward takes only when a gradient flows back
+    through the activation. Its backward rebuilds the normalized input
+    with the forward's own expression and runs each op's gradient helper
+    in reverse; it never runs the GELU again. x is listed twice among the
     node's inputs, first for the residual and then for the layer norm, so
     ``backward`` adds the two gradients in the order two nodes would.
     """
@@ -702,20 +697,19 @@ def mlp_residual(
         raise DimensionError(f"mlp_residual over width {d} got parameter shapes {shapes}")
     gd, bd, w1d, b1d, w2d, b2d = ln_g.data, ln_b.data, w1.data, b1.data, w2.data, b2.data
     xhat, inv = _ln_stats(x.data)
-    m1 = _linear(_ln_affine(xhat, gd, bd), w1d, b1d)
-    t = _gelu_tanh(m1)
-    out = _linear(_gelu_out(m1, t), w2d, b2d)
+    y, s = _gelu(_linear(_ln_affine(xhat, gd, bd), w1d, b1d), _records((x, ln_g, ln_b, w1, b1)))
+    out = _linear(y, w2d, b2d)
     out += x.data
 
     def bwd(g):
-        gw2 = _grad_weight(_gelu_out(m1, t), g) if w2.needs_grad else None
+        gw2 = _grad_weight(y, g) if w2.needs_grad else None
         gb2 = _grad_bias(g, b2d.shape) if b2.needs_grad else None
         gx = gg = gb = gw1 = gb1 = None
-        need_ln = (x.needs_grad, ln_g.needs_grad, ln_b.needs_grad)
-        if any(need_ln) or w1.needs_grad or b1.needs_grad:
-            gm1 = _gelu_grad(_grad_left(g, w2d), m1, t)
+        if s is not None:
+            gm1 = np.multiply(s, _grad_left(g, w2d), out=s)  # a tape replays once
             gw1 = _grad_weight(_ln_affine(xhat, gd, bd), gm1) if w1.needs_grad else None
             gb1 = _grad_bias(gm1, b1d.shape) if b1.needs_grad else None
+            need_ln = (x.needs_grad, ln_g.needs_grad, ln_b.needs_grad)
             if any(need_ln):
                 gx, gg, gb = _ln_grads(_grad_left(gm1, w1d), xhat, inv, gd, *need_ln)
         return (g, gx, gg, gb, gw1, gb1, gw2, gb2)

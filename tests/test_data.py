@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tempqt.data import (
     DatasetManifest,
     Sample,
+    center_crop,
     eval_crops,
     generate_synthetic_dataset,
     load_manifest,
@@ -303,7 +304,8 @@ def test_patches_are_read_only_views_of_the_image(augment):
     img = ramp_image(12, 9)
     before = img.pixels.copy()
     crops = sample_patches(img, count=4, crop=5, seed=3, augment=augment) + eval_crops(img, 5)
-    assert len(crops) == 4 + 5
+    crops.append(center_crop(img, 5))
+    assert len(crops) == 4 + 5 + 1
     for crop in crops:
         assert crop.shape == (5, 5) and crop.dtype == np.float32
         assert np.shares_memory(crop, img.pixels)
@@ -349,6 +351,19 @@ def test_eval_crops_double_size_five():
     corners = [(0, 0), (0, 5), (5, 0), (5, 5), (2, 2)]
     for crop, (t, l) in zip(crops, corners):
         assert np.array_equal(crop, img.pixels[t : t + 5, l : l + 5])
+
+
+@pytest.mark.parametrize("height", [5, 6, 7, 8])
+@pytest.mark.parametrize("width", [5, 6, 7, 8])
+def test_eval_crops_are_the_corners_then_the_center_each_once(height, width):
+    # margins 0-3 a side: a center that falls on a corner is not cut twice
+    img = ramp_image(height, width)
+    bottom, right = height - 5, width - 5
+    positions = dict.fromkeys([(0, 0), (0, right), (bottom, 0), (bottom, right), (bottom // 2, right // 2)])
+    crops = eval_crops(img, 5)
+    assert [c.tobytes() for c in crops] == [img.pixels[t : t + 5, l : l + 5].tobytes() for t, l in positions]
+    center = img.pixels[bottom // 2 : bottom // 2 + 5, right // 2 : right // 2 + 5]
+    assert np.array_equal(center_crop(img, 5), center)
 
 
 def test_eval_crops_deterministic():

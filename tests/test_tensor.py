@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -480,7 +481,7 @@ def test_mlp_residual_is_one_node_equal_to_the_composed_ops(shape, x_feeds_more)
         assert g.dtype == g2.dtype and np.array_equal(g, g2)
 
 
-def test_mlp_residual_keeps_no_normalized_input_or_gelu_output():
+def test_mlp_residual_keeps_only_what_its_backward_reads():
     rng = CounterRng(6)
     x = leaf(rng.normal(2 * 5 * 8).reshape(2, 5, 8), np.float32)
     shapes = ((8,), (8,), (8, 32), (32,), (32, 8), (8,))
@@ -491,14 +492,120 @@ def test_mlp_residual_keeps_no_normalized_input_or_gelu_output():
     assert node.inputs[:2] == (x, x)  # the residual first, then the layer norm
     closure = node.backward.__closure__
     saved = [c.cell_contents for c in closure if isinstance(c.cell_contents, np.ndarray)]
-    # x-hat (B, N, d), the inverse std (B, N, 1), m1 and t, the tanh of its GELU (B, N, 4d),
-    # plus the parameters' own arrays; nothing else of activation size
-    activations = sorted(a.shape for a in saved if a.ndim == 3)
-    assert activations == [(2, 5, 1), (2, 5, 8), (2, 5, 32), (2, 5, 32)]
+    # x-hat (B, N, d), the inverse std (B, N, 1), and the GELU's output and
+    # slope (B, N, 4d), plus the parameters' own arrays; nothing else of
+    # activation size, and no pre-activation
+    activations = sorted((a for a in saved if a.ndim == 3), key=lambda a: a.shape)
+    assert [a.shape for a in activations] == [(2, 5, 1), (2, 5, 8), (2, 5, 32), (2, 5, 32)]
+    xhat, inv = T._ln_stats(x.data)
+    m1 = T._linear(T._ln_affine(xhat, params[0].data, params[1].data), params[2].data, params[3].data)
+    y, slope = T._gelu(m1, True)
+    kept = [a for a in activations if a.shape == (2, 5, 32)]
+    assert sorted(a.tobytes() for a in kept) == sorted([y.tobytes(), slope.tobytes()])
     with pytest.raises(DimensionError, match="mlp_residual"):
         T.mlp_residual(x, *params[:2], params[4], params[3], params[4], params[5])
     with pytest.raises(DimensionError, match="mlp_residual"):
         T.mlp_residual(T.constant(np.zeros(8, dtype=np.float32)), *params)
+
+
+# A reference GELU and MLP node that keep the GELU's input and tanh, and
+# whose backward rebuilds the output and runs the derivative from them:
+# the one kernel, which keeps the output and the slope instead, must
+# match them bit for bit.
+def _ref_gelu_tanh(x):
+    u = np.clip(x, -T._GELU_CLAMP, T._GELU_CLAMP)
+    t = u * u
+    t *= T._GELU_C * T._GELU_K
+    t += T._GELU_K
+    t *= u
+    np.tanh(t, out=t)
+    return t
+
+
+def _ref_gelu_out(x, t):
+    y = t * 0.5
+    y += 0.5
+    y *= x
+    return y
+
+
+def _ref_gelu_grad(g, x, t):
+    u = np.clip(x, -T._GELU_CLAMP, T._GELU_CLAMP)
+    s = u * u
+    s *= 1.5 * T._GELU_C * T._GELU_K
+    s += 0.5 * T._GELU_K
+    s *= u
+    np.subtract(1.0, t, out=u)
+    s *= u
+    s += 0.5
+    np.add(t, 1.0, out=u)
+    s *= u
+    s *= g
+    return s
+
+
+def _ref_gelu(a):
+    x = a.data
+    t = _ref_gelu_tanh(x)
+    return T._emit(_ref_gelu_out(x, t), (a,), lambda g: (_ref_gelu_grad(g, x, t),))
+
+
+def _ref_mlp_residual(x, ln_g, ln_b, w1, b1, w2, b2):
+    gd, bd, w1d, b1d, w2d, b2d = ln_g.data, ln_b.data, w1.data, b1.data, w2.data, b2.data
+    xhat, inv = T._ln_stats(x.data)
+    m1 = T._linear(T._ln_affine(xhat, gd, bd), w1d, b1d)
+    t = _ref_gelu_tanh(m1)
+    out = T._linear(_ref_gelu_out(m1, t), w2d, b2d)
+    out += x.data
+
+    def bwd(g):
+        gm1 = _ref_gelu_grad(T._grad_left(g, w2d), m1, t)
+        gx, gg, gb = T._ln_grads(T._grad_left(gm1, w1d), xhat, inv, gd, True, True, True)
+        gw1 = T._grad_weight(T._ln_affine(xhat, gd, bd), gm1)
+        gw2 = T._grad_weight(_ref_gelu_out(m1, t), g)
+        return (g, gx, gg, gb, gw1, T._grad_bias(gm1, b1d.shape), gw2, T._grad_bias(g, b2d.shape))
+
+    return T._emit(out, (x, x, ln_g, ln_b, w1, b1, w2, b2), bwd)
+
+
+# zero, the clamp edge, and inputs whose unclamped cube would overflow
+GELU_EDGES = [0.0, -0.0, 10.0, -10.0, 1e4, -1e4, 1e30, -1e30, 3.4e38, -3.4e38]
+
+
+def _taped(build, values, dtype):
+    """build's output and every leaf's gradient under sum(out * probe), with warnings as errors."""
+    leaves = [leaf(v, dtype) for v in values]
+    probe = T.constant(np.linspace(-1e-3, 1e-3, values[0].size).reshape(values[0].shape), dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with T.Tape() as tape:
+            out = build(*leaves)
+            T.backward(T.sum_(T.mul(out, probe)), tape)
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_keeps_the_bits_of_the_rebuilding_backward(dtype):
+    x = np.concatenate([GELU_EDGES, np.linspace(-12.0, 12.0, 54)]).reshape(4, 16)
+    got = _taped(T.gelu, [x], dtype)
+    want = _taped(_ref_gelu, [x], dtype)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_residual_keeps_the_bits_of_the_rebuilding_backward(dtype):
+    # a small w1 leaves the pre-activation at b1's values, the GELU edges
+    # among them; a small w2 keeps the huge GELU outputs' products finite
+    rng = CounterRng(8)
+    values = [rng.normal(2 * 5 * 8).reshape(2, 5, 8), 1.0 + rng.normal(8), rng.normal(8)]
+    values += [1e-2 * rng.normal(8 * 32).reshape(8, 32), np.concatenate([GELU_EDGES, np.linspace(-12, 12, 22)])]
+    values += [1e-3 * rng.normal(32 * 8).reshape(32, 8), rng.normal(8)]
+    got = _taped(T.mlp_residual, values, dtype)
+    want = _taped(_ref_mlp_residual, values, dtype)
+    assert len(got) == 8
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 def test_transpose_is_a_view_with_the_same_gradient():
@@ -777,13 +884,16 @@ def test_stage1_step_holds_only_what_its_backward_reads():
     # kept, backward freed nothing until the sweep ended, and Adam kept its
     # gradient and scratch buffers between steps; 18.2 MiB without all
     # three; 14.2 MiB once each block's MLP half is one node that keeps no
-    # normalized input, GELU output or pre-residual sum, and transpose
-    # and the decoder's conv input are views of the tokens
+    # normalized input or pre-residual sum, and transpose and the
+    # decoder's conv input are views of the tokens; 14.1 MiB with the node
+    # keeping the GELU's output and slope in place of its input and tanh
     assert float(run_src(STAGE1_PEAK)) < 16
 
 
 def test_stage2_step_holds_only_what_its_backward_reads():
-    # 12.9 MiB with five nodes per MLP half, 10.9 MiB with one
+    # 12.9 MiB with five nodes per MLP half, 10.9 MiB with one; 10.1 MiB
+    # once no backward rebuilds its GELU and the untaped frozen branch
+    # takes no slope
     assert float(run_src(STAGE2_PEAK)) < 12
 
 

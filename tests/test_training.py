@@ -694,6 +694,44 @@ def test_stage2_step_records_only_nodes_that_reach_the_loss(micro_manifest, micr
     assert tape.nodes and dead == 0
 
 
+def test_gelu_takes_its_slope_only_where_a_backward_reads_it(monkeypatch):
+    slopes = []  # the slope flag of every GELU, in call order
+    real_gelu = T._gelu
+
+    def spy(x, slope):
+        slopes.append(slope)
+        return real_gelu(x, slope)
+
+    monkeypatch.setattr(T, "_gelu", spy)
+    cfg = ModelConfig()
+    table = training.param_table(cfg)
+    pem = training.build_store(training.stage1(table), 0)
+    rng = np.random.default_rng(0)
+    ref = ImageBatch(rng.random((8, 64, 64)))
+    dist = ImageBatch(np.clip(ref.pixels + 0.1 * rng.standard_normal((8, 64, 64)), 0.0, 1.0))
+
+    # a default stage-1 step: every block of the error-map branch, then the decoder
+    with T.Tape() as tape:
+        loss = pem_loss(training.forward_pem(dist, pem, cfg), compute_oem(dist, ref), dist, ref, PemLossConfig())
+    T.backward(loss, tape)
+    assert slopes == [True] * (cfg.pem_depth + 1)
+
+    # a stage-2 step: the frozen branch runs under the tape and takes no slope
+    store = training.build_store(table, 0, frozen=pem.arrays())
+    slopes.clear()
+    with T.Tape() as tape:
+        features = training.frozen_features(dist, store, cfg)
+        preds = training.score_crops(dist, features, store, cfg, "both", False)
+        loss = training.quality_loss(preds, np.linspace(0.1, 0.9, 8, dtype=np.float32))
+    T.backward(loss, tape)
+    assert slopes == [False] * (cfg.pem_depth + 1) + [True] * cfg.layers
+
+    # untaped inference takes none
+    slopes.clear()
+    training.predict_score(GrayImage(64, 64, rng.random((64, 64))), store, cfg)
+    assert slopes == [False] * (cfg.pem_depth + 1 + cfg.layers)
+
+
 def _train_manifest(root, images) -> DatasetManifest:
     """A train-only manifest of (dist, ref or None, score) images, written under ``root``."""
     samples = []
